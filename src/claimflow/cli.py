@@ -519,6 +519,9 @@ def main(argv: Optional[list[str]] = None) -> None:
     p_self.add_argument("--break-quadrature", action="store_true", help=argparse.SUPPRESS)
 
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        sys.exit(1)
     if args.command == "run":
         code = run_scenario(
             args.config, args.out, validate=args.validate, mc_only=args.mc_only,

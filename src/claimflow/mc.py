@@ -1,10 +1,13 @@
 """Monte Carlo oracle for the reserve: full-scenario brute force.
 
-Each path simulates the intensity, the market and every policy's claim
-history, then accumulates the deflated payments falling in the valuation
-window.  Paths are generated in fixed-size blocks with one RNG substream
-per block, so the estimate is bitwise identical for any thread count, and
-the draw layout inside a block is fixed by the configuration alone.
+Each path simulates the intensity, every policy's claim history and the
+deflator, then accumulates the deflated payments falling in the valuation
+window.  A martingale deflator independent of the intensity is sampled
+exactly at each path's payment times, so its cost follows the number of
+payments rather than the grid size.  Paths are generated in fixed-size
+blocks with one RNG substream per block, so the estimate is bitwise
+identical for any thread count, and the draw layout inside a block is fixed
+by the configuration and the seed alone.
 
 The conditional variant buckets paths by the realized reported count at
 the valuation time; under a deterministic intensity and deflator the
@@ -117,23 +120,115 @@ def _interp_on_paths(times: np.ndarray, row: np.ndarray, grid: TimeGrid, paths: 
 def _invert_gamma_rows(gamma: np.ndarray, points: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Vectorized first-crossing times of per-row hazards, inf if never.
 
-    ``gamma`` is (paths, nodes); ``e`` is (paths, policies).
+    ``gamma`` is (paths, nodes), nondecreasing along each row; ``e`` is
+    (paths, policies).  Agrees element by element with the scalar
+    ``claims.invert_hazard`` for nonnegative thresholds.
     """
-    n_paths, n_policies = e.shape
-    out = np.full(e.shape, np.inf)
-    step_times = points
-    for j in range(n_policies):
-        ej = e[:, j]
-        idx = np.sum(gamma < ej[:, None], axis=1)
-        alive = idx <= gamma.shape[1] - 1
-        idx_c = np.clip(idx, 1, gamma.shape[1] - 1)
-        lo = np.take_along_axis(gamma, (idx_c - 1)[:, None], axis=1)[:, 0]
-        hi = np.take_along_axis(gamma, idx_c[:, None], axis=1)[:, 0]
-        den = hi - lo
-        frac = np.where(den > 0.0, (ej - lo) / np.where(den > 0.0, den, 1.0), 0.0)
-        tau = step_times[idx_c - 1] + frac * (step_times[idx_c] - step_times[idx_c - 1])
-        out[:, j] = np.where(alive, tau, np.inf)
-    return out
+    n_nodes = gamma.shape[1]
+    # Branchless binary search for the number of nodes below each
+    # threshold, i.e. a per-row searchsorted(side="left"), built up one bit
+    # of the answer at a time for all rows and policies at once.  Probes
+    # past the last node read gamma[-1]; they can only push idx beyond the
+    # last node when the threshold exceeds gamma[-1], which maps to inf.
+    flat = gamma.ravel()
+    row_base = np.arange(gamma.shape[0])[:, None] * n_nodes - 1
+    idx = np.zeros(e.shape, dtype=np.intp)
+    step = 1 << (n_nodes.bit_length() - 1)
+    while step:
+        idx += step * (flat[row_base + np.minimum(idx + step, n_nodes)] < e)
+        step >>= 1
+    alive = idx <= n_nodes - 1
+    idx_c = np.clip(idx, 1, n_nodes - 1)
+    lo = np.take_along_axis(gamma, idx_c - 1, axis=1)
+    hi = np.take_along_axis(gamma, idx_c, axis=1)
+    den = hi - lo
+    frac = np.where(den > 0.0, (e - lo) / np.where(den > 0.0, den, 1.0), 0.0)
+    tau = points[idx_c - 1] + frac * (points[idx_c] - points[idx_c - 1])
+    return np.where(alive, tau, np.inf)
+
+
+def _brownian_at_events(times: np.ndarray, rows: np.ndarray, rng: np.random.Generator,
+                        antithetic: bool = False) -> np.ndarray:
+    """Standard Brownian motion of each row sampled exactly at its event times.
+
+    Events are sorted by row, then time; one normal is drawn per event in
+    that order and ``sqrt(ds) * z`` is cumulated from ``W_0 = 0`` within
+    each row (independent Gaussian increments, Glasserman 2004, sec. 3.1).
+    With ``antithetic``, rows 2k and 2k + 1 share one motion sampled at the
+    union of their times and the odd row takes ``-W``.
+    """
+    m = len(times)
+    if m == 0:
+        return np.empty(0)
+    paths = rows // 2 if antithetic else rows
+    # Two passes instead of np.lexsort: any sort by time, then a stable sort
+    # by path on the narrowest integer type, which numpy radix-sorts.
+    order = np.argsort(times)
+    key = paths[order].astype(np.min_scalar_type(int(paths.max())))
+    order = order[np.argsort(key, kind="stable")]
+    s, p = times[order], paths[order]
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    np.not_equal(p[1:], p[:-1], out=first[1:])
+    ds = np.diff(s, prepend=0.0)
+    ds[first] = s[first]
+    cum = np.cumsum(np.sqrt(ds) * rng.standard_normal(m))
+    starts = np.flatnonzero(first)
+    before = np.concatenate(([0.0], cum))[starts]
+    w = np.empty(m)
+    w[order] = cum - np.repeat(before, np.diff(starts, append=m))
+    if antithetic:
+        np.negative(w, out=w, where=rows % 2 == 1)
+    return w
+
+
+def _deflator_values(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
+                     first_times: np.ndarray, in_window: np.ndarray,
+                     dev_times: np.ndarray, dev_rows: np.ndarray,
+                     z_mu: np.ndarray | None, det_deflator: np.ndarray | None,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deflator at the first reports, at the development events and at t.
+
+    ``first_times`` and ``in_window`` are (paths, policies); values outside
+    the window are unused.  A martingale deflator independent of the
+    intensity is sampled exactly at the payment times; one correlated with
+    a log-OU intensity shares its grid noise and is interpolated from an
+    on-grid path.
+    """
+    points = grid.points
+    n_block = first_times.shape[0]
+    market = config.market
+    if det_deflator is not None:
+        at_t = np.full(n_block, np.interp(config.t, points, det_deflator))
+        return (np.interp(first_times, points, det_deflator),
+                np.interp(dev_times, points, det_deflator), at_t)
+
+    assert isinstance(market, MartingaleDeflator) and market.vol > 0.0
+    at_t = np.full(n_block, market.init)  # t = 0 in this regime
+    rho = market.corr_with_intensity
+    if rho == 0.0:
+        times = np.concatenate((first_times[in_window], dev_times))
+        rows = np.concatenate((np.nonzero(in_window)[0], dev_rows))
+        w = _brownian_at_events(times, rows, rng, antithetic=config.antithetic)
+        values = market.init * np.exp(market.vol * w - (0.5 * market.vol ** 2) * times)
+        first = np.zeros(first_times.shape)
+        n_first = int(np.count_nonzero(in_window))
+        first[in_window] = values[:n_first]
+        return first, values[n_first:], at_t
+
+    if config.antithetic:
+        half = rng.standard_normal((n_block // 2, grid.n_cells))
+        z_i = np.empty((n_block, grid.n_cells))
+        z_i[0::2] = half
+        z_i[1::2] = -half
+    else:
+        z_i = rng.standard_normal((n_block, grid.n_cells))
+    assert z_mu is not None
+    z_i = rho * z_mu + math.sqrt(1.0 - rho * rho) * z_i
+    paths = market.paths_from_normals(grid, z_i)
+    rows = np.broadcast_to(np.arange(n_block)[:, None], first_times.shape)
+    return (_interp_on_paths(first_times, rows, grid, paths),
+            _interp_on_paths(dev_times, dev_rows, grid, paths), at_t)
 
 
 def _block_paths(config: McConfig, grid: TimeGrid, block: int,
@@ -143,7 +238,10 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
 
     The draw order is fixed: intensity normals, accident thresholds, delay
     uniforms and magnitudes, first marks, development counts, offsets and
-    marks, then deflator normals.
+    marks, then the deflator: for a martingale deflator independent of the
+    intensity one normal per payment event in the window, ordered by path
+    (antithetic pair) and then time; for one correlated with the intensity
+    one normal per path (pair) and grid cell.
     """
     start = block * BLOCK_SIZE
     n_block = min(BLOCK_SIZE, config.n_paths - start)
@@ -181,7 +279,7 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
     x1 = np.asarray(config.first_mark.sample(rng, size=(n_block, n)))
 
     dev = config.development
-    dev_times = dev_marks = dev_rows = None
+    dev_times, dev_marks, dev_rows = np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)
     if dev.rate > 0.0 and n > 0:
         horizon = np.clip(T - tau1, 0.0, None)
         horizon = np.where(np.isfinite(horizon), horizon, 0.0)
@@ -190,54 +288,23 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
         if total > 0:
             flat = counts.ravel()
             cell = np.repeat(np.arange(flat.size), flat)
-            dev_rows = cell // n
             base_tau1 = tau1.ravel()[cell]
             base_h = horizon.ravel()[cell]
             offsets = (1.0 - rng.random(total)) * base_h
-            dev_times = base_tau1 + offsets
-            dev_marks = np.asarray(dev.mark.sample(rng, size=total))
+            times = base_tau1 + offsets
+            keep = times > t
+            dev_times = times[keep]
+            dev_marks = np.asarray(dev.mark.sample(rng, size=total))[keep]
+            dev_rows = (cell // n)[keep]
 
-    if isinstance(config.market, MartingaleDeflator) and config.market.vol > 0.0:
-        if config.antithetic:
-            half = rng.standard_normal((n_block // 2, grid.n_cells))
-            z_i = np.empty((n_block, grid.n_cells))
-            z_i[0::2] = half
-            z_i[1::2] = -half
-        else:
-            z_i = rng.standard_normal((n_block, grid.n_cells))
-        rho = config.market.corr_with_intensity
-        if rho != 0.0:
-            assert z_mu is not None
-            z_i = rho * z_mu + math.sqrt(1.0 - rho * rho) * z_i
-        deflator_paths = config.market.paths_from_normals(grid, z_i)
-        deflator_at_t = np.full(n_block, config.market.init)  # t = 0 in this regime
-    else:
-        values = det_deflator
-        assert values is not None
-        deflator_paths = None
-        deflator_at_t = np.full(n_block, np.interp(t, points, values))
+    in_window = (tau1 > t) & (tau1 <= T)
+    first_times = np.where(in_window, tau1, t)
+    defl_first, defl_dev, deflator_at_t = _deflator_values(
+        config, grid, rng, first_times, in_window, dev_times, dev_rows, z_mu, det_deflator)
 
     payoffs = np.zeros(n_block)
-    if n > 0:
-        in_window = (tau1 > t) & (tau1 <= T)
-        if np.any(in_window):
-            times = np.where(in_window, tau1, t)
-            if deflator_paths is not None:
-                rows = np.broadcast_to(np.arange(n_block)[:, None], (n_block, n))
-                defl = _interp_on_paths(times, rows, grid, deflator_paths)
-            else:
-                defl = np.interp(times, points, values)
-            payoffs += np.sum(np.where(in_window, defl * x1, 0.0), axis=1)
-        if dev_times is not None:
-            keep = dev_times > t
-            if np.any(keep):
-                kt, km, kr = dev_times[keep], dev_marks[keep], dev_rows[keep]
-                if deflator_paths is not None:
-                    defl = _interp_on_paths(kt, kr, grid, deflator_paths)
-                else:
-                    defl = np.interp(kt, points, values)
-                payoffs += np.bincount(kr, weights=defl * km, minlength=n_block)
-
+    payoffs += np.sum(np.where(in_window, defl_first * x1, 0.0), axis=1)
+    payoffs += np.bincount(dev_rows, weights=defl_dev * dev_marks, minlength=n_block)
     payoffs = payoffs / deflator_at_t
     reported = None
     if config.conditioning is not None:
@@ -246,6 +313,8 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
 
 
 def _run_blocks(config: McConfig, threads: int) -> tuple[np.ndarray, np.ndarray | None]:
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     grid = config.grid()
     det_gamma = None
     if is_deterministic(config.intensity):
@@ -257,7 +326,7 @@ def _run_blocks(config: McConfig, threads: int) -> tuple[np.ndarray, np.ndarray 
         det_deflator = np.full(len(grid.points), config.market.init)
 
     n_blocks = (config.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
-    if threads <= 1 or n_blocks == 1:
+    if threads == 1 or n_blocks == 1:
         results = [_block_paths(config, grid, b, det_gamma, det_deflator) for b in range(n_blocks)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -319,13 +388,19 @@ def mc_conditional_reserve(config: McConfig, threads: int = 1) -> McEstimate:
 
 
 def compare(analytic: ReserveResult, mc: McEstimate, threshold: float = 3.0) -> ComparisonReport:
-    """Agreement report: z = (analytic - mc) / SE, passing iff |z| <= threshold."""
+    """Agreement report: z = (analytic - mc) / SE, passing iff |z| <= threshold.
+
+    SE combines the oracle's standard error with the analytic reserve's own
+    Monte Carlo error, ``diagnostics["outer_std_error"]``, which is nonzero
+    when the reserve averages over sampled intensity paths.
+    """
     diff = analytic.total - mc.mean
-    if mc.std_error == 0.0:
+    se = math.hypot(mc.std_error, analytic.diagnostics.get("outer_std_error", 0.0))
+    if se == 0.0:
         if diff == 0.0:
             return ComparisonReport(analytic.total, mc.mean, 0.0, z=0.0, passed=True)
         return ComparisonReport(analytic.total, mc.mean, 0.0,
                                 z=math.copysign(math.inf, diff), passed=False)
-    z = float(diff / mc.std_error)
+    z = float(diff / se)
     return ComparisonReport(analytic.total, mc.mean, mc.std_error, z=z,
                             passed=bool(abs(z) <= threshold))

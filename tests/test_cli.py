@@ -4,7 +4,7 @@ import json
 import pytest
 
 from claimflow import SchemaError
-from claimflow.cli import parse_config, run_scenario
+from claimflow.cli import main, parse_config, run_scenario
 from claimflow.selftest import run_selftest
 
 
@@ -199,6 +199,18 @@ def test_exclusive_flags(tmp_path, capsys):
     path = _write(tmp_path, _scenario())
     assert run_scenario(path, tmp_path, mc_only=True, analytic_only=True) == 1
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["run", "<config>", "--out", "<out>", "--validate", "--threads", "0"],
+                                  ["run", "<config>", "--out", "<out>", "--threads", "-2"],
+                                  ["selftest", "--quick", "--threads", "0"]])
+def test_threads_below_one_exits_one(tmp_path, capsys, argv):
+    fill = {"<config>": str(_write(tmp_path, _scenario())), "<out>": str(tmp_path)}
+    with pytest.raises(SystemExit) as exc:
+        main([fill.get(a, a) for a in argv])
+    assert exc.value.code == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Monte Carlo oracle: estimates, buckets, comparison contract."""
 import math
 
+import numpy as np
 import pytest
 
 from claimflow import (
@@ -11,6 +12,7 @@ from claimflow import (
     DevelopmentLaw,
     ExponentialDelay,
     InsufficientDataError,
+    IntensityPath,
     LogOUIntensity,
     MarkLaw,
     MartingaleDeflator,
@@ -21,8 +23,11 @@ from claimflow import (
     compare,
     mc_conditional_reserve,
     mc_reserve,
+    TimeGrid,
+    invert_hazard,
     reserve,
 )
+from claimflow.mc import BLOCK_SIZE, _brownian_at_events, _invert_gamma_rows
 
 
 def _config(**overrides):
@@ -72,11 +77,27 @@ def test_std_error_scaling_with_path_count():
 
 
 def test_thread_count_does_not_change_results():
-    config = _config(n_paths=10_000, market=MartingaleDeflator(init=1.0, vol=0.2))
-    one = mc_reserve(config, threads=1)
-    three = mc_reserve(config, threads=3)
-    assert one.mean == three.mean
-    assert one.std_error == three.std_error
+    # Event-time deflator, plain and antithetic, and the on-grid deflator
+    # that shares noise with a log-OU intensity; each spans several blocks.
+    stochastic = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+    configs = [
+        _config(n_paths=10_000, market=MartingaleDeflator(init=1.0, vol=0.2)),
+        _config(n_paths=10_000, market=MartingaleDeflator(init=1.0, vol=0.2), antithetic=True),
+        _config(n_paths=BLOCK_SIZE + 1000, intensity=stochastic,
+                market=MartingaleDeflator(init=1.0, vol=0.2, corr_with_intensity=0.5)),
+    ]
+    for config in configs:
+        assert config.n_paths > BLOCK_SIZE
+        assert mc_reserve(config, threads=1) == mc_reserve(config, threads=3)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_is_an_error(threads):
+    # Raised before any block runs, so no worker thread is started.
+    with pytest.raises(ConfigurationError, match="threads"):
+        mc_reserve(_config(), threads=threads)
+    with pytest.raises(ConfigurationError, match="threads"):
+        mc_conditional_reserve(_config(t=0.5, conditioning=1), threads=threads)
 
 
 def test_reproducible_across_calls():
@@ -100,6 +121,94 @@ def test_ci_is_mean_plus_minus_1_96_se():
     lo, hi = estimate.ci95
     assert lo == pytest.approx(estimate.mean - 1.96 * estimate.std_error)
     assert hi == pytest.approx(estimate.mean + 1.96 * estimate.std_error)
+
+
+# ---------------------------------------------------------------------------
+# Block kernels: hazard inversion and the event-time Brownian motion
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_nodes", [2, 37, 64])
+def test_invert_gamma_rows_matches_scalar_inverter(n_nodes):
+    rng = np.random.default_rng(11)
+    n_rows, n_policies = 40, 9
+    grid = TimeGrid.regular(2.0, step=2.0 / (n_nodes - 1))
+    increments = rng.exponential(0.1, size=(n_rows, n_nodes - 1))
+    increments[rng.random(increments.shape) < 0.2] = 0.0  # flat stretches
+    gamma = np.zeros((n_rows, n_nodes))
+    np.cumsum(increments, axis=1, out=gamma[:, 1:])
+    e = rng.uniform(0.0, 1.3 * gamma[:, -1:], size=(n_rows, n_policies))
+    e[:, 0] = gamma[:, -1] * 1.01 + 1e-9   # beyond the horizon: inf
+    e[:, 1] = gamma[:, -1]                  # exactly the last node
+    e[:, 2] = gamma[:, n_nodes // 2]        # exactly an interior node
+    e[:, 3] = 0.0
+    out = _invert_gamma_rows(gamma, grid.points, e)
+    expected = np.empty_like(e)
+    for r in range(n_rows):
+        path = IntensityPath(grid=grid, mu=np.zeros(n_nodes), gamma=gamma[r])
+        for j in range(n_policies):
+            expected[r, j] = invert_hazard(path, float(e[r, j]))
+    assert np.all(np.isinf(out[:, 0]))
+    assert np.array_equal(out, expected)
+
+
+def _sample_brownian(times_per_row, n_rows, seed=4, antithetic=False):
+    """W at fixed times in every row, events fed in shuffled order."""
+    rng = np.random.default_rng(seed)
+    k = len(times_per_row)
+    rows = np.repeat(np.arange(n_rows), k)
+    times = np.tile(np.asarray(times_per_row, dtype=float), n_rows)
+    shuffle = rng.permutation(len(times))
+    w = np.empty(len(times))
+    w[shuffle] = _brownian_at_events(times[shuffle], rows[shuffle], rng, antithetic=antithetic)
+    return w.reshape(n_rows, k)
+
+
+def test_event_brownian_has_brownian_covariance():
+    times = [1.5, 0.3, 0.7, 0.3001]
+    n_rows = 40_000
+    w = _sample_brownian(times, n_rows)
+    cov = np.cov(w, rowvar=False)
+    for a, s in enumerate(times):
+        for b, u in enumerate(times):
+            exact = min(s, u)
+            # Standard error of a sample covariance of a Gaussian pair.
+            se = math.sqrt((s * u + exact * exact) / n_rows)
+            assert abs(cov[a, b] - exact) <= 5.0 * se, (s, u, cov[a, b])
+    assert np.all(np.abs(w.mean(axis=0)) <= 5.0 * np.sqrt(np.asarray(times) / n_rows))
+
+
+def test_event_brownian_restarts_at_every_row():
+    # One event per row: W must be sqrt(s) * z with the row's own normal,
+    # drawn in row order, with nothing carried over from earlier rows.
+    n_rows = 2000
+    rng = np.random.default_rng(9)
+    times = rng.uniform(0.1, 2.0, size=n_rows)
+    w = _brownian_at_events(times, np.arange(n_rows), np.random.default_rng(5))
+    z = np.random.default_rng(5).standard_normal(n_rows)
+    np.testing.assert_allclose(w, np.sqrt(times) * z, rtol=0.0, atol=1e-12)
+    # Two events per row: consecutive rows are uncorrelated.
+    w2 = _sample_brownian([0.5, 1.0], 40_000)
+    assert abs(np.corrcoef(w2[:-1, 1], w2[1:, 0])[0, 1]) <= 5.0 / math.sqrt(40_000)
+    assert abs(np.var(w2[:, 0]) - 0.5) <= 5.0 * 0.5 * math.sqrt(2.0 / 40_000)
+
+
+def test_event_brownian_antithetic_pairs_mirror():
+    n_pairs = 20_000
+    rng = np.random.default_rng(2)
+    # Both rows of a pair pay at 0.5; each also pays at its own other time.
+    own = rng.uniform(0.0, 2.0, size=2 * n_pairs)
+    rows = np.concatenate((np.arange(2 * n_pairs), np.arange(2 * n_pairs)))
+    times = np.concatenate((np.full(2 * n_pairs, 0.5), own))
+    w = _brownian_at_events(times, rows, rng, antithetic=True)
+    shared, other = w[: 2 * n_pairs], w[2 * n_pairs :]
+    assert np.array_equal(shared[0::2], -shared[1::2])
+    # One motion per pair: the odd row's other time sits on the negated
+    # path of the even row, so Cov(W_even(0.5), -W_odd(u)) = min(0.5, u).
+    u = own[1::2]
+    late = u > 0.5
+    resid = -other[1::2][late] - shared[0::2][late]
+    assert abs(np.mean(resid * shared[0::2][late])) <= 5.0 * 0.5 * math.sqrt(1.0 / late.sum())
+    assert abs(np.var(shared[0::2]) - 0.5) <= 5.0 * 0.5 * math.sqrt(2.0 / n_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +290,10 @@ def test_mc_reserve_rejects_conditioned_config():
 # Comparison contract
 # ---------------------------------------------------------------------------
 
-def _analytic(total):
+def _analytic(total, diagnostics=None):
     return ReserveResult(as_of=0.0, horizon=1.0, reported_component=total,
-                         unreported_component=0.0, total=total, diagnostics={})
+                         unreported_component=0.0, total=total,
+                         diagnostics=diagnostics or {})
 
 
 def _mc(mean, se):
@@ -213,3 +323,21 @@ def test_compare_degenerate_mismatch_hard_fails():
     report = compare(_analytic(1.0), _mc(0.0, 0.0))
     assert not report.passed
     assert math.isinf(report.z)
+
+
+def test_compare_without_outer_std_error_uses_mc_se_alone():
+    # Deterministic regimes report an outer SE of zero.
+    report = compare(_analytic(20.0, {"outer_std_error": 0.0}), _mc(20.1, 0.03))
+    assert report.z == pytest.approx(-0.1 / 0.03)
+    assert not report.passed
+
+
+def test_compare_includes_outer_std_error():
+    report = compare(_analytic(20.0, {"outer_std_error": 0.04}), _mc(20.1, 0.03))
+    assert report.z == pytest.approx(-2.0)
+    assert report.passed
+    assert report.mc_std_error == 0.03
+    # A deterministic oracle against a sampled reserve is not a degenerate case.
+    report = compare(_analytic(20.0, {"outer_std_error": 0.04}), _mc(20.1, 0.0))
+    assert report.z == pytest.approx(-2.5)
+    assert report.passed
