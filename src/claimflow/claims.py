@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConfigurationError
 from .intensity import IntensityPath
@@ -69,16 +69,21 @@ class GammaDelay:
         if self.rate <= 0.0:
             raise ConfigurationError(f"delay rate must be > 0, got {self.rate}")
 
-    def _dist(self):
-        return stats.gamma(a=self.shape, scale=1.0 / self.rate)
+    # cdf and pdf repeat the operations of scipy.stats.gamma(shape, scale=1/rate)
+    # in the same order, so the values are bit-identical to it without the
+    # cost of importing scipy.stats or building a frozen distribution per call.
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, self._dist().cdf(np.maximum(x, 0.0)), 0.0)
+        y = np.maximum(x, 0.0) / (1.0 / self.rate)
+        return np.where(x >= 0.0, special.gammainc(self.shape, y), 0.0)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, self._dist().pdf(np.maximum(x, 0.0)), 0.0)
+        scale = 1.0 / self.rate
+        y = np.maximum(x, 0.0) / scale
+        log_pdf = special.xlogy(self.shape - 1.0, y) - y - special.gammaln(self.shape)
+        return np.where(x >= 0.0, np.exp(log_pdf) / scale, 0.0)
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
@@ -263,24 +268,32 @@ class VisibleClaim:
 
 @dataclass(frozen=True)
 class PortfolioState:
-    """Information available to the insurer at ``as_of``."""
+    """Information available to the insurer at ``as_of``.
+
+    ``visible`` holds the reported histories when they are known; a state
+    built from counts alone has none.  ``reported_count`` defaults to the
+    number of visible claims and must match it whenever any are given.
+    """
 
     as_of: float
     n_policies: int
     visible: tuple[VisibleClaim, ...] = ()
+    reported_count: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.reported_count is None:
+            object.__setattr__(self, "reported_count", len(self.visible))
+        elif self.visible and self.reported_count != len(self.visible):
+            raise ConfigurationError(
+                f"reported count {self.reported_count} != {len(self.visible)} visible claims")
         if self.n_policies < 0:
             raise ConfigurationError("portfolio size must be >= 0")
-        if len(self.visible) > self.n_policies:
-            raise ConfigurationError("more reported claims than policies")
+        if not 0 <= self.reported_count <= self.n_policies:
+            raise ConfigurationError(
+                f"reported count {self.reported_count} outside [0, {self.n_policies}]")
         for claim in self.visible:
             if claim.report_time > self.as_of:
                 raise ConfigurationError("visible claims must be reported by the observation time")
-
-    @property
-    def reported_count(self) -> int:
-        return len(self.visible)
 
     @classmethod
     def from_counts(cls, as_of: float, n_policies: int, reported_count: int) -> "PortfolioState":
@@ -290,14 +303,7 @@ class PortfolioState:
         on the reported histories only through this count, so a bare-count
         state prices identically to a full one.
         """
-        if not 0 <= reported_count <= n_policies:
-            raise ConfigurationError(
-                f"reported count {reported_count} outside [0, {n_policies}]")
-        placeholder = tuple(
-            VisibleClaim(accident_time=as_of, delay=0.0, report_time=as_of, first_mark=0.0)
-            for _ in range(reported_count)
-        )
-        return cls(as_of=as_of, n_policies=n_policies, visible=placeholder)
+        return cls(as_of=as_of, n_policies=n_policies, reported_count=reported_count)
 
 
 # ---------------------------------------------------------------------------

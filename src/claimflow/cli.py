@@ -105,6 +105,17 @@ def _check_keys(node: Any, where: str, required: tuple[str, ...], optional: tupl
             raise SchemaError(f"{where}.{key}", "missing required field")
 
 
+def _is_finite_number(value: Any) -> bool:
+    # JSON admits NaN and Infinity, a literal such as 1e400 parses to inf and
+    # an integer literal can exceed the float range; none is a usable parameter.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(node: dict, key: str, where: str, *, lo: float | None = None,
             hi: float | None = None, strict_lo: bool = False,
             default: Any = _MISSING) -> float:
@@ -113,8 +124,8 @@ def _number(node: dict, key: str, where: str, *, lo: float | None = None,
             raise SchemaError(f"{where}.{key}", "missing required field")
         return default
     value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}.{key}", f"expected a number, got {value!r}")
+    if not _is_finite_number(value):
+        raise SchemaError(f"{where}.{key}", f"expected a finite number, got {value!r}")
     value = float(value)
     if lo is not None and (value <= lo if strict_lo else value < lo):
         bound = f"> {lo}" if strict_lo else f">= {lo}"
@@ -164,10 +175,10 @@ def _parse_intensity(node: Any) -> IntensityModel:
         _check_keys(node, where, ("kind", "breakpoints", "rates"))
         bp = node["breakpoints"]
         ra = node["rates"]
-        if not isinstance(bp, list) or not all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in bp):
-            raise SchemaError(f"{where}.breakpoints", "expected a list of numbers")
-        if not isinstance(ra, list) or not all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in ra):
-            raise SchemaError(f"{where}.rates", "expected a list of numbers")
+        if not isinstance(bp, list) or not all(map(_is_finite_number, bp)):
+            raise SchemaError(f"{where}.breakpoints", "expected a list of finite numbers")
+        if not isinstance(ra, list) or not all(map(_is_finite_number, ra)):
+            raise SchemaError(f"{where}.rates", "expected a list of finite numbers")
         try:
             return PiecewiseConstantIntensity(breakpoints=tuple(bp), rates=tuple(ra))
         except ConfigurationError as exc:
@@ -237,7 +248,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """Validate a scenario config; unknown fields are rejected."""
     try:
         root = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise SchemaError("<config>", f"invalid JSON: {exc}") from exc
     _check_keys(root, "<config>",
                 ("schema_version", "seed", "intensity", "delay", "first_mark",

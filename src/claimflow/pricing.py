@@ -149,16 +149,36 @@ def ibnr_probability(path: IntensityPath, delay: DelayLaw, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _kernel_arrays(fn, grid: TimeGrid) -> np.ndarray:
-    """w_j = Simpson average of fn over a lag of j cells, j = 1..n_cells."""
+    """w_j = Simpson average of fn over a lag of j cells, j = 1..n_cells.
+
+    ``fn`` runs once on the n_cells + 1 node lags k*h, shared by the two
+    ends of neighbouring lags, and once on the midpoints.
+    """
     h = grid.step
-    j = np.arange(1, grid.n_cells + 1)
-    return (fn(j * h) + 4.0 * fn((j - 0.5) * h) + fn((j - 1.0) * h)) / 6.0
+    k = np.arange(grid.n_cells + 1)
+    nodes = fn(k * h)
+    return (nodes[1:] + 4.0 * fn((k[1:] - 0.5) * h) + nodes[:-1]) / 6.0
+
+
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.convolve(a, b)`` for nonnegative ``a`` and ``b``, in O(n log n).
+
+    Both factors are zero-padded to a power of two at least as long as the
+    full convolution, so the circular product is the linear one.  Entries
+    differ from the direct sum by rounding relative to the largest entry,
+    not to each entry; since the exact result is nonnegative, rounding
+    below zero is clamped away.
+    """
+    n = len(a) + len(b) - 1
+    size = 1 << (n - 1).bit_length()
+    out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+    return np.maximum(out, 0.0)
 
 
 def _convolve_masses(masses: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """out[i] = sum_{k < i} masses[k] * kernel[i - k - 1], out[0] = 0."""
     out = np.zeros(len(masses) + 1)
-    out[1:] = np.convolve(masses, kernel)[: len(masses)]
+    out[1:] = _fft_convolve(masses, kernel)[: len(masses)]
     return out
 
 
@@ -295,9 +315,9 @@ def _bracket_functional(c: np.ndarray, delay: DelayLaw, grid: TimeGrid) -> tuple
     if delay.density is None:
         q = np.zeros(n)
     else:
+        # q[k] = sum_j c[k + j] * kernel[j]: a convolution with the kernel reversed.
         kernel = np.concatenate([[0.0], _kernel_arrays(delay.pdf, grid)])
-        padded = np.concatenate([c, np.zeros(n)])
-        q = np.correlate(padded, kernel, mode="valid")[:n]
+        q = _fft_convolve(c, kernel[::-1])[n : 2 * n]
     return q, c.copy()
 
 
@@ -366,7 +386,13 @@ def reserve(
 
     if not stochastic:
         curve = reporting_curve(path, delay)
-        p_t = reporting_cdf(path, delay, t)
+        # Only an exact node reads p(t) off the curve: a t an ulp off a node
+        # keeps the pointwise sum, which evaluates G at t itself.
+        k_t = _partial_state(path, t)[0]
+        if grid.points[k_t] == t:
+            p_t = float(curve.cdf[k_t])
+        else:
+            p_t = reporting_cdf(path, delay, t)
         diagnostics["reporting_cdf_at_t"] = p_t
         unreported_count = n - reported
         if unreported_count == 0:

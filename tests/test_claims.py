@@ -106,6 +106,19 @@ def test_delay_cdf_is_proper():
     assert values[-1] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("shape", [1.0, 2.3, 3.0])
+def test_gamma_delay_matches_scipy_stats_bit_for_bit(shape):
+    law = GammaDelay(shape=shape, rate=2.7)
+    ref = stats.gamma(a=shape, scale=1.0 / 2.7)
+    x = np.concatenate([[0.0, 5e-324, 1e-300], np.linspace(1e-6, 12.0, 4001), [40.0, 400.0]])
+    np.testing.assert_array_equal(law.cdf(x), ref.cdf(x))
+    np.testing.assert_array_equal(law.pdf(x), ref.pdf(x))
+    negative = np.array([-1e-300, -0.5, -7.0])
+    np.testing.assert_array_equal(law.cdf(negative), 0.0)
+    np.testing.assert_array_equal(law.pdf(negative), 0.0)
+    assert law.pdf(0.0) == ref.pdf(0.0)  # 2.7 at shape 1, else 0
+
+
 # ---------------------------------------------------------------------------
 # Development process
 # ---------------------------------------------------------------------------
@@ -271,5 +284,18 @@ def test_observed_state_monotone_in_time():
 def test_state_from_counts_bounds():
     state = PortfolioState.from_counts(1.0, 10, 4)
     assert state.reported_count == 4
+    assert state.visible == ()
+    with pytest.raises(ConfigurationError):
+        PortfolioState.from_counts(1.0, 10, -1)
     with pytest.raises(ConfigurationError):
         PortfolioState.from_counts(1.0, 10, 11)
+
+
+def test_state_count_must_match_visible_claims():
+    visible = observed_state([_sample_claim()], 2.0).visible
+    assert PortfolioState(as_of=2.0, n_policies=3, visible=visible).reported_count == 1
+    assert PortfolioState(as_of=2.0, n_policies=3, visible=visible, reported_count=1).visible == visible
+    with pytest.raises(ConfigurationError):
+        PortfolioState(as_of=2.0, n_policies=3, visible=visible, reported_count=2)
+    with pytest.raises(ConfigurationError):
+        PortfolioState(as_of=2.0, n_policies=0, visible=visible)

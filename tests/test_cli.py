@@ -1,8 +1,13 @@
 """Scenario configs, report files, exit codes."""
 import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import claimflow
 from claimflow import SchemaError
 from claimflow.cli import main, parse_config, run_scenario
 from claimflow.selftest import run_selftest
@@ -91,6 +96,50 @@ def test_reported_count_requires_positive_time():
 def test_invalid_json_reported():
     with pytest.raises(SchemaError):
         parse_config("{not json")
+    with pytest.raises(SchemaError):
+        parse_config('{"seed": ' + "1" * 5000 + "}")
+
+
+NON_FINITE = [
+    ("intensity.mu", {"intensity": {"kind": "constant", "mu": math.nan}}),
+    ("valuation.T", {"valuation": {"T": math.inf}}),
+    ("first_mark.mean", {"first_mark": {"mean": math.inf, "kind": "exponential"}}),
+    ("intensity.rates", {"intensity": {"kind": "piecewise", "breakpoints": [0.5],
+                                       "rates": [1.0, math.nan]}}),
+    ("intensity.breakpoints", {"intensity": {"kind": "piecewise", "breakpoints": [math.inf],
+                                             "rates": [1.0, 2.0]}}),
+]
+
+
+@pytest.mark.parametrize("field,override", NON_FINITE, ids=[f for f, _ in NON_FINITE])
+def test_non_finite_numbers_rejected(tmp_path, capsys, field, override):
+    text = json.dumps(_scenario(**override))  # writes NaN / Infinity / -Infinity
+    with pytest.raises(SchemaError) as err:
+        parse_config(text)
+    assert err.value.field == field
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert run_scenario(path, tmp_path / "out") == 1
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["1e400", "1" * 400], ids=["float", "integer"])
+def test_numbers_beyond_float_range_rejected(literal):
+    text = json.dumps(_scenario()).replace('"T": 1.0', '"T": ' + literal)
+    with pytest.raises(SchemaError) as err:
+        parse_config(text)
+    assert err.value.field == "valuation.T"
+
+
+def test_cli_import_leaves_slow_scipy_modules_out():
+    # scipy.stats and scipy.signal each take about a second to import;
+    # every run would pay for them before its first request.
+    src = str(Path(claimflow.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import claimflow.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from claimflow import (
     DeterministicDeflator,
     DevelopmentLaw,
     ExponentialDelay,
+    GammaDelay,
     LogOUIntensity,
     MarkLaw,
     MartingaleDeflator,
@@ -29,7 +30,13 @@ from claimflow import (
     simulate_intensity_path,
     simulate_portfolio,
 )
-from claimflow.pricing import _bracket_functional, _unreported_integrand_weights
+from claimflow.pricing import (
+    _bracket_functional,
+    _cell_masses,
+    _fft_convolve,
+    _kernel_arrays,
+    _unreported_integrand_weights,
+)
 
 EXACT_CDF_1 = 1.0 - 2.0 * math.exp(-1.0) + math.exp(-2.0)
 EXACT_DENSITY_1 = 2.0 * (math.exp(-1.0) - math.exp(-2.0))
@@ -103,6 +110,66 @@ def test_curve_matches_pointwise_operations():
         t = float(path.grid.points[i])
         assert curve.cdf[i] == pytest.approx(reporting_cdf(path, delay, t), abs=1e-13)
         assert curve.density[i] == pytest.approx(reporting_density(path, delay, t), abs=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["random", "ones"])
+@pytest.mark.parametrize("n", [1, 2, 730, 5841])
+def test_fft_convolve_matches_direct_sums(n, kind):
+    rng = np.random.default_rng(n)
+    a, b = (rng.random(n), rng.random(n)) if kind == "random" else (np.ones(n), np.ones(n))
+    direct = np.convolve(a, b)
+    assert np.max(np.abs(_fft_convolve(a, b) - direct)) <= 1e-14 * direct.max()
+    # correlation, as _bracket_functional uses it: a convolution with b reversed
+    direct = np.correlate(np.concatenate([a, np.zeros(n)]), b, mode="valid")[:n]
+    via_fft = _fft_convolve(a, b[::-1])[n - 1 : 2 * n - 1]
+    assert np.max(np.abs(via_fft - direct)) <= 1e-14 * direct.max()
+
+
+def test_curve_matches_direct_convolution():
+    # a 3-hour grid over two years with a seasonal rate and a gamma delay
+    months = np.arange(1, 24) / 12.0
+    model = PiecewiseConstantIntensity(breakpoints=tuple(months),
+                                       rates=tuple(0.8 + 0.3 * np.sin(np.arange(24))))
+    path = simulate_intensity_path(model, TimeGrid.regular(2.0, step=1 / 2920))
+    delay = DelayLaw(alpha0=0.1, density=GammaDelay(shape=2.3, rate=3.0))
+    curve = reporting_curve(path, delay)
+    masses = _cell_masses(path.gamma)
+    n = len(masses)
+    direct_cdf = np.convolve(masses, _kernel_arrays(delay.cdf, path.grid))[: n]
+    direct_pdf = np.convolve(masses, _kernel_arrays(delay.pdf, path.grid))[: n]
+    assert curve.cdf[0] == 0.0
+    assert np.max(np.abs(curve.cdf[1:] - direct_cdf)) <= 1e-14
+    atom = delay.alpha0 * curve.survival * path.mu
+    assert np.max(np.abs(curve.density[1:] - atom[1:] - direct_pdf)) <= 1e-14
+
+
+def test_kernel_arrays_share_node_evaluations():
+    grid = TimeGrid.regular(1.0, step=1 / 50)
+    law = DelayLaw(alpha0=0.2, density=GammaDelay(shape=2.3, rate=4.0))
+    calls = []
+
+    def fn(x):
+        calls.append(len(x))
+        return law.cdf(x)
+
+    h, j = grid.step, np.arange(1, grid.n_cells + 1)
+    three_calls = (law.cdf(j * h) + 4.0 * law.cdf((j - 0.5) * h) + law.cdf((j - 1.0) * h)) / 6.0
+    np.testing.assert_array_equal(_kernel_arrays(fn, grid), three_calls)
+    assert calls == [grid.n_cells + 1, grid.n_cells]
+
+
+def test_reporting_law_nonnegative_after_reporting_dies_out():
+    # No accidents after 0.5 and a delay of about 8 hours: the exact density
+    # over [1, 2] is ~1e-215, below the FFT's rounding, which must not turn
+    # it negative and make the unreported component fail its sign check.
+    model = PiecewiseConstantIntensity(breakpoints=(0.5,), rates=(10.0, 0.0))
+    path = simulate_intensity_path(model, TimeGrid.regular(2.0))
+    delay = DelayLaw(alpha0=0.0, density=ExponentialDelay(1000.0))
+    curve = reporting_curve(path, delay)
+    assert curve.density.min() >= 0.0 and curve.cdf.min() >= 0.0
+    fm, dev = MarkLaw(mean=1.0), DevelopmentLaw(rate=1.0, mark=MarkLaw(mean=0.5))
+    result = reserve(PortfolioState.from_counts(1.0, 10, 3), path, delay, fm, dev, 2.0)
+    assert 0.0 <= result.unreported_component < 1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -260,6 +327,21 @@ def test_reserve_supports_off_grid_valuation_time():
         for u in (lo_t, 0.5, hi_t)
     ]
     assert min(values[0], values[2]) - 1e-9 <= values[1] <= max(values[0], values[2]) + 1e-9
+
+
+def test_reserve_reads_node_reporting_cdf_off_the_curve():
+    delay, fm, dev = _book()
+    path = _unit_path()
+    curve = reporting_curve(path, delay)
+    t = float(path.grid.points[365])
+    p_t = reserve(PortfolioState.from_counts(t, 4, 1), path, delay, fm, dev, 2.0
+                  ).diagnostics["reporting_cdf_at_t"]
+    assert p_t == curve.cdf[365]
+    assert p_t == pytest.approx(reporting_cdf(path, delay, t), abs=1e-15)
+    off = t + path.grid.step / 3.0
+    p_off = reserve(PortfolioState.from_counts(off, 4, 1), path, delay, fm, dev, 2.0
+                    ).diagnostics["reporting_cdf_at_t"]
+    assert p_off == reporting_cdf(path, delay, off)
 
 
 def test_reserve_rejects_out_of_range_times():
