@@ -21,7 +21,7 @@ from scipy import special
 
 from .errors import ConfigurationError
 from .intensity import IntensityPath
-from ._rng import Seed, coerce_rng, substream
+from ._rng import Seed, coerce_rng, rekeyable_generator, rekeyed
 
 # Substream purposes; part of the reproducibility contract.
 STREAM_ACCIDENT = 0
@@ -232,6 +232,8 @@ class ClaimRecord:
             raise ConfigurationError("report time must equal accident time plus delay")
         if self.first_mark is None or self.first_mark < 0.0:
             raise ConfigurationError("occurred claims need a nonnegative first mark")
+        if not self.developments:
+            return
         offsets = [o for o, _ in self.developments]
         if any(o <= 0.0 for o in offsets) or any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ConfigurationError("development offsets must be strictly increasing and > 0")
@@ -249,6 +251,10 @@ class ClaimRecord:
         yield self.report_time, float(self.first_mark)
         for offset, amount in self.developments:
             yield self.report_time + offset, amount
+
+
+#: The record of every policy whose accident never happens.
+_NO_ACCIDENT = ClaimRecord(accident_time=math.inf)
 
 
 @dataclass(frozen=True)
@@ -359,6 +365,47 @@ def _draw_developments(law: DevelopmentLaw, horizon: float, rng: np.random.Gener
     return tuple((float(o), float(x)) for o, x in zip(offsets, marks))
 
 
+def _invert_gamma_rows(gamma: np.ndarray, points: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Vectorized first-crossing times of hazards, inf if never.
+
+    ``gamma`` is either one hazard of shape (nodes,) shared by thresholds
+    ``e`` of any shape, or per-row hazards (paths, nodes) with ``e`` of
+    shape (paths, policies); hazards are nondecreasing along the nodes.
+    Agrees element by element with the scalar ``invert_hazard`` for
+    nonnegative thresholds.
+    """
+    n_nodes = gamma.shape[-1]
+    if gamma.ndim == 1:
+        # Clipped gathers: a threshold at or below gamma[0] = 0 gets a zero-width
+        # segment and maps to points[0]; one beyond the last node is masked.
+        idx = gamma.searchsorted(e)  # side="left": nodes below each threshold
+        below = idx - 1
+        lo, hi = gamma.take(below, mode="clip"), gamma.take(idx, mode="clip")
+        t_lo, t_hi = points.take(below, mode="clip"), points.take(idx, mode="clip")
+    else:
+        # Branchless binary search for the number of nodes below each
+        # threshold, i.e. a per-row searchsorted(side="left"), built up one
+        # bit of the answer at a time for all rows and policies at once.
+        # Probes past the last node read gamma[-1]; they can only push idx
+        # beyond the last node when the threshold exceeds gamma[-1], which
+        # maps to inf.
+        flat = gamma.ravel()
+        row_base = np.arange(gamma.shape[0])[:, None] * n_nodes - 1
+        idx = np.zeros(e.shape, dtype=np.intp)
+        step = 1 << (n_nodes.bit_length() - 1)
+        while step:
+            idx += step * (flat[row_base + np.minimum(idx + step, n_nodes)] < e)
+            step >>= 1
+        k = np.clip(idx, 1, n_nodes - 1)
+        lo = np.take_along_axis(gamma, k - 1, axis=1)
+        hi = np.take_along_axis(gamma, k, axis=1)
+        t_lo, t_hi = points[k - 1], points[k]
+    den = hi - lo
+    frac = np.zeros(den.shape)
+    np.divide(e - lo, den, out=frac, where=den > 0.0)
+    return np.where(idx < n_nodes, t_lo + frac * (t_hi - t_lo), np.inf)
+
+
 def simulate_portfolio(
     n: int,
     intensity: IntensityPath,
@@ -375,25 +422,42 @@ def simulate_portfolio(
     so each ingredient can be perturbed without touching any other.
     Developments are simulated on (0, horizon - report_time] and a claim
     reported after the horizon simply has none.
+
+    Each policy draws exactly what ``substream(seed, purpose, i)`` would:
+    one generator per call is put into each derived state in turn, and a
+    purpose whose law draws nothing derives no states.
     """
     if n < 1:
         raise ConfigurationError(f"portfolio size must be >= 1, got {n}")
     intensity.grid.require_inside(horizon)
-    records: list[ClaimRecord] = []
-    for i in range(n):
-        accident = sample_accident_time(intensity, substream(seed, STREAM_ACCIDENT, i))
-        if math.isinf(accident):
-            records.append(ClaimRecord(accident_time=math.inf))
-            continue
-        theta = 0.0 if delay.alpha0 == 1.0 else delay.sample(substream(seed, STREAM_DELAY, i))
-        report = accident + theta
-        mark = (first_mark.mean if first_mark.kind == "deterministic"
-                else float(first_mark.sample(substream(seed, STREAM_FIRST_MARK, i))))
-        devs: tuple[tuple[float, float], ...] = ()
-        if dev.rate > 0.0 and report < horizon:
-            devs = _draw_developments(dev, horizon - report, substream(seed, STREAM_DEVELOPMENT, i))
-        records.append(ClaimRecord(accident_time=accident, delay=theta, report_time=report,
-                                   first_mark=mark, developments=devs))
+    rng = rekeyable_generator()
+
+    streams = rekeyed(rng, seed, STREAM_ACCIDENT, indices=range(n))
+    thresholds = np.array([g.exponential() for g in streams])
+    accidents = _invert_gamma_rows(intensity.gamma, intensity.grid.points, thresholds).tolist()
+    occurred = [i for i, a in enumerate(accidents) if a != math.inf]
+
+    if delay.alpha0 == 1.0:
+        delays = [0.0] * len(occurred)
+    else:
+        delays = [delay.sample(g) for g in rekeyed(rng, seed, STREAM_DELAY, indices=occurred)]
+    reports = [accidents[i] + theta for i, theta in zip(occurred, delays)]
+    if first_mark.kind == "deterministic":
+        marks = [first_mark.mean] * len(occurred)
+    else:
+        streams = rekeyed(rng, seed, STREAM_FIRST_MARK, indices=occurred)
+        marks = [float(first_mark.sample(g)) for g in streams]
+    devs: list[tuple[tuple[float, float], ...]] = [()] * len(occurred)
+    if dev.rate > 0.0:
+        developing = [k for k, report in enumerate(reports) if report < horizon]
+        streams = rekeyed(rng, seed, STREAM_DEVELOPMENT, indices=[occurred[k] for k in developing])
+        for k, g in zip(developing, streams):
+            devs[k] = _draw_developments(dev, horizon - reports[k], g)
+
+    records = [_NO_ACCIDENT] * n
+    for k, i in enumerate(occurred):
+        records[i] = ClaimRecord(accident_time=accidents[i], delay=delays[k], report_time=reports[k],
+                                 first_mark=marks[k], developments=devs[k])
     return records
 
 

@@ -47,7 +47,7 @@ from .intensity import (
     simulate_intensity_path,
 )
 from .market import DeterministicDeflator, MarketModel, MartingaleDeflator
-from .mc import McConfig, compare, mc_conditional_reserve, mc_reserve
+from .mc import BLOCK_SIZE, McConfig, compare, mc_conditional_reserve, mc_reserve
 from .pricing import (
     ibnr_probability,
     reporting_cdf,
@@ -65,6 +65,15 @@ SCHEMA_VERSION = 1
 _STREAM_CURVE = 0xC4E
 
 _MISSING = object()
+
+#: Most grid cells a config may ask for: an hourly grid over about 60 years.
+#: The analytic run at this size takes about 6 s and 250 MB.
+MAX_GRID_CELLS = 1 << 19
+
+#: Most values (128 MiB of float64) in one per-path grid array, which a
+#: log-OU intensity needs: cells x paths per Monte Carlo block for the oracle
+#: and cells x intensity draws for the stochastic reserve.
+MAX_PATH_GRID_VALUES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -295,6 +304,14 @@ def parse_config(text: str) -> ScenarioConfig:
     if t == 0.0 and reported_count > 0:
         raise SchemaError("portfolio.reported_count", "must be 0 when valuing at t = 0")
 
+    # The grid has round(T / step) cells (TimeGrid.regular); bound them
+    # before anything is allocated.
+    ratio = T / grid_step
+    cells = max(1, round(ratio)) if math.isfinite(ratio) else math.inf
+    if cells > MAX_GRID_CELLS:
+        raise SchemaError("grid.step", f"valuation.T / grid.step = {ratio:.6g} grid cells "
+                                       f"exceeds the limit of {MAX_GRID_CELLS}")
+
     mc_node = root.get("mc", {})
     _check_keys(mc_node, "mc", (), ("n_paths", "antithetic", "intensity_draws"))
     n_paths = _integer(mc_node, "n_paths", "mc", lo=100, default=100_000)
@@ -302,6 +319,14 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(antithetic, bool):
         raise SchemaError("mc.antithetic", f"expected a boolean, got {antithetic!r}")
     intensity_draws = _integer(mc_node, "intensity_draws", "mc", lo=2, default=8192)
+    if isinstance(intensity, LogOUIntensity):
+        rows = min(BLOCK_SIZE, n_paths)
+        if cells * rows > MAX_PATH_GRID_VALUES:
+            raise SchemaError("grid.step", f"{cells} grid cells x {rows} Monte Carlo paths per block "
+                                           f"exceed {MAX_PATH_GRID_VALUES} values per path array")
+        if cells * intensity_draws > MAX_PATH_GRID_VALUES:
+            raise SchemaError("mc.intensity_draws", f"{cells} grid cells x {intensity_draws} draws "
+                                                    f"exceed {MAX_PATH_GRID_VALUES} values per path array")
 
     out_node = root.get("output", {})
     _check_keys(out_node, "output", (), ("report", "curve"))

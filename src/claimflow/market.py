@@ -10,6 +10,7 @@ driftless geometric Brownian one, which is a martingale by construction.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -123,15 +124,23 @@ def simulate_market(model: MarketModel, grid: TimeGrid, seed: Seed = 0) -> Marke
 def benchmarked_cashflow(claims: Sequence[ClaimRecord], path: MarketPath, t: float, T: float) -> float:
     """Deflator-weighted sum of all payments with event time in (t, T].
 
-    Additive over disjoint windows and over policies by construction.
+    Additive over disjoint windows and over policies by construction.  The
+    deflator is interpolated at all event times in one call and the products
+    are accumulated in event order (``cumsum`` adds sequentially), so the
+    sum is the same to the last bit as a per-event loop.
     """
     if t > T:
         raise ConfigurationError(f"window start {t} exceeds end {T}")
     path.grid.require_inside(t)
     path.grid.require_inside(T)
-    total = 0.0
+    times, amounts = array("d"), array("d")
     for claim in claims:
         for when, amount in claim.payment_events():
             if t < when <= T:
-                total += float(path.deflator(when)) * amount
-    return total
+                times.append(when)
+                amounts.append(amount)
+    if not times:
+        return 0.0
+    products = np.interp(times, path.grid.points, path.values)
+    products *= amounts
+    return float(np.cumsum(products, out=products)[-1])

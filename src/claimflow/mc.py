@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .claims import DelayLaw, DevelopmentLaw, MarkLaw
+from .claims import DelayLaw, DevelopmentLaw, MarkLaw, _invert_gamma_rows
 from .errors import ConfigurationError, InsufficientDataError
 from .grids import DEFAULT_STEP, TimeGrid
 from .intensity import IntensityModel, LogOUIntensity, is_deterministic, simulate_intensity_path, trapezoid_hazard
@@ -115,36 +115,6 @@ def _interp_on_paths(times: np.ndarray, row: np.ndarray, grid: TimeGrid, paths: 
     frac = (times - grid.points[k]) / grid.step
     frac = np.clip(frac, 0.0, 1.0)
     return paths[row, k] * (1.0 - frac) + paths[row, k + 1] * frac
-
-
-def _invert_gamma_rows(gamma: np.ndarray, points: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Vectorized first-crossing times of per-row hazards, inf if never.
-
-    ``gamma`` is (paths, nodes), nondecreasing along each row; ``e`` is
-    (paths, policies).  Agrees element by element with the scalar
-    ``claims.invert_hazard`` for nonnegative thresholds.
-    """
-    n_nodes = gamma.shape[1]
-    # Branchless binary search for the number of nodes below each
-    # threshold, i.e. a per-row searchsorted(side="left"), built up one bit
-    # of the answer at a time for all rows and policies at once.  Probes
-    # past the last node read gamma[-1]; they can only push idx beyond the
-    # last node when the threshold exceeds gamma[-1], which maps to inf.
-    flat = gamma.ravel()
-    row_base = np.arange(gamma.shape[0])[:, None] * n_nodes - 1
-    idx = np.zeros(e.shape, dtype=np.intp)
-    step = 1 << (n_nodes.bit_length() - 1)
-    while step:
-        idx += step * (flat[row_base + np.minimum(idx + step, n_nodes)] < e)
-        step >>= 1
-    alive = idx <= n_nodes - 1
-    idx_c = np.clip(idx, 1, n_nodes - 1)
-    lo = np.take_along_axis(gamma, idx_c - 1, axis=1)
-    hi = np.take_along_axis(gamma, idx_c, axis=1)
-    den = hi - lo
-    frac = np.where(den > 0.0, (e - lo) / np.where(den > 0.0, den, 1.0), 0.0)
-    tau = points[idx_c - 1] + frac * (points[idx_c] - points[idx_c - 1])
-    return np.where(alive, tau, np.inf)
 
 
 def _brownian_at_events(times: np.ndarray, rows: np.ndarray, rng: np.random.Generator,

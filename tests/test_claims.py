@@ -13,7 +13,9 @@ from claimflow import (
     DevelopmentLaw,
     ExponentialDelay,
     GammaDelay,
+    IntensityPath,
     MarkLaw,
+    PiecewiseConstantIntensity,
     PortfolioState,
     TimeGrid,
     invert_hazard,
@@ -24,7 +26,13 @@ from claimflow import (
     simulate_intensity_path,
     simulate_portfolio,
 )
-from claimflow.claims import STREAM_ACCIDENT
+from claimflow.claims import (
+    STREAM_ACCIDENT,
+    STREAM_DELAY,
+    STREAM_DEVELOPMENT,
+    STREAM_FIRST_MARK,
+    _invert_gamma_rows,
+)
 from claimflow._rng import substream
 
 
@@ -45,6 +53,25 @@ def test_invert_hazard_identity_for_unit_rate():
 def test_invert_hazard_never_reaches_threshold():
     path = _unit_path()  # total hazard 2.0
     assert invert_hazard(path, 5.0) == math.inf
+
+
+@pytest.mark.parametrize("n_nodes", [2, 37, 731])
+def test_invert_gamma_rows_shared_hazard_matches_scalar_inverter(n_nodes):
+    # One hazard shared by every threshold: the record simulator's case.
+    rng = np.random.default_rng(12)
+    grid = TimeGrid.regular(2.0, step=2.0 / (n_nodes - 1))
+    increments = rng.exponential(0.1, size=n_nodes - 1)
+    increments[rng.random(n_nodes - 1) < 0.2] = 0.0  # flat stretches
+    increments[0] = 0.0                               # flat from the start
+    gamma = np.zeros(n_nodes)
+    np.cumsum(increments, out=gamma[1:])
+    path = IntensityPath(grid=grid, mu=np.zeros(n_nodes), gamma=gamma)
+    e = rng.uniform(0.0, 1.3 * gamma[-1], size=200)
+    e[:4] = (gamma[-1] * 1.01 + 1e-9, gamma[-1], gamma[n_nodes // 2], 0.0)
+    out = _invert_gamma_rows(gamma, grid.points, e)
+    expected = np.array([invert_hazard(path, float(x)) for x in e])
+    assert np.isinf(out[0])
+    assert np.array_equal(out, expected)
 
 
 def test_accident_times_follow_exponential_law():
@@ -219,6 +246,53 @@ def test_accident_substream_matches_direct_sampler():
     for i, claim in enumerate(claims):
         direct = sample_accident_time(path, substream(77, STREAM_ACCIDENT, i))
         assert claim.accident_time == direct or (math.isinf(claim.accident_time) and math.isinf(direct))
+
+
+def _reference_portfolio(n, intensity, delay, first_mark, dev, horizon, seed):
+    """Policy by policy, one fresh keyed generator per (purpose, policy): the
+    draw layout that simulate_portfolio reproduces bit for bit."""
+    records = []
+    for i in range(n):
+        accident = sample_accident_time(intensity, substream(seed, STREAM_ACCIDENT, i))
+        if math.isinf(accident):
+            records.append(ClaimRecord(accident_time=math.inf))
+            continue
+        theta = 0.0 if delay.alpha0 == 1.0 else delay.sample(substream(seed, STREAM_DELAY, i))
+        report = accident + theta
+        mark = (first_mark.mean if first_mark.kind == "deterministic"
+                else float(first_mark.sample(substream(seed, STREAM_FIRST_MARK, i))))
+        devs = ()
+        if dev.rate > 0.0 and report < horizon:
+            devs = sample_development(dev, horizon - report, substream(seed, STREAM_DEVELOPMENT, i))
+        records.append(ClaimRecord(accident_time=accident, delay=theta, report_time=report,
+                                   first_mark=mark, developments=devs))
+    return records
+
+
+@pytest.mark.parametrize("delay", [
+    DelayLaw(alpha0=0.0, density=ExponentialDelay(2.0)),
+    DelayLaw(alpha0=0.0, density=GammaDelay(shape=2.3, rate=3.0)),
+    DelayLaw(alpha0=0.3, density=ExponentialDelay(2.0)),
+    DelayLaw(alpha0=0.3, density=GammaDelay(shape=2.3, rate=3.0)),
+    DelayLaw(alpha0=1.0),
+], ids=["a0-exp", "a0-gamma", "a03-exp", "a03-gamma", "a1"])
+@pytest.mark.parametrize("first_mark", [
+    MarkLaw(mean=1.0),
+    MarkLaw(mean=1.5, kind="exponential"),
+    MarkLaw(mean=1.0, kind="lognormal", sigma_ln=0.8),
+], ids=["deterministic", "exponential", "lognormal"])
+@pytest.mark.parametrize("dev_rate", [0.0, 1.5])
+def test_portfolio_matches_per_policy_reference(delay, first_mark, dev_rate):
+    # A zero-rate stretch gives the hazard a flat piece; at rate 1.2 over 2
+    # years some policies have no accident at all.
+    grid = TimeGrid.regular(2.0)
+    path = simulate_intensity_path(
+        PiecewiseConstantIntensity(breakpoints=(0.5, 1.0), rates=(0.6, 0.0, 1.2)), grid)
+    dev = DevelopmentLaw(rate=dev_rate, mark=MarkLaw(mean=0.5, kind="exponential"))
+    for n in (1, 2, 200):
+        for seed, horizon in ((17, 2.0), (np.random.SeedSequence(777, spawn_key=(n,)), 1.5)):
+            got = simulate_portfolio(n, path, delay, first_mark, dev, horizon, seed)
+            assert got == _reference_portfolio(n, path, delay, first_mark, dev, horizon, seed)
 
 
 def test_claim_record_validation():

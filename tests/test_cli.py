@@ -9,7 +9,7 @@ import pytest
 
 import claimflow
 from claimflow import SchemaError
-from claimflow.cli import main, parse_config, run_scenario
+from claimflow.cli import MAX_GRID_CELLS, MAX_PATH_GRID_VALUES, main, parse_config, run_scenario
 from claimflow.selftest import run_selftest
 
 
@@ -129,6 +129,43 @@ def test_numbers_beyond_float_range_rejected(literal):
     with pytest.raises(SchemaError) as err:
         parse_config(text)
     assert err.value.field == "valuation.T"
+
+
+_LOG_OU = {"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": 0.0, "vol": 0.5, "init": 1.0}
+
+OVERSIZED = [
+    ("grid.step", dict(grid={"step": 1e-300})),
+    ("grid.step", dict(grid={"step": 10.0 / (MAX_GRID_CELLS + 1)}, valuation={"T": 10.0})),
+    ("grid.step", dict(grid={"step": 1e-300}, valuation={"T": 1e300})),
+    # 8,760 cells x 4,096 oracle paths per block
+    ("grid.step", dict(grid={"step": 1.0 / 8760}, intensity=_LOG_OU, mc={"n_paths": 10_000})),
+    # 365 cells x 50,000 intensity draws
+    ("mc.intensity_draws", dict(grid={"step": 1.0 / 365}, intensity=_LOG_OU,
+                                mc={"n_paths": 2000, "intensity_draws": 50_000})),
+]
+
+
+@pytest.mark.parametrize("field,override", OVERSIZED,
+                         ids=["1e-300", "one-past-limit", "overflowing-ratio", "oracle-block", "draws"])
+def test_oversized_grids_rejected_before_allocation(tmp_path, capsys, field, override):
+    text = json.dumps(_scenario(**override))
+    with pytest.raises(SchemaError) as err:
+        parse_config(text)
+    assert err.value.field == field
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert run_scenario(path, tmp_path / "out") == 1
+    assert field in capsys.readouterr().err
+
+
+def test_grid_limits_admit_fine_grids():
+    hourly = parse_config(json.dumps(_scenario(grid={"step": 1.0 / 8760}, valuation={"T": 10.0})))
+    assert round(hourly.T / hourly.grid_step) == 87_600
+    parse_config(json.dumps(_scenario(grid={"step": 10.0 / MAX_GRID_CELLS}, valuation={"T": 10.0})))
+    # the log-OU budget exactly: 4,096 cells x 4,096 paths and x 4,096 draws
+    cells = MAX_PATH_GRID_VALUES // 4096
+    parse_config(json.dumps(_scenario(grid={"step": 1.0 / cells}, intensity=_LOG_OU,
+                                      mc={"n_paths": 10_000, "intensity_draws": 4096})))
 
 
 def test_cli_import_leaves_slow_scipy_modules_out():

@@ -8,13 +8,20 @@ from hypothesis import given, settings, strategies as st
 from claimflow import (
     ClaimRecord,
     ConfigurationError,
+    DelayLaw,
     DeterministicDeflator,
+    DevelopmentLaw,
+    ExponentialDelay,
     GridRangeError,
+    MarkLaw,
     MarketPath,
     MartingaleDeflator,
+    PiecewiseConstantIntensity,
     TimeGrid,
     benchmarked_cashflow,
+    simulate_intensity_path,
     simulate_market,
+    simulate_portfolio,
 )
 
 
@@ -150,3 +157,31 @@ def test_cashflow_additive_over_windows(split, report, first, dev_offset):
     left = benchmarked_cashflow([claim], path, 0.0, split)
     right = benchmarked_cashflow([claim], path, split, 2.0)
     assert whole == pytest.approx(left + right, abs=1e-12)
+
+
+def _reference_cashflow(claims, path, t, T):
+    """One deflator lookup and one addition per payment event, in event order."""
+    total = 0.0
+    for claim in claims:
+        for when, amount in claim.payment_events():
+            if t < when <= T:
+                total += float(path.deflator(when)) * amount
+    return total
+
+
+def test_cashflow_matches_per_event_reference_bit_for_bit():
+    grid = TimeGrid.regular(2.0)
+    intensity = simulate_intensity_path(
+        PiecewiseConstantIntensity(breakpoints=(0.5, 1.0), rates=(0.6, 0.3, 1.2)), grid)
+    claims = simulate_portfolio(
+        300, intensity, DelayLaw(alpha0=0.2, density=ExponentialDelay(2.0)),
+        MarkLaw(mean=1.0, kind="lognormal", sigma_ln=0.8),
+        DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="exponential")), horizon=2.0, seed=5)
+    path = simulate_market(MartingaleDeflator(init=1.0, vol=0.2), grid, seed=6)
+    windows = [(0.0, 2.0), (1.0, 2.0), (1.0, 1.5), (1.5, 2.0), (0.25, 0.2501),
+               (0.7, 0.7), (2.0, 2.0), (0.0, 0.0)]
+    for t, T in windows:
+        got = benchmarked_cashflow(claims, path, t, T)
+        assert type(got) is float
+        assert got == _reference_cashflow(claims, path, t, T), (t, T)
+    assert benchmarked_cashflow(claims, path, 2.0, 2.0) == 0.0

@@ -27,7 +27,8 @@ from claimflow import (
     invert_hazard,
     reserve,
 )
-from claimflow.mc import BLOCK_SIZE, _brownian_at_events, _invert_gamma_rows
+from claimflow.claims import _invert_gamma_rows
+from claimflow.mc import BLOCK_SIZE, _brownian_at_events
 
 
 def _config(**overrides):
