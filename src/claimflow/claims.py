@@ -132,13 +132,18 @@ class DelayLaw:
         assert self.density is not None
         return float(self.density.sample(rng))
 
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Vector version with a fixed draw layout (uniforms, then magnitudes)."""
-        zero = rng.random(size) < self.alpha0
+    def sample_many(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Vector version of ``sample``; ``size`` is an int or a shape.
+
+        The draw layout is fixed by ``alpha0``: nothing at 1, magnitudes
+        only at 0, otherwise all the uniforms, then all the magnitudes.
+        """
         if self.density is None:
             return np.zeros(size)
-        values = self.density.sample(rng, size=size)
-        return np.where(zero, 0.0, values)
+        if self.alpha0 == 0.0:
+            return np.asarray(self.density.sample(rng, size=size))
+        zero = rng.random(size) < self.alpha0
+        return np.where(zero, 0.0, self.density.sample(rng, size=size))
 
 
 # ---------------------------------------------------------------------------
@@ -370,40 +375,45 @@ def _invert_gamma_rows(gamma: np.ndarray, points: np.ndarray, e: np.ndarray) -> 
 
     ``gamma`` is either one hazard of shape (nodes,) shared by thresholds
     ``e`` of any shape, or per-row hazards (paths, nodes) with ``e`` of
-    shape (paths, policies); hazards are nondecreasing along the nodes.
+    shape (paths, policies); hazards start at 0 and are nondecreasing along
+    the nodes.  Per-row hazards search, row by row, only the thresholds at
+    or below that row's total hazard; the others never cross and stay inf.
     Agrees element by element with the scalar ``invert_hazard`` for
     nonnegative thresholds.
     """
-    n_nodes = gamma.shape[-1]
     if gamma.ndim == 1:
-        # Clipped gathers: a threshold at or below gamma[0] = 0 gets a zero-width
-        # segment and maps to points[0]; one beyond the last node is masked.
-        idx = gamma.searchsorted(e)  # side="left": nodes below each threshold
-        below = idx - 1
-        lo, hi = gamma.take(below, mode="clip"), gamma.take(idx, mode="clip")
-        t_lo, t_hi = points.take(below, mode="clip"), points.take(idx, mode="clip")
-    else:
-        # Branchless binary search for the number of nodes below each
-        # threshold, i.e. a per-row searchsorted(side="left"), built up one
-        # bit of the answer at a time for all rows and policies at once.
-        # Probes past the last node read gamma[-1]; they can only push idx
-        # beyond the last node when the threshold exceeds gamma[-1], which
-        # maps to inf.
-        flat = gamma.ravel()
-        row_base = np.arange(gamma.shape[0])[:, None] * n_nodes - 1
-        idx = np.zeros(e.shape, dtype=np.intp)
-        step = 1 << (n_nodes.bit_length() - 1)
-        while step:
-            idx += step * (flat[row_base + np.minimum(idx + step, n_nodes)] < e)
-            step >>= 1
-        k = np.clip(idx, 1, n_nodes - 1)
-        lo = np.take_along_axis(gamma, k - 1, axis=1)
-        hi = np.take_along_axis(gamma, k, axis=1)
-        t_lo, t_hi = points[k - 1], points[k]
+        idx = gamma.searchsorted(e)  # side="left"
+        return _crossing_times(gamma, points, e, idx, idx)
+    hit = e <= gamma[:, -1:]
+    crossing = e[hit]  # row by row, so each row's thresholds are one slice
+    idx = np.empty(len(crossing), dtype=np.intp)
+    start = 0
+    for row, end in zip(gamma, np.cumsum(np.count_nonzero(hit, axis=1)).tolist()):
+        idx[start:end] = row.searchsorted(crossing[start:end])  # side="left"
+        start = end
+    out = np.full(e.shape, np.inf)
+    flat_idx = idx + np.nonzero(hit)[0] * gamma.shape[1]
+    out[hit] = _crossing_times(gamma.ravel(), points, crossing, idx, flat_idx)
+    return out
+
+
+def _crossing_times(flat: np.ndarray, points: np.ndarray, e: np.ndarray, idx: np.ndarray,
+                    flat_idx: np.ndarray) -> np.ndarray:
+    """Linear interpolation of thresholds ``e`` between the nodes around them.
+
+    ``idx`` counts the hazard nodes below each threshold; the hazard's node
+    ``idx`` is ``flat[flat_idx]``.  With clipped gathers a threshold at or
+    below the first node, where the hazard is 0, gets a segment of width
+    <= 0 (its left end is the first node itself or, in a flattened array
+    of rows, the previous row's last node) and maps to ``points[0]``; one
+    beyond the last node maps to inf.
+    """
+    lo, hi = flat.take(flat_idx - 1, mode="clip"), flat.take(flat_idx, mode="clip")
+    t_lo, t_hi = points.take(idx - 1, mode="clip"), points.take(idx, mode="clip")
     den = hi - lo
     frac = np.zeros(den.shape)
     np.divide(e - lo, den, out=frac, where=den > 0.0)
-    return np.where(idx < n_nodes, t_lo + frac * (t_hi - t_lo), np.inf)
+    return np.where(idx < len(points), t_lo + frac * (t_hi - t_lo), np.inf)
 
 
 def simulate_portfolio(

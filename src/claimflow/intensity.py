@@ -148,6 +148,9 @@ class IntensityPath:
             raise ConfigurationError("path arrays must match the grid")
         if np.any(self.mu < 0.0):
             raise ConfigurationError("realized intensity must be >= 0")
+        if self.gamma[0] != 0.0:
+            raise ConfigurationError(
+                f"hazard must start at 0 on the first grid point, got gamma[0] = {self.gamma[0]}")
         if np.any(np.diff(self.gamma) < 0.0):
             raise ConfigurationError("hazard must be nondecreasing")
 

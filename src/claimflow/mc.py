@@ -155,19 +155,23 @@ def _brownian_at_events(times: np.ndarray, rows: np.ndarray, rng: np.random.Gene
 def _deflator_values(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
                      first_times: np.ndarray, in_window: np.ndarray,
                      dev_times: np.ndarray, dev_rows: np.ndarray,
-                     z_mu: np.ndarray | None, det_deflator: np.ndarray | None,
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     z_mu: np.ndarray | None, det_deflator: np.ndarray | float | None,
+                     ) -> tuple[np.ndarray | float, np.ndarray | float, np.ndarray]:
     """Deflator at the first reports, at the development events and at t.
 
     ``first_times`` and ``in_window`` are (paths, policies); values outside
-    the window are unused.  A martingale deflator independent of the
-    intensity is sampled exactly at the payment times; one correlated with
-    a log-OU intensity shares its grid noise and is interpolated from an
-    on-grid path.
+    the window are unused.  A constant deflator (``det_deflator`` a float)
+    is its level everywhere, which is exactly what ``np.interp`` of a flat
+    curve returns; a time-varying one is interpolated on the grid.  A
+    martingale deflator independent of the intensity is sampled exactly at
+    the payment times; one correlated with a log-OU intensity shares its
+    grid noise and is interpolated from an on-grid path.
     """
     points = grid.points
     n_block = first_times.shape[0]
     market = config.market
+    if isinstance(det_deflator, float):
+        return det_deflator, det_deflator, np.full(n_block, det_deflator)
     if det_deflator is not None:
         at_t = np.full(n_block, np.interp(config.t, points, det_deflator))
         return (np.interp(first_times, points, det_deflator),
@@ -203,15 +207,15 @@ def _deflator_values(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
 
 def _block_paths(config: McConfig, grid: TimeGrid, block: int,
                  det_gamma: np.ndarray | None,
-                 det_deflator: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+                 det_deflator: np.ndarray | float | None) -> tuple[np.ndarray, np.ndarray | None]:
     """Simulate one block; returns (payoffs, reported counts or None).
 
-    The draw order is fixed: intensity normals, accident thresholds, delay
-    uniforms and magnitudes, first marks, development counts, offsets and
-    marks, then the deflator: for a martingale deflator independent of the
-    intensity one normal per payment event in the window, ordered by path
-    (antithetic pair) and then time; for one correlated with the intensity
-    one normal per path (pair) and grid cell.
+    The draw order is fixed: intensity normals, accident thresholds, delays
+    (in ``DelayLaw.sample_many``'s layout), first marks, development counts,
+    offsets and marks, then the deflator: for a martingale deflator
+    independent of the intensity one normal per payment event in the
+    window, ordered by path (antithetic pair) and then time; for one
+    correlated with the intensity one normal per path (pair) and grid cell.
     """
     start = block * BLOCK_SIZE
     n_block = min(BLOCK_SIZE, config.n_paths - start)
@@ -236,15 +240,7 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
     else:
         tau0 = _invert_gamma_rows(gamma, points, e)
 
-    if config.delay.alpha0 == 1.0:
-        theta = np.zeros((n_block, n))
-    elif config.delay.alpha0 == 0.0:
-        theta = np.asarray(config.delay.density.sample(rng, size=(n_block, n)))
-    else:
-        at_zero = rng.random((n_block, n)) < config.delay.alpha0
-        magnitude = np.asarray(config.delay.density.sample(rng, size=(n_block, n)))
-        theta = np.where(at_zero, 0.0, magnitude)
-    tau1 = tau0 + theta
+    tau1 = tau0 + config.delay.sample_many(rng, (n_block, n))
 
     x1 = np.asarray(config.first_mark.sample(rng, size=(n_block, n)))
 
@@ -289,11 +285,12 @@ def _run_blocks(config: McConfig, threads: int) -> tuple[np.ndarray, np.ndarray 
     det_gamma = None
     if is_deterministic(config.intensity):
         det_gamma = simulate_intensity_path(config.intensity, grid, seed=0).gamma
-    det_deflator = None
+    det_deflator: np.ndarray | float | None = None
     if isinstance(config.market, DeterministicDeflator):
-        det_deflator = config.market.curve(grid.points)
+        market = config.market
+        det_deflator = float(market.level) if market.is_constant else market.curve(grid.points)
     elif isinstance(config.market, MartingaleDeflator) and config.market.vol == 0.0:
-        det_deflator = np.full(len(grid.points), config.market.init)
+        det_deflator = float(config.market.init)
 
     n_blocks = (config.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
     if threads == 1 or n_blocks == 1:

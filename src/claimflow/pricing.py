@@ -57,6 +57,10 @@ from ._rng import Seed, substream
 # Guard for conditional denominators; below this the state is degenerate.
 _MIN_SURVIVING_MASS = 1e-12
 
+# Intensity paths per chunk of the stochastic reserve's outer average; its
+# working memory is a few chunk x cells arrays, whatever the draw count.
+_OUTER_CHUNK = 1024
+
 # Test-only multiplicative bias on quadrature cell masses; see
 # set_quadrature_perturbation.  Zero in normal operation.
 _quad_perturb = 0.0
@@ -344,8 +348,12 @@ def reserve(
     model is realized on ``grid`` (default: daily up to T).  A stochastic
     model is supported at t = 0 only, where the outer average over
     intensity paths is estimated from ``intensity_draws`` fresh draws and
-    its standard error lands in the diagnostics.  Anything else raises
-    UnsupportedRegimeError pointing at the Monte Carlo oracle.
+    its standard error lands in the diagnostics.  The draws come from one
+    generator ``_OUTER_CHUNK`` paths at a time and each chunk is reduced to
+    its payout brackets before the next is drawn, so memory stays at a few
+    chunk x cells arrays and the result equals a one-pass average bit for
+    bit.  Anything else raises UnsupportedRegimeError pointing at the Monte
+    Carlo oracle.
     """
     t = state.as_of
     n = state.n_policies
@@ -431,13 +439,16 @@ def reserve(
     c = _unreported_integrand_weights(grid, 0, i_T, first_mark, dev)
     q, atom_w = _bracket_functional(c, delay, grid)
     rng = substream(seed, 0x1A7E)
-    normals = rng.standard_normal((intensity_draws, grid.n_cells))
-    mu = np.exp(intensity_model.log_level_paths(grid, normals))
-    gamma = trapezoid_hazard(grid, mu)
-    masses = _cell_masses(gamma)
-    brackets = masses @ q
-    if delay.alpha0 > 0.0:
-        brackets = brackets + delay.alpha0 * ((np.exp(-gamma) * mu) @ atom_w)
+    brackets = np.empty(intensity_draws)
+    for start in range(0, intensity_draws, _OUTER_CHUNK):
+        rows = min(_OUTER_CHUNK, intensity_draws - start)
+        normals = rng.standard_normal((rows, grid.n_cells))
+        mu = np.exp(intensity_model.log_level_paths(grid, normals))
+        gamma = trapezoid_hazard(grid, mu)
+        chunk = _cell_masses(gamma) @ q
+        if delay.alpha0 > 0.0:
+            chunk = chunk + delay.alpha0 * ((np.exp(-gamma) * mu) @ atom_w)
+        brackets[start : start + rows] = chunk
     mean_bracket = float(np.mean(brackets))
     se_bracket = float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))
     unreported = n * mean_bracket

@@ -55,6 +55,14 @@ def test_invert_hazard_never_reaches_threshold():
     assert invert_hazard(path, 5.0) == math.inf
 
 
+def test_hazard_must_start_at_zero():
+    # Anchored anywhere else, a threshold below gamma[0] would invert to a
+    # time before the grid: -0.4 for threshold 0.1 on this path.
+    grid = TimeGrid.regular(1.0, step=0.25)
+    with pytest.raises(ConfigurationError, match="hazard must start at 0"):
+        IntensityPath(grid=grid, mu=np.ones(5), gamma=0.5 + grid.points)
+
+
 @pytest.mark.parametrize("n_nodes", [2, 37, 731])
 def test_invert_gamma_rows_shared_hazard_matches_scalar_inverter(n_nodes):
     # One hazard shared by every threshold: the record simulator's case.
@@ -111,6 +119,27 @@ def test_delay_atom_fraction():
     draws = law.sample_many(rng, n)
     frac = float(np.mean(draws == 0.0))
     assert abs(frac - 0.3) <= 0.0045
+
+
+@pytest.mark.parametrize("alpha0", [0.0, 0.3, 1.0])
+def test_delay_sample_many_draw_layout(alpha0):
+    # Nothing at alpha0 = 1, magnitudes only at 0, otherwise all uniforms
+    # and then all magnitudes; the oracle's blocks rely on this layout.
+    density = None if alpha0 == 1.0 else GammaDelay(2.0, 3.0)
+    law = DelayLaw(alpha0=alpha0, density=density)
+    shape = (7, 5)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    draws = law.sample_many(rng, shape)
+    if alpha0 == 1.0:
+        expected = np.zeros(shape)
+    elif alpha0 == 0.0:
+        expected = density.sample(ref, size=shape)
+    else:
+        zero = ref.random(shape) < alpha0
+        expected = np.where(zero, 0.0, density.sample(ref, size=shape))
+    assert draws.shape == shape
+    assert np.array_equal(draws, expected)
+    assert rng.random() == ref.random()  # the same number of draws
 
 
 def test_delay_law_validation():

@@ -11,6 +11,7 @@ from claimflow import (
     DeterministicDeflator,
     DevelopmentLaw,
     ExponentialDelay,
+    GammaDelay,
     InsufficientDataError,
     IntensityPath,
     LogOUIntensity,
@@ -124,14 +125,56 @@ def test_ci_is_mean_plus_minus_1_96_se():
     assert hi == pytest.approx(estimate.mean + 1.96 * estimate.std_error)
 
 
+def _pinned_configs():
+    log_ou = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+    return {
+        "log_ou_n64": _config(
+            n_policies=64, intensity=log_ou, n_paths=BLOCK_SIZE + 904, seed=3,
+            development=DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="exponential"))),
+        "constant_level": _config(
+            T=2.0, intensity=ConstantIntensity(0.8),
+            delay=DelayLaw(alpha0=0.0, density=GammaDelay(2.0, 3.0)),
+            first_mark=MarkLaw(mean=1.0, kind="lognormal", sigma_ln=0.5),
+            market=DeterministicDeflator(1.25), n_paths=3000, seed=5),
+        "flat_martingale": _config(
+            n_policies=3, intensity=ConstantIntensity(1.2), delay=DelayLaw(alpha0=1.0),
+            first_mark=MarkLaw(mean=2.0, kind="exponential"),
+            development=DevelopmentLaw(rate=2.0, mark=MarkLaw(mean=0.5, kind="exponential")),
+            market=MartingaleDeflator(init=0.8, vol=0.0), n_paths=3000, seed=7),
+        "conditional": _config(
+            n_policies=3, t=0.5, delay=DelayLaw(alpha0=0.3, density=ExponentialDelay(2.0)),
+            development=DevelopmentLaw(rate=1.0, mark=MarkLaw(mean=0.5)),
+            market=DeterministicDeflator(1.1), n_paths=3000, seed=9, conditioning=1),
+    }
+
+
+@pytest.mark.parametrize("name, mean, std_error", [
+    ("log_ou_n64", "0x1.35bad63f18387p+5", "0x1.013627eab9ca5p-3"),
+    ("constant_level", "0x1.d58d477b0da6dp+1", "0x1.27b2ef2ac6f74p-5"),
+    ("flat_martingale", "0x1.5b2225995eff0p+2", "0x1.1b6473a4817f7p-4"),
+    ("conditional", "0x1.ef2609c2b4066p-1", "0x1.14bbf3a6cb236p-5"),
+])
+def test_oracle_numbers_are_pinned(name, mean, std_error):
+    # The draw layout and the arithmetic of a block, bit for bit: a log-OU
+    # book over two blocks (per-row hazard inversion), a constant
+    # deterministic and a zero-volatility martingale deflator, the three
+    # delay layouts (alpha0 in (0, 1), 0 and 1) and a conditional run.
+    # Thread invariance cannot see a change in these numbers; this can.
+    config = _pinned_configs()[name]
+    run = mc_reserve if config.conditioning is None else mc_conditional_reserve
+    estimate = run(config)
+    assert (estimate.mean.hex(), estimate.std_error.hex()) == (mean, std_error)
+
+
 # ---------------------------------------------------------------------------
 # Block kernels: hazard inversion and the event-time Brownian motion
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n_nodes", [2, 37, 64])
-def test_invert_gamma_rows_matches_scalar_inverter(n_nodes):
+@pytest.mark.parametrize("n_nodes, n_policies", [(2, 9), (37, 9), (64, 9), (366, 64)],
+                         ids=["2", "37", "64", "366"])
+def test_invert_gamma_rows_matches_scalar_inverter(n_nodes, n_policies):
     rng = np.random.default_rng(11)
-    n_rows, n_policies = 40, 9
+    n_rows = 40
     grid = TimeGrid.regular(2.0, step=2.0 / (n_nodes - 1))
     increments = rng.exponential(0.1, size=(n_rows, n_nodes - 1))
     increments[rng.random(increments.shape) < 0.2] = 0.0  # flat stretches
@@ -142,13 +185,17 @@ def test_invert_gamma_rows_matches_scalar_inverter(n_nodes):
     e[:, 1] = gamma[:, -1]                  # exactly the last node
     e[:, 2] = gamma[:, n_nodes // 2]        # exactly an interior node
     e[:, 3] = 0.0
+    e[4] = gamma[4, -1] + rng.uniform(1e-9, 1.0, size=n_policies)  # no threshold crosses
+    e[5] = rng.uniform(0.0, gamma[5, -1], size=n_policies)         # every threshold crosses
     out = _invert_gamma_rows(gamma, grid.points, e)
     expected = np.empty_like(e)
     for r in range(n_rows):
         path = IntensityPath(grid=grid, mu=np.zeros(n_nodes), gamma=gamma[r])
         for j in range(n_policies):
             expected[r, j] = invert_hazard(path, float(e[r, j]))
-    assert np.all(np.isinf(out[:, 0]))
+    assert np.all(np.isinf(np.delete(out[:, 0], 5)))
+    assert np.all(np.isinf(out[4]))
+    assert np.all(np.isfinite(out[5]))
     assert np.array_equal(out, expected)
 
 

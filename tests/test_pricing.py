@@ -1,5 +1,6 @@
 """Closed-form pricing: reporting law, backlog probability, reserve."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,13 +31,16 @@ from claimflow import (
     simulate_intensity_path,
     simulate_portfolio,
 )
+from claimflow.intensity import trapezoid_hazard
 from claimflow.pricing import (
+    _OUTER_CHUNK,
     _bracket_functional,
     _cell_masses,
     _fft_convolve,
     _kernel_arrays,
     _unreported_integrand_weights,
 )
+from claimflow._rng import substream
 
 EXACT_CDF_1 = 1.0 - 2.0 * math.exp(-1.0) + math.exp(-2.0)
 EXACT_DENSITY_1 = 2.0 * (math.exp(-1.0) - math.exp(-2.0))
@@ -360,6 +364,55 @@ def test_stochastic_reserve_reproducible_and_reports_error():
     assert a.total == b.total
     assert a.diagnostics["outer_std_error"] > 0.0
     assert a.diagnostics["intensity_draws"] == 512
+
+
+def _unchunked_stochastic_reserve(model, delay, fm, dev, T, grid, draws, seed, n):
+    """The outer average over all draws at once: (unreported, outer SE)."""
+    c = _unreported_integrand_weights(grid, 0, grid.node_index(T), fm, dev)
+    q, atom_w = _bracket_functional(c, delay, grid)
+    normals = substream(seed, 0x1A7E).standard_normal((draws, grid.n_cells))
+    mu = np.exp(model.log_level_paths(grid, normals))
+    gamma = trapezoid_hazard(grid, mu)
+    brackets = _cell_masses(gamma) @ q
+    if delay.alpha0 > 0.0:
+        brackets = brackets + delay.alpha0 * ((np.exp(-gamma) * mu) @ atom_w)
+    se = float(np.std(brackets, ddof=1) / math.sqrt(draws))
+    return n * float(np.mean(brackets)), n * se
+
+
+@pytest.mark.parametrize("alpha0", [0.0, 0.2])
+def test_stochastic_reserve_chunks_match_one_pass(alpha0):
+    # Draw counts around whole chunks: the chunked outer average must equal
+    # the one-pass formula bit for bit.
+    assert _OUTER_CHUNK == 1024
+    model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+    delay = DelayLaw(alpha0=alpha0, density=ExponentialDelay(2.0))
+    fm = MarkLaw(mean=1.0, kind="exponential")
+    dev = DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="exponential"))
+    grid = TimeGrid.regular(1.0, step=1 / 52)
+    state = PortfolioState.from_counts(0.0, 64, 0)
+    for draws in (2, 1023, 1024, 1025, 2049):
+        result = reserve(state, model, delay, fm, dev, 1.0, grid=grid,
+                         intensity_draws=draws, seed=3)
+        expected = _unchunked_stochastic_reserve(model, delay, fm, dev, 1.0, grid, draws, 3, 64)
+        assert (result.total, result.diagnostics["outer_std_error"]) == expected
+
+
+def test_stochastic_reserve_memory_does_not_grow_with_draws():
+    model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+    delay, fm, dev = _book()
+    grid = TimeGrid.regular(1.0, step=1 / 365)
+    state = PortfolioState.from_counts(0.0, 4, 0)
+    peaks = []
+    for chunks in (2, 8):
+        tracemalloc.start()
+        try:
+            reserve(state, model, delay, fm, dev, 1.0, grid=grid,
+                    intensity_draws=chunks * _OUTER_CHUNK, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_unreported_integral_second_order():
