@@ -47,14 +47,13 @@ from .intensity import (
     simulate_intensity_path,
 )
 from .market import DeterministicDeflator, MarketModel, MartingaleDeflator
-from .mc import BLOCK_SIZE, McConfig, compare, mc_conditional_reserve, mc_reserve
+from .mc import BLOCK_SIZE, Z_THRESHOLD, McConfig, compare, mc_conditional_reserve, mc_reserve
 from .pricing import (
     ibnr_probability,
     reporting_cdf,
     reporting_curve,
     reporting_density,
     reserve,
-    set_quadrature_perturbation,
 )
 from ._rng import substream
 
@@ -385,7 +384,6 @@ def run_scenario(
     mc_only: bool = False,
     analytic_only: bool = False,
     threads: int = 1,
-    quadrature_perturbation: float = 0.0,
 ) -> int:
     """Execute one scenario; returns the process exit code."""
     if mc_only and analytic_only:
@@ -403,18 +401,7 @@ def run_scenario(
         print(f"config error at {exc.field}: {exc.args[0][len(exc.field) + 2:]}", file=sys.stderr)
         return 1
 
-    if quadrature_perturbation:
-        set_quadrature_perturbation(quadrature_perturbation)
-    try:
-        return _run_validated(cfg, Path(out_dir), validate=validate, mc_only=mc_only,
-                              analytic_only=analytic_only, threads=threads, started=started)
-    finally:
-        if quadrature_perturbation:
-            set_quadrature_perturbation(0.0)
-
-
-def _run_validated(cfg: ScenarioConfig, out_dir: Path, *, validate: bool, mc_only: bool,
-                   analytic_only: bool, threads: int, started: float) -> int:
+    out_dir = Path(out_dir)
     grid = TimeGrid.regular(cfg.T, step=cfg.grid_step)
     stochastic = not is_deterministic(cfg.intensity)
     curve_seed = substream(cfg.seed, _STREAM_CURVE) if stochastic else 0
@@ -502,7 +489,7 @@ def _run_validated(cfg: ScenarioConfig, out_dir: Path, *, validate: bool, mc_onl
         report["comparison"] = {
             "z": _finite(comparison.z),
             "passed": comparison.passed,
-            "threshold": 3.0,
+            "threshold": Z_THRESHOLD,
         }
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -547,12 +534,10 @@ def main(argv: Optional[list[str]] = None) -> None:
     p_run.add_argument("--mc-only", action="store_true", help="skip the analytic formula")
     p_run.add_argument("--analytic-only", action="store_true", help="skip the Monte Carlo oracle")
     p_run.add_argument("--threads", type=int, default=1, help="worker threads for the oracle")
-    p_run.add_argument("--break-quadrature", action="store_true", help=argparse.SUPPRESS)
 
     p_self = sub.add_parser("selftest", help="run the built-in regression suite")
     p_self.add_argument("--quick", action="store_true", help="closed-form checks only")
     p_self.add_argument("--threads", type=int, default=1, help="worker threads for the oracle")
-    p_self.add_argument("--break-quadrature", action="store_true", help=argparse.SUPPRESS)
 
     args = parser.parse_args(argv)
     if args.threads < 1:
@@ -561,12 +546,10 @@ def main(argv: Optional[list[str]] = None) -> None:
     if args.command == "run":
         code = run_scenario(
             args.config, args.out, validate=args.validate, mc_only=args.mc_only,
-            analytic_only=args.analytic_only, threads=args.threads,
-            quadrature_perturbation=2e-4 if args.break_quadrature else 0.0)
+            analytic_only=args.analytic_only, threads=args.threads)
     else:
         from .selftest import run_selftest
-        code = run_selftest(quick=args.quick, threads=args.threads,
-                            break_quadrature=args.break_quadrature)
+        code = run_selftest(quick=args.quick, threads=args.threads)
     sys.exit(code)
 
 

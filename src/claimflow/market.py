@@ -80,8 +80,12 @@ class MartingaleDeflator:
 MarketModel = Union[DeterministicDeflator, MartingaleDeflator]
 
 
-def value_at(model: DeterministicDeflator, t: float) -> float:
-    return float(model.level) if model.is_constant else float(model.level(t))
+def constant_level(model: MarketModel) -> float | None:
+    """The deflator's level if it never moves (a constant deterministic
+    deflator or a zero-volatility martingale), else None."""
+    if isinstance(model, MartingaleDeflator):
+        return float(model.init) if model.vol == 0.0 else None
+    return float(model.level) if model.is_constant else None
 
 
 def collapses_to_spot(model: MarketModel) -> bool:

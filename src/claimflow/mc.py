@@ -28,7 +28,7 @@ from .claims import DelayLaw, DevelopmentLaw, MarkLaw, _invert_gamma_rows
 from .errors import ConfigurationError, InsufficientDataError
 from .grids import DEFAULT_STEP, TimeGrid
 from .intensity import IntensityModel, LogOUIntensity, is_deterministic, simulate_intensity_path, trapezoid_hazard
-from .market import DeterministicDeflator, MarketModel, MartingaleDeflator
+from .market import DeterministicDeflator, MarketModel, MartingaleDeflator, constant_level
 from .pricing import ReserveResult
 from ._rng import substream
 
@@ -36,6 +36,9 @@ from ._rng import substream
 BLOCK_SIZE = 4096
 
 _STREAM_MC_BLOCK = 0xB10C
+
+#: Largest |z| at which the analytic reserve and the oracle agree.
+Z_THRESHOLD = 3.0
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,7 @@ class McConfig:
                     f"target reported count {self.conditioning} outside [0, {self.n_policies}]")
             if not is_deterministic(self.intensity):
                 raise ConfigurationError("conditioning on the reported count needs a deterministic intensity")
-            if not (isinstance(self.market, DeterministicDeflator) and self.market.is_constant) \
-                    and not (isinstance(self.market, MartingaleDeflator) and self.market.vol == 0.0):
+            if constant_level(self.market) is None:
                 raise ConfigurationError("conditioning on the reported count needs a deterministic deflator")
         if isinstance(self.market, MartingaleDeflator) and self.market.corr_with_intensity != 0.0:
             if is_deterministic(self.intensity):
@@ -156,13 +158,14 @@ def _deflator_values(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
                      first_times: np.ndarray, in_window: np.ndarray,
                      dev_times: np.ndarray, dev_rows: np.ndarray,
                      z_mu: np.ndarray | None, det_deflator: np.ndarray | float | None,
-                     ) -> tuple[np.ndarray | float, np.ndarray | float, np.ndarray]:
+                     ) -> tuple[np.ndarray | float, np.ndarray | float, float]:
     """Deflator at the first reports, at the development events and at t.
 
     ``first_times`` and ``in_window`` are (paths, policies); values outside
-    the window are unused.  A constant deflator (``det_deflator`` a float)
-    is its level everywhere, which is exactly what ``np.interp`` of a flat
-    curve returns; a time-varying one is interpolated on the grid.  A
+    the window are unused.  The value at t is the same on every path, so it
+    is one float.  A constant deflator (``det_deflator`` a float) is its
+    level everywhere, which is exactly what ``np.interp`` of a flat curve
+    returns; a time-varying one is interpolated on the grid.  A
     martingale deflator independent of the intensity is sampled exactly at
     the payment times; one correlated with a log-OU intensity shares its
     grid noise and is interpolated from an on-grid path.
@@ -171,14 +174,14 @@ def _deflator_values(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
     n_block = first_times.shape[0]
     market = config.market
     if isinstance(det_deflator, float):
-        return det_deflator, det_deflator, np.full(n_block, det_deflator)
+        return det_deflator, det_deflator, det_deflator
     if det_deflator is not None:
-        at_t = np.full(n_block, np.interp(config.t, points, det_deflator))
+        at_t = float(np.interp(config.t, points, det_deflator))
         return (np.interp(first_times, points, det_deflator),
                 np.interp(dev_times, points, det_deflator), at_t)
 
     assert isinstance(market, MartingaleDeflator) and market.vol > 0.0
-    at_t = np.full(n_block, market.init)  # t = 0 in this regime
+    at_t = float(market.init)  # t = 0 in this regime
     rho = market.corr_with_intensity
     if rho == 0.0:
         times = np.concatenate((first_times[in_window], dev_times))
@@ -285,12 +288,9 @@ def _run_blocks(config: McConfig, threads: int) -> tuple[np.ndarray, np.ndarray 
     det_gamma = None
     if is_deterministic(config.intensity):
         det_gamma = simulate_intensity_path(config.intensity, grid, seed=0).gamma
-    det_deflator: np.ndarray | float | None = None
-    if isinstance(config.market, DeterministicDeflator):
-        market = config.market
-        det_deflator = float(market.level) if market.is_constant else market.curve(grid.points)
-    elif isinstance(config.market, MartingaleDeflator) and config.market.vol == 0.0:
-        det_deflator = float(config.market.init)
+    det_deflator: np.ndarray | float | None = constant_level(config.market)
+    if det_deflator is None and isinstance(config.market, DeterministicDeflator):
+        det_deflator = config.market.curve(grid.points)
 
     n_blocks = (config.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
     if threads == 1 or n_blocks == 1:
@@ -354,8 +354,8 @@ def mc_conditional_reserve(config: McConfig, threads: int = 1) -> McEstimate:
     return _estimate(payoffs[mask])
 
 
-def compare(analytic: ReserveResult, mc: McEstimate, threshold: float = 3.0) -> ComparisonReport:
-    """Agreement report: z = (analytic - mc) / SE, passing iff |z| <= threshold.
+def compare(analytic: ReserveResult, mc: McEstimate) -> ComparisonReport:
+    """Agreement report: z = (analytic - mc) / SE, passing iff |z| <= Z_THRESHOLD.
 
     SE combines the oracle's standard error with the analytic reserve's own
     Monte Carlo error, ``diagnostics["outer_std_error"]``, which is nonzero
@@ -370,4 +370,4 @@ def compare(analytic: ReserveResult, mc: McEstimate, threshold: float = 3.0) -> 
                                 z=math.copysign(math.inf, diff), passed=False)
     z = float(diff / se)
     return ComparisonReport(analytic.total, mc.mean, mc.std_error, z=z,
-                            passed=bool(abs(z) <= threshold))
+                            passed=bool(abs(z) <= Z_THRESHOLD))

@@ -61,21 +61,6 @@ _MIN_SURVIVING_MASS = 1e-12
 # working memory is a few chunk x cells arrays, whatever the draw count.
 _OUTER_CHUNK = 1024
 
-# Test-only multiplicative bias on quadrature cell masses; see
-# set_quadrature_perturbation.  Zero in normal operation.
-_quad_perturb = 0.0
-
-
-def set_quadrature_perturbation(eps: float) -> None:
-    """Bias every quadrature cell by a relative ``eps``.
-
-    Exists only so the self-test negative control can verify that the
-    closed-form checks actually have teeth.  Always reset to 0.0 after use.
-    """
-    global _quad_perturb
-    _quad_perturb = float(eps)
-
-
 def expected_development(dev: DevelopmentLaw, t: float) -> float:
     """Expected cumulative development paid within ``t`` years of the report.
 
@@ -90,13 +75,10 @@ def expected_development(dev: DevelopmentLaw, t: float) -> float:
 # Cell masses and Simpson-weighted factors
 # ---------------------------------------------------------------------------
 
-def _cell_masses(gamma: np.ndarray) -> np.ndarray:
-    """Exact integral of exp(-Gamma_s) dGamma_s over each grid cell."""
-    surv = np.exp(-gamma)
-    masses = surv[..., :-1] - surv[..., 1:]
-    if _quad_perturb != 0.0:
-        masses = masses * (1.0 + _quad_perturb)
-    return masses
+def _cell_masses(surv: np.ndarray) -> np.ndarray:
+    """Exact integral of exp(-Gamma_s) dGamma_s over each grid cell, from
+    the survival exp(-Gamma) at the nodes."""
+    return surv[..., :-1] - surv[..., 1:]
 
 
 def _partial_state(path: IntensityPath, t: float) -> tuple[int, float, float]:
@@ -112,15 +94,13 @@ def _stieltjes(path: IntensityPath, t: float, factor) -> float:
     """integral_0^t factor(s) exp(-Gamma_s) mu_s ds by per-cell Simpson weights."""
     points = path.grid.points
     k, frac, gamma_t = _partial_state(path, t)
-    masses = _cell_masses(path.gamma[: k + 1])
+    masses = _cell_masses(np.exp(-path.gamma[: k + 1]))
     left = points[:k]
     right = points[1 : k + 1]
     weights = (factor(left) + 4.0 * factor(0.5 * (left + right)) + factor(right)) / 6.0
     total = float(np.dot(weights, masses))
     if frac > 0.0:
         mass = math.exp(-path.gamma[k]) - math.exp(-gamma_t)
-        if _quad_perturb != 0.0:
-            mass *= 1.0 + _quad_perturb
         s_lo = points[k]
         w = (factor(s_lo) + 4.0 * factor(0.5 * (s_lo + t)) + factor(np.asarray(t))) / 6.0
         total += float(w) * mass
@@ -206,8 +186,8 @@ class ReportingCurve:
 
 def reporting_curve(path: IntensityPath, delay: DelayLaw) -> ReportingCurve:
     """Evaluate the reporting law on the whole grid in one pass."""
-    masses = _cell_masses(path.gamma)
     surv = np.exp(-path.gamma)
+    masses = _cell_masses(surv)
     cdf = _convolve_masses(masses, _kernel_arrays(delay.cdf, path.grid))
     density = delay.alpha0 * surv * path.mu
     if delay.density is not None:
@@ -444,10 +424,10 @@ def reserve(
         rows = min(_OUTER_CHUNK, intensity_draws - start)
         normals = rng.standard_normal((rows, grid.n_cells))
         mu = np.exp(intensity_model.log_level_paths(grid, normals))
-        gamma = trapezoid_hazard(grid, mu)
-        chunk = _cell_masses(gamma) @ q
+        surv = np.exp(-trapezoid_hazard(grid, mu))
+        chunk = _cell_masses(surv) @ q
         if delay.alpha0 > 0.0:
-            chunk = chunk + delay.alpha0 * ((np.exp(-gamma) * mu) @ atom_w)
+            chunk = chunk + delay.alpha0 * ((surv * mu) @ atom_w)
         brackets[start : start + rows] = chunk
     mean_bracket = float(np.mean(brackets))
     se_bracket = float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))

@@ -42,7 +42,6 @@ from .pricing import (
     reporting_cdf,
     reporting_density,
     reserve,
-    set_quadrature_perturbation,
 )
 
 
@@ -402,23 +401,17 @@ QUICK_CHECKS: tuple[Callable[[], list[CheckResult]], ...] = (
 )
 
 
-def run_selftest(quick: bool = False, threads: int = 1, break_quadrature: bool = False) -> int:
+def run_selftest(quick: bool = False, threads: int = 1) -> int:
     """Run the suite, print one line per check and return the exit code."""
-    if break_quadrature:
-        set_quadrature_perturbation(2e-4)
-    try:
-        results: list[CheckResult] = []
-        for fn in QUICK_CHECKS:
-            results.extend(fn())
-        if not quick:
-            results.extend(check_simulator_consistency())
-            results.extend(check_accident_independence())
-            results.extend(check_mc_agreement(threads=threads))
-            results.extend(check_conditional_buckets(threads=threads))
-            results.extend(check_determinism())
-    finally:
-        if break_quadrature:
-            set_quadrature_perturbation(0.0)
+    results: list[CheckResult] = []
+    for fn in QUICK_CHECKS:
+        results.extend(fn())
+    if not quick:
+        results.extend(check_simulator_consistency())
+        results.extend(check_accident_independence())
+        results.extend(check_mc_agreement(threads=threads))
+        results.extend(check_conditional_buckets(threads=threads))
+        results.extend(check_determinism())
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import claimflow
-from claimflow import SchemaError
+from claimflow import SchemaError, pricing
 from claimflow.cli import MAX_GRID_CELLS, MAX_PATH_GRID_VALUES, main, parse_config, run_scenario
 from claimflow.selftest import run_selftest
 
@@ -34,6 +34,12 @@ def _write(tmp_path, config, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config, indent=2))
     return path
+
+
+def _bias_quadrature(monkeypatch, eps):
+    """Scale every full quadrature cell mass by 1 + eps for this test only."""
+    exact = pricing._cell_masses
+    monkeypatch.setattr(pricing, "_cell_masses", lambda surv: exact(surv) * (1.0 + eps))
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +238,13 @@ def test_run_mc_only_handles_correlated_regime(tmp_path):
     assert report["mc"]["mean"] > 0.0
 
 
-def test_validated_mismatch_exits_two(tmp_path):
+def test_validated_mismatch_exits_two(tmp_path, monkeypatch):
     # A 5% quadrature bias pushes the analytic value many standard errors
     # away from the oracle; with --validate that must surface as exit 2,
     # with the failure recorded in the report.
     path = _write(tmp_path, _scenario(mc={"n_paths": 20000}))
-    code = run_scenario(path, tmp_path / "out", validate=True,
-                        quadrature_perturbation=0.05)
+    _bias_quadrature(monkeypatch, 0.05)
+    code = run_scenario(path, tmp_path / "out", validate=True)
     assert code == 2
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["comparison"]["passed"] is False
@@ -309,6 +315,7 @@ def test_quick_selftest_passes(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
-def test_broken_quadrature_is_detected(capsys):
-    assert run_selftest(quick=True, break_quadrature=True) == 1
+def test_broken_quadrature_is_detected(capsys, monkeypatch):
+    _bias_quadrature(monkeypatch, 2e-4)
+    assert run_selftest(quick=True) == 1
     assert "[FAIL]" in capsys.readouterr().out

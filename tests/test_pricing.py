@@ -1,6 +1,8 @@
 """Closed-form pricing: reporting law, backlog probability, reserve."""
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from claimflow import (
     simulate_intensity_path,
     simulate_portfolio,
 )
+from claimflow.cli import parse_config
 from claimflow.intensity import trapezoid_hazard
 from claimflow.pricing import (
     _OUTER_CHUNK,
@@ -137,7 +140,7 @@ def test_curve_matches_direct_convolution():
     path = simulate_intensity_path(model, TimeGrid.regular(2.0, step=1 / 2920))
     delay = DelayLaw(alpha0=0.1, density=GammaDelay(shape=2.3, rate=3.0))
     curve = reporting_curve(path, delay)
-    masses = _cell_masses(path.gamma)
+    masses = _cell_masses(np.exp(-path.gamma))
     n = len(masses)
     direct_cdf = np.convolve(masses, _kernel_arrays(delay.cdf, path.grid))[: n]
     direct_pdf = np.convolve(masses, _kernel_arrays(delay.pdf, path.grid))[: n]
@@ -373,7 +376,7 @@ def _unchunked_stochastic_reserve(model, delay, fm, dev, T, grid, draws, seed, n
     normals = substream(seed, 0x1A7E).standard_normal((draws, grid.n_cells))
     mu = np.exp(model.log_level_paths(grid, normals))
     gamma = trapezoid_hazard(grid, mu)
-    brackets = _cell_masses(gamma) @ q
+    brackets = _cell_masses(np.exp(-gamma)) @ q
     if delay.alpha0 > 0.0:
         brackets = brackets + delay.alpha0 * ((np.exp(-gamma) * mu) @ atom_w)
     se = float(np.std(brackets, ddof=1) / math.sqrt(draws))
@@ -396,6 +399,40 @@ def test_stochastic_reserve_chunks_match_one_pass(alpha0):
                          intensity_draws=draws, seed=3)
         expected = _unchunked_stochastic_reserve(model, delay, fm, dev, 1.0, grid, draws, 3, 64)
         assert (result.total, result.diagnostics["outer_std_error"]) == expected
+
+
+_STOCHASTIC_SCENARIO = {
+    "schema_version": 1,
+    "seed": 3,
+    "grid": {"step": 1.0 / 365.0},
+    "intensity": {"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": 0.0,
+                  "vol": 0.5, "init": 1.0},
+    "delay": {"alpha0": 0.2, "density": {"kind": "exponential", "rate": 2.0}},
+    "first_mark": {"mean": 1.0, "kind": "exponential"},
+    "development": {"rate": 1.5, "mark_mean": 0.5, "mark_kind": "exponential"},
+    "market": {"kind": "deterministic", "level": 1.0},
+    "portfolio": {"n": 64},
+    "valuation": {"t": 0.0, "T": 1.0},
+    "mc": {"n_paths": 32768, "antithetic": False, "intensity_draws": 8192},
+}
+
+
+@pytest.mark.parametrize("text, diagnostic, total, value", [
+    ((Path(__file__).resolve().parents[1] / "configs" / "example.json").read_text(),
+     "unreported_error_estimate", "0x1.65f41a19488cap+3", "0x1.0a3f588d55555p-17"),
+    (json.dumps(_STOCHASTIC_SCENARIO),
+     "outer_std_error", "0x1.369995e5d2390p+5", "0x1.437cb97d07aa9p-5"),
+], ids=["example", "log_ou_n64"])
+def test_analytic_reserve_numbers_are_pinned(text, diagnostic, total, value):
+    # The analytic reserve bit for bit, as run_scenario computes it: the
+    # deterministic example with its Richardson half-step re-run, and the
+    # chunked stochastic outer average with its standard error.
+    cfg = parse_config(text)
+    result = reserve(PortfolioState.from_counts(cfg.t, cfg.n_policies, cfg.reported_count),
+                     cfg.intensity, cfg.delay, cfg.first_mark, cfg.development, cfg.T,
+                     market=cfg.market, grid=TimeGrid.regular(cfg.T, step=cfg.grid_step),
+                     intensity_draws=cfg.intensity_draws, seed=cfg.seed)
+    assert (result.total.hex(), result.diagnostics[diagnostic].hex()) == (total, value)
 
 
 def test_stochastic_reserve_memory_does_not_grow_with_draws():
