@@ -12,9 +12,9 @@ oracle, or both with a cross-check) and writes
   backlog probability and the no-accident probability on the grid
   (RFC 4180, 12 significant digits).
 
-Exit codes: 0 success, 1 config/schema violation, 2 failed analytic-vs-MC
-comparison under ``--validate``, 3 scenario outside the closed-form regime
-(rerun with ``--mc-only``).
+Exit codes: 0 success, 1 config error naming the field (also a regime that
+no requested leg can price), 2 failed analytic-vs-MC comparison under
+``--validate``, 3 scenario outside the closed-form regime (``--mc-only``).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .intensity import (
     is_deterministic,
     simulate_intensity_path,
 )
-from .market import DeterministicDeflator, MarketModel, MartingaleDeflator
+from .market import DeterministicDeflator, MarketModel, MartingaleDeflator, constant_level
 from .mc import BLOCK_SIZE, Z_THRESHOLD, McConfig, compare, mc_conditional_reserve, mc_reserve
 from .pricing import (
     ibnr_probability,
@@ -286,6 +286,10 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
     market = _parse_market(root.get("market"))
+    if (isinstance(market, MartingaleDeflator) and market.corr_with_intensity != 0.0
+            and is_deterministic(intensity)):
+        raise SchemaError("market.corr_with_intensity",
+                          "must be 0 unless the intensity is a stochastic log_ou")
 
     pf_node = root["portfolio"]
     _check_keys(pf_node, "portfolio", ("n",), ("reported_count",))
@@ -302,6 +306,9 @@ def parse_config(text: str) -> ScenarioConfig:
         raise SchemaError("valuation.t", f"must be <= T = {T}, got {t}")
     if t == 0.0 and reported_count > 0:
         raise SchemaError("portfolio.reported_count", "must be 0 when valuing at t = 0")
+    if t > 0.0 and not is_deterministic(intensity):
+        raise SchemaError("valuation.t", "must be 0 under a stochastic log_ou intensity: "
+                                         "no pricing leg conditions on a partial intensity history")
 
     # The grid has round(T / step) cells (TimeGrid.regular); bound them
     # before anything is allocated.
@@ -317,6 +324,12 @@ def parse_config(text: str) -> ScenarioConfig:
     antithetic = mc_node.get("antithetic", False)
     if not isinstance(antithetic, bool):
         raise SchemaError("mc.antithetic", f"expected a boolean, got {antithetic!r}")
+    if antithetic:
+        if not (isinstance(market, MartingaleDeflator) and market.vol > 0.0):
+            raise SchemaError("mc.antithetic", "needs a martingale deflator with market.vol > 0: "
+                                               "antithetic variates mirror its draws")
+        if n_paths % 2 != 0:
+            raise SchemaError("mc.n_paths", f"must be even under mc.antithetic, got {n_paths}")
     intensity_draws = _integer(mc_node, "intensity_draws", "mc", lo=2, default=8192)
     if isinstance(intensity, LogOUIntensity):
         rows = min(BLOCK_SIZE, n_paths)
@@ -430,6 +443,10 @@ def run_scenario(
 
     if mc_only or validate:
         conditioning = None if (cfg.t == 0.0 and cfg.reported_count == 0) else cfg.reported_count
+        if conditioning is not None and constant_level(cfg.market) is None:
+            print("config error at market.vol: must be 0 for the Monte Carlo oracle at "
+                  "valuation.t > 0 (--analytic-only prices it)", file=sys.stderr)
+            return 1
         t0 = time.perf_counter()
         try:
             mc_config = McConfig(

@@ -81,26 +81,19 @@ def _cell_masses(surv: np.ndarray) -> np.ndarray:
     return surv[..., :-1] - surv[..., 1:]
 
 
-def _partial_state(path: IntensityPath, t: float) -> tuple[int, float, float]:
-    """Number of full cells below ``t``, plus (gamma, node time) at the cut."""
-    idx, frac = path.grid.locate(t)
-    if frac == 1.0:
-        idx, frac = idx + 1, 0.0
-    gamma_t = path.hazard(t)
-    return idx, frac, gamma_t
-
-
 def _stieltjes(path: IntensityPath, t: float, factor) -> float:
     """integral_0^t factor(s) exp(-Gamma_s) mu_s ds by per-cell Simpson weights."""
     points = path.grid.points
-    k, frac, gamma_t = _partial_state(path, t)
+    k, frac = path.grid.locate(t)
+    if frac == 1.0:
+        k, frac = k + 1, 0.0
     masses = _cell_masses(np.exp(-path.gamma[: k + 1]))
     left = points[:k]
     right = points[1 : k + 1]
     weights = (factor(left) + 4.0 * factor(0.5 * (left + right)) + factor(right)) / 6.0
     total = float(np.dot(weights, masses))
     if frac > 0.0:
-        mass = math.exp(-path.gamma[k]) - math.exp(-gamma_t)
+        mass = math.exp(-path.gamma[k]) - math.exp(-path.hazard(t))
         s_lo = points[k]
         w = (factor(s_lo) + 4.0 * factor(0.5 * (s_lo + t)) + factor(np.asarray(t))) / 6.0
         total += float(w) * mass
@@ -184,15 +177,20 @@ class ReportingCurve:
         return np.maximum((1.0 - self.survival) - self.cdf, 0.0)
 
 
+def _density_nodes(path: IntensityPath, delay: DelayLaw, surv: np.ndarray) -> np.ndarray:
+    """p' on every grid node, from the survival exp(-Gamma) at the nodes."""
+    density = delay.alpha0 * surv * path.mu
+    if delay.density is not None:
+        density = density + _convolve_masses(_cell_masses(surv), _kernel_arrays(delay.pdf, path.grid))
+    return density
+
+
 def reporting_curve(path: IntensityPath, delay: DelayLaw) -> ReportingCurve:
     """Evaluate the reporting law on the whole grid in one pass."""
     surv = np.exp(-path.gamma)
-    masses = _cell_masses(surv)
-    cdf = _convolve_masses(masses, _kernel_arrays(delay.cdf, path.grid))
-    density = delay.alpha0 * surv * path.mu
-    if delay.density is not None:
-        density = density + _convolve_masses(masses, _kernel_arrays(delay.pdf, path.grid))
-    return ReportingCurve(grid=path.grid, cdf=cdf, density=density, survival=surv)
+    cdf = _convolve_masses(_cell_masses(surv), _kernel_arrays(delay.cdf, path.grid))
+    return ReportingCurve(grid=path.grid, cdf=cdf, density=_density_nodes(path, delay, surv),
+                          survival=surv)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +246,8 @@ def _refined(path: IntensityPath) -> IntensityPath:
     return IntensityPath(grid=fine_grid, mu=mu, gamma=trapezoid_hazard(fine_grid, mu))
 
 
-def _payout_integral(path: IntensityPath, delay: DelayLaw, curve: ReportingCurve,
-                     first_mark: MarkLaw, dev: DevelopmentLaw, t: float, T: float) -> float:
+def _payout_integral(path: IntensityPath, delay: DelayLaw, first_mark: MarkLaw,
+                     dev: DevelopmentLaw, t: float, T: float) -> float:
     """Trapezoid of (E[X1] + expected development to T) * p'(u) over [t, T].
 
     Endpoints need not sit on grid nodes; partial end cells use pointwise
@@ -270,7 +268,8 @@ def _payout_integral(path: IntensityPath, delay: DelayLaw, curve: ReportingCurve
         d_T = reporting_density(path, delay, T)
         return 0.5 * (psi(t) * d_t + psi(T) * d_T) * (T - t)
     nodes = grid.points[i_lo : i_hi + 1]
-    values = psi(nodes) * curve.density[i_lo : i_hi + 1]
+    density = _density_nodes(path, delay, np.exp(-path.gamma))
+    values = psi(nodes) * density[i_lo : i_hi + 1]
     total = float(np.trapezoid(values, dx=grid.step)) if len(values) > 1 else 0.0
     left_gap = nodes[0] - t
     if left_gap > 1e-12 * grid.step:
@@ -332,8 +331,8 @@ def reserve(
     generator ``_OUTER_CHUNK`` paths at a time and each chunk is reduced to
     its payout brackets before the next is drawn, so memory stays at a few
     chunk x cells arrays and the result equals a one-pass average bit for
-    bit.  Anything else raises UnsupportedRegimeError pointing at the Monte
-    Carlo oracle.
+    bit.  Other regimes raise UnsupportedRegimeError; the Monte Carlo oracle
+    prices all of them but a stochastic model at t > 0.
     """
     t = state.as_of
     n = state.n_policies
@@ -373,14 +372,7 @@ def reserve(
     }
 
     if not stochastic:
-        curve = reporting_curve(path, delay)
-        # Only an exact node reads p(t) off the curve: a t an ulp off a node
-        # keeps the pointwise sum, which evaluates G at t itself.
-        k_t = _partial_state(path, t)[0]
-        if grid.points[k_t] == t:
-            p_t = float(curve.cdf[k_t])
-        else:
-            p_t = reporting_cdf(path, delay, t)
+        p_t = reporting_cdf(path, delay, t)
         diagnostics["reporting_cdf_at_t"] = p_t
         unreported_count = n - reported
         if unreported_count == 0:
@@ -391,13 +383,12 @@ def reserve(
                 raise DegenerateStateError(
                     "reporting is essentially certain by the valuation time; "
                     "no surviving mass to condition on (expected reported count = n)")
-            integral = _payout_integral(path, delay, curve, first_mark, dev, t, T)
+            integral = _payout_integral(path, delay, first_mark, dev, t, T)
             unreported = unreported_count * integral / surviving
             # Richardson estimate: with a second-order scheme the half-step
             # value closes three quarters of the gap to the limit.
             fine = _refined(path)
-            fine_integral = _payout_integral(
-                fine, delay, reporting_curve(fine, delay), first_mark, dev, t, T)
+            fine_integral = _payout_integral(fine, delay, first_mark, dev, t, T)
             diagnostics["unreported_error_estimate"] = (
                 unreported_count * (4.0 / 3.0) * abs(integral - fine_integral) / surviving)
         total = reported_component + unreported
@@ -408,8 +399,8 @@ def reserve(
     # Stochastic intensity: average the payout integral over fresh paths.
     if t != 0.0:
         raise UnsupportedRegimeError(
-            "stochastic intensity is priced at t = 0 only (no conditioning on a "
-            "partial intensity history); use the Monte Carlo oracle for t > 0")
+            "stochastic intensity is priced at t = 0 only: neither the closed form "
+            "nor the Monte Carlo oracle conditions on a partial intensity history")
     if reported != 0:
         raise ConfigurationError("no claim can already be reported at time zero")
     assert isinstance(intensity_model, LogOUIntensity)

@@ -238,6 +238,34 @@ def test_run_mc_only_handles_correlated_regime(tmp_path):
     assert report["mc"]["mean"] > 0.0
 
 
+_LOG_OU = {"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": 0.0, "vol": 0.5, "init": 1.0}
+_MARTINGALE = {"kind": "martingale", "init": 1.0, "vol": 0.2}
+_AT_HALF = {"portfolio": {"n": 2, "reported_count": 1}, "valuation": {"t": 0.5, "T": 1.0}}
+
+
+@pytest.mark.parametrize("overrides, field, analytic_only_code", [
+    ({"mc": {"n_paths": 2000, "antithetic": True}}, "mc.antithetic", 1),
+    ({"market": _MARTINGALE, "mc": {"n_paths": 2001, "antithetic": True}}, "mc.n_paths", 1),
+    ({"market": {**_MARTINGALE, "corr_with_intensity": 0.5}}, "market.corr_with_intensity", 1),
+    ({"intensity": _LOG_OU, **_AT_HALF}, "valuation.t", 1),
+    # The closed form prices a moving martingale deflator at t > 0; only
+    # the oracle refuses it.
+    ({"market": _MARTINGALE, **_AT_HALF}, "market.vol", 0),
+], ids=["antithetic_constant_deflator", "antithetic_odd_paths", "corr_deterministic_intensity",
+        "log_ou_after_zero", "moving_deflator_after_zero"])
+def test_oracle_contradiction_exits_one_naming_field(tmp_path, capsys, overrides, field,
+                                                      analytic_only_code):
+    config = str(_write(tmp_path, _scenario(**overrides)))
+    for flag in ("--validate", "--mc-only"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", config, "--out", str(tmp_path / "out"), flag])
+        assert exc.value.code == 1
+        assert f"config error at {field}:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", config, "--out", str(tmp_path / "out"), "--analytic-only"])
+    assert exc.value.code == analytic_only_code
+
+
 def test_validated_mismatch_exits_two(tmp_path, monkeypatch):
     # A 5% quadrature bias pushes the analytic value many standard errors
     # away from the oracle; with --validate that must surface as exit 2,

@@ -336,19 +336,19 @@ def test_reserve_supports_off_grid_valuation_time():
     assert min(values[0], values[2]) - 1e-9 <= values[1] <= max(values[0], values[2]) + 1e-9
 
 
-def test_reserve_reads_node_reporting_cdf_off_the_curve():
+def test_reserve_reads_reporting_cdf_pointwise_at_every_t():
+    # p(t) has one source, on a node, an ulp below one and between nodes;
+    # on a node it agrees with the whole-grid curve up to rounding.
     delay, fm, dev = _book()
     path = _unit_path()
-    curve = reporting_curve(path, delay)
-    t = float(path.grid.points[365])
-    p_t = reserve(PortfolioState.from_counts(t, 4, 1), path, delay, fm, dev, 2.0
-                  ).diagnostics["reporting_cdf_at_t"]
-    assert p_t == curve.cdf[365]
-    assert p_t == pytest.approx(reporting_cdf(path, delay, t), abs=1e-15)
-    off = t + path.grid.step / 3.0
-    p_off = reserve(PortfolioState.from_counts(off, 4, 1), path, delay, fm, dev, 2.0
-                    ).diagnostics["reporting_cdf_at_t"]
-    assert p_off == reporting_cdf(path, delay, off)
+    points = path.grid.points
+    node = float(points[365])
+    p = {}
+    for t in (node, float(np.nextafter(points[365], 0)), node + path.grid.step / 3.0):
+        p[t] = reserve(PortfolioState.from_counts(t, 4, 1), path, delay, fm, dev, 2.0
+                       ).diagnostics["reporting_cdf_at_t"]
+        assert p[t] == reporting_cdf(path, delay, t)
+    assert p[node] == pytest.approx(reporting_curve(path, delay).cdf[365], abs=1e-15)
 
 
 def test_reserve_rejects_out_of_range_times():
@@ -417,16 +417,33 @@ _STOCHASTIC_SCENARIO = {
 }
 
 
+# Valued off the daily grid with claims already reported, across a rate
+# breakpoint and under a gamma delay.
+_CONDITIONAL_SCENARIO = {
+    "schema_version": 1,
+    "seed": 0,
+    "intensity": {"kind": "piecewise", "breakpoints": [1.0], "rates": [0.8, 1.2]},
+    "delay": {"alpha0": 0.2, "density": {"kind": "gamma", "shape": 2.0, "rate": 3.0}},
+    "first_mark": {"mean": 1.0},
+    "development": {"rate": 1.5, "mark_mean": 0.5},
+    "portfolio": {"n": 6, "reported_count": 3},
+    "valuation": {"t": 0.7, "T": 2.0},
+}
+
+
 @pytest.mark.parametrize("text, diagnostic, total, value", [
     ((Path(__file__).resolve().parents[1] / "configs" / "example.json").read_text(),
      "unreported_error_estimate", "0x1.65f41a19488cap+3", "0x1.0a3f588d55555p-17"),
     (json.dumps(_STOCHASTIC_SCENARIO),
      "outer_std_error", "0x1.369995e5d2390p+5", "0x1.437cb97d07aa9p-5"),
-], ids=["example", "log_ou_n64"])
+    (json.dumps(_CONDITIONAL_SCENARIO),
+     "unreported_error_estimate", "0x1.7539062074596p+2", "0x1.49dd512c3755ap-20"),
+], ids=["example", "log_ou_n64", "piecewise_t0.7"])
 def test_analytic_reserve_numbers_are_pinned(text, diagnostic, total, value):
     # The analytic reserve bit for bit, as run_scenario computes it: the
-    # deterministic example with its Richardson half-step re-run, and the
-    # chunked stochastic outer average with its standard error.
+    # deterministic example with its Richardson half-step re-run, the
+    # chunked stochastic outer average with its standard error, and a
+    # deterministic valuation at t > 0, where p(t) is not trivially 0.
     cfg = parse_config(text)
     result = reserve(PortfolioState.from_counts(cfg.t, cfg.n_policies, cfg.reported_count),
                      cfg.intensity, cfg.delay, cfg.first_mark, cfg.development, cfg.T,
