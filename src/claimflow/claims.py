@@ -370,31 +370,62 @@ def _draw_developments(law: DevelopmentLaw, horizon: float, rng: np.random.Gener
     return tuple((float(o), float(x)) for o, x in zip(offsets, marks))
 
 
+#: Thresholds per pass of the per-row bisection, so that they and the
+#: hazard rows they search stay in cache between its halving steps.
+_BISECT_CHUNK = 1 << 13
+
+
 def _invert_gamma_rows(gamma: np.ndarray, points: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Vectorized first-crossing times of hazards, inf if never.
 
     ``gamma`` is either one hazard of shape (nodes,) shared by thresholds
     ``e`` of any shape, or per-row hazards (paths, nodes) with ``e`` of
     shape (paths, policies); hazards start at 0 and are nondecreasing along
-    the nodes.  Per-row hazards search, row by row, only the thresholds at
-    or below that row's total hazard; the others never cross and stay inf.
-    Agrees element by element with the scalar ``invert_hazard`` for
-    nonnegative thresholds.
+    the nodes.  Per-row hazards are searched only for the thresholds at or
+    below the row's total hazard; the others never cross and stay inf.
+    The search is a branchless bisection (a lower bound, like
+    ``searchsorted(side="left")``) in which every threshold takes the same
+    ``ceil(log2(nodes))`` halving steps, so each step is a few whole-array
+    passes that release the GIL, at any book size.  Agrees element by
+    element with the scalar ``invert_hazard`` for nonnegative thresholds.
     """
     if gamma.ndim == 1:
         idx = gamma.searchsorted(e)  # side="left"
         return _crossing_times(gamma, points, e, idx, idx)
+    n_rows, nodes = gamma.shape
     hit = e <= gamma[:, -1:]
-    crossing = e[hit]  # row by row, so each row's thresholds are one slice
-    idx = np.empty(len(crossing), dtype=np.intp)
-    start = 0
-    for row, end in zip(gamma, np.cumsum(np.count_nonzero(hit, axis=1)).tolist()):
-        idx[start:end] = row.searchsorted(crossing[start:end])  # side="left"
-        start = end
+    crossing = np.extract(hit, e)  # row by row, like e[hit] but faster
+    flat = gamma.ravel()
+    row_start = np.repeat(np.arange(0, n_rows * nodes, nodes), np.count_nonzero(hit, axis=1))
+    times = np.empty(len(crossing))
+    for lo in range(0, len(crossing), _BISECT_CHUNK):
+        part = slice(lo, lo + _BISECT_CHUNK)
+        x, start = crossing[part], row_start[part]
+        flat_idx = start.copy()
+        _lower_bound(flat, x, flat_idx, nodes)
+        times[part] = _crossing_times(flat, points, x, flat_idx - start, flat_idx)
     out = np.full(e.shape, np.inf)
-    flat_idx = idx + np.nonzero(hit)[0] * gamma.shape[1]
-    out[hit] = _crossing_times(gamma.ravel(), points, crossing, idx, flat_idx)
+    np.place(out, hit, times)
     return out
+
+
+def _lower_bound(flat: np.ndarray, x: np.ndarray, base: np.ndarray, width: int) -> None:
+    """Move each ``base`` in place to the first index of ``flat[base : base + width]``
+    whose value is >= its ``x``, or to ``base + width`` if none is.
+
+    Branchless: every element takes the same ``ceil(log2(width))`` halving
+    steps, each a few whole-array passes.  Invariant: the answer lies in
+    ``[base, base + width]``.
+    """
+    step = np.empty_like(base)
+    below = np.empty(len(x), dtype=bool)
+    while width > 1:
+        half = width // 2
+        np.less(flat[half:].take(base), x, out=below)  # flat[base + half] < x
+        np.multiply(below, half, out=step)
+        base += step
+        width -= half
+    base += flat.take(base) < x
 
 
 def _crossing_times(flat: np.ndarray, points: np.ndarray, e: np.ndarray, idx: np.ndarray,

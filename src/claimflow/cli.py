@@ -69,10 +69,19 @@ _MISSING = object()
 #: The analytic run at this size takes about 6 s and 250 MB.
 MAX_GRID_CELLS = 1 << 19
 
-#: Most values (128 MiB of float64) in one per-path grid array, which a
-#: log-OU intensity needs: cells x paths per Monte Carlo block for the oracle
-#: and cells x intensity draws for the stochastic reserve.
+#: Most values (128 MiB of float64) in one per-path array: policies x paths
+#: per Monte Carlo block for the oracle, and under a log-OU intensity also
+#: cells x paths per block and cells x intensity draws for the stochastic
+#: reserve.
 MAX_PATH_GRID_VALUES = 1 << 24
+
+#: Largest mean of a first or development mark.  A sampled mark exceeds its
+#: mean by at most about e^(z^2 / 2) < 1e18 (lognormal, |z| <= 9; an
+#: exponential by about 37), and so does a martingale deflator's ratio.  So
+#: a payoff stays below payments x 1e136, and the sum of squares in the
+#: oracle's standard error below paths x payments^2 x 1e272: finite for
+#: up to 1e36 paths x payments^2, beyond any book the other bounds admit.
+MAX_MARK_MEAN = 1e100
 
 
 @dataclass(frozen=True)
@@ -230,7 +239,7 @@ def _parse_mark(node: Any, where: str, mean_key: str = "mean") -> MarkLaw:
                    choices=("deterministic", "exponential", "lognormal"),
                    default="deterministic")
     return MarkLaw(
-        mean=_number(node, mean_key, where, lo=0.0, strict_lo=True),
+        mean=_number(node, mean_key, where, lo=0.0, strict_lo=True, hi=MAX_MARK_MEAN),
         kind=kind,
         sigma_ln=_number(node, "sigma_ln", where, lo=0.0, default=0.0),
     )
@@ -412,6 +421,13 @@ def run_scenario(
         cfg = parse_config(text)
     except SchemaError as exc:
         print(f"config error at {exc.field}: {exc.args[0][len(exc.field) + 2:]}", file=sys.stderr)
+        return 1
+
+    oracle_rows = min(BLOCK_SIZE, cfg.n_paths)
+    if (mc_only or validate) and cfg.n_policies * oracle_rows > MAX_PATH_GRID_VALUES:
+        print(f"config error at portfolio.n: {cfg.n_policies} policies x {oracle_rows} Monte Carlo "
+              f"paths per block exceed {MAX_PATH_GRID_VALUES} values per path array "
+              f"(--analytic-only prices it)", file=sys.stderr)
         return 1
 
     out_dir = Path(out_dir)

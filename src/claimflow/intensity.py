@@ -16,7 +16,7 @@ had no accident by t.  Three models are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -107,20 +107,36 @@ class LogOUIntensity:
             normals = np.zeros((1, grid.n_cells))
         else:
             normals = rng.standard_normal((1, grid.n_cells))
-        return np.exp(self.log_level_paths(grid, normals)[0])
+        return np.exp(self.log_levels(grid, normals)[:, 0])
 
     def log_level_paths(self, grid: TimeGrid, normals: np.ndarray) -> np.ndarray:
         """Exact-transition log-level paths from an array of N(0,1) draws.
 
-        ``normals`` has shape (paths, n_cells); the result has one more column.
+        ``normals`` has shape (paths, n_cells); the result has one more
+        column.  It is the path-major copy of ``log_levels``.
+        """
+        return np.ascontiguousarray(self.log_levels(grid, normals).T)
+
+    def log_levels(self, grid: TimeGrid, normals: np.ndarray) -> np.ndarray:
+        """The same recursion time-major: shape (n_cells + 1, paths).
+
+        Row k holds x at node k on every path, so each step is a few passes
+        over one contiguous row.  The step repeats ``b + (x - b) * decay +
+        innov * z`` operation by operation (IEEE addition commutes), so the
+        values equal a path-major recursion bit for bit.
         """
         decay, innov = self.step_params(grid.step)
         n_paths, n_cells = normals.shape
-        x = np.empty((n_paths, n_cells + 1))
-        x[:, 0] = np.log(self.init)
+        x = np.empty((n_cells + 1, n_paths))
+        x[0] = np.log(self.init)
+        np.multiply(normals.T, innov, out=x[1:])
         b = self.long_run_log_level
+        step = np.empty(n_paths)
         for k in range(n_cells):
-            x[:, k + 1] = b + (x[:, k] - b) * decay + innov * normals[:, k]
+            np.subtract(x[k], b, out=step)
+            step *= decay
+            step += b
+            x[k + 1] += step
         return x
 
 
@@ -175,6 +191,34 @@ def trapezoid_hazard(grid: TimeGrid, mu: np.ndarray) -> np.ndarray:
     gamma = np.zeros(mu.shape)
     np.cumsum(increments, axis=-1, out=gamma[..., 1:])
     return gamma
+
+
+#: Values (256 KiB of float64) per chunk of ``hazard_chunks``: a chunk's
+#: rate, increments and hazard stay in one core's cache.
+_HAZARD_CHUNK_VALUES = 1 << 15
+
+
+def _hazard_chunk_rows(grid: TimeGrid) -> int:
+    """Paths per chunk of ``hazard_chunks`` on ``grid``."""
+    return max(1, _HAZARD_CHUNK_VALUES // len(grid.points))
+
+
+def hazard_chunks(grid: TimeGrid, log_levels: np.ndarray
+                  ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Rate and hazard of time-major log-level paths, a few paths at a time.
+
+    ``log_levels`` is ``LogOUIntensity.log_levels`` output, (nodes, paths).
+    Yields ``(rows, mu, gamma)``: a slice of the paths and their (rows,
+    nodes) ``exp`` of the levels and its ``trapezoid_hazard``, equal bit
+    for bit to the same transforms of the whole path-major array.  No
+    rate or increments array of all the paths ever exists.
+    """
+    n_paths = log_levels.shape[1]
+    size = _hazard_chunk_rows(grid)
+    for start in range(0, n_paths, size):
+        rows = slice(start, min(start + size, n_paths))
+        mu = np.exp(log_levels[:, rows].T)
+        yield rows, mu, trapezoid_hazard(grid, mu)
 
 
 def simulate_intensity_path(model: IntensityModel, grid: TimeGrid, seed: Seed = 0) -> IntensityPath:

@@ -4,10 +4,13 @@ Each path simulates the intensity, every policy's claim history and the
 deflator, then accumulates the deflated payments falling in the valuation
 window.  A martingale deflator independent of the intensity is sampled
 exactly at each path's payment times, so its cost follows the number of
-payments rather than the grid size.  Paths are generated in fixed-size
-blocks with one RNG substream per block, so the estimate is bitwise
-identical for any thread count, and the draw layout inside a block is fixed
-by the configuration and the seed alone.
+payments rather than the grid size.  Under a log-OU intensity a block
+builds its log-levels time-major and its hazards a few cached paths at a
+time, and inverts them by a bisection made of whole-array numpy passes,
+which release the GIL, so blocks on several threads run side by side.
+Paths are generated in fixed-size blocks with one RNG substream per block,
+so the estimate is bitwise identical for any thread count, and the draw
+layout inside a block is fixed by the configuration and the seed alone.
 
 The conditional variant buckets paths by the realized reported count at
 the valuation time; under a deterministic intensity and deflator the
@@ -27,7 +30,7 @@ import numpy as np
 from .claims import DelayLaw, DevelopmentLaw, MarkLaw, _invert_gamma_rows
 from .errors import ConfigurationError, InsufficientDataError
 from .grids import DEFAULT_STEP, TimeGrid
-from .intensity import IntensityModel, LogOUIntensity, is_deterministic, simulate_intensity_path, trapezoid_hazard
+from .intensity import IntensityModel, LogOUIntensity, hazard_chunks, is_deterministic, simulate_intensity_path
 from .market import DeterministicDeflator, MarketModel, MartingaleDeflator, constant_level
 from .pricing import ReserveResult
 from ._rng import substream
@@ -208,6 +211,27 @@ def _deflator_values(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
             _interp_on_paths(dev_times, dev_rows, grid, paths), at_t)
 
 
+def _log_ou_hazards(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
+                    n_block: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """A block's intensity normals, if a correlated deflator reads them, and
+    its per-path hazards (paths, nodes).
+
+    The levels are built time-major and turned into hazards a few cached
+    rows at a time, so beside the result at most the normals and the
+    levels, one block-sized array each, are alive at once.
+    """
+    assert isinstance(config.intensity, LogOUIntensity)
+    normals = rng.standard_normal((n_block, grid.n_cells))
+    levels = config.intensity.log_levels(grid, normals)
+    market = config.market
+    if not (isinstance(market, MartingaleDeflator) and market.corr_with_intensity != 0.0):
+        normals = None
+    gamma = np.empty((n_block, grid.n_cells + 1))
+    for rows, _, part in hazard_chunks(grid, levels):
+        gamma[rows] = part
+    return normals, gamma
+
+
 def _block_paths(config: McConfig, grid: TimeGrid, block: int,
                  det_gamma: np.ndarray | None,
                  det_deflator: np.ndarray | float | None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -228,20 +252,15 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
     points = grid.points
 
     z_mu = None
-    if det_gamma is not None:
-        gamma = det_gamma[None, :]
-    else:
-        assert isinstance(config.intensity, LogOUIntensity)
-        z_mu = rng.standard_normal((n_block, grid.n_cells))
-        mu = np.exp(config.intensity.log_level_paths(grid, z_mu))
-        gamma = trapezoid_hazard(grid, mu)
-
+    if det_gamma is None:
+        z_mu, gamma = _log_ou_hazards(config, grid, rng, n_block)
     e = rng.exponential(size=(n_block, n))
     if det_gamma is not None:
         tau0 = np.interp(e, det_gamma, points)
         tau0 = np.where(e > det_gamma[-1], np.inf, tau0)
     else:
         tau0 = _invert_gamma_rows(gamma, points, e)
+        del gamma  # before the per-policy arrays below are allocated
 
     tau1 = tau0 + config.delay.sample_many(rng, (n_block, n))
 

@@ -47,6 +47,7 @@ from .intensity import (
     IntensityModel,
     IntensityPath,
     LogOUIntensity,
+    hazard_chunks,
     is_deterministic,
     simulate_intensity_path,
     trapezoid_hazard,
@@ -413,13 +414,13 @@ def reserve(
     brackets = np.empty(intensity_draws)
     for start in range(0, intensity_draws, _OUTER_CHUNK):
         rows = min(_OUTER_CHUNK, intensity_draws - start)
-        normals = rng.standard_normal((rows, grid.n_cells))
-        mu = np.exp(intensity_model.log_level_paths(grid, normals))
-        surv = np.exp(-trapezoid_hazard(grid, mu))
-        chunk = _cell_masses(surv) @ q
-        if delay.alpha0 > 0.0:
-            chunk = chunk + delay.alpha0 * ((surv * mu) @ atom_w)
-        brackets[start : start + rows] = chunk
+        levels = intensity_model.log_levels(grid, rng.standard_normal((rows, grid.n_cells)))
+        for part, mu, gamma in hazard_chunks(grid, levels):
+            surv = np.exp(-gamma)
+            chunk = _cell_masses(surv) @ q
+            if delay.alpha0 > 0.0:
+                chunk = chunk + delay.alpha0 * ((surv * mu) @ atom_w)
+            brackets[start + part.start : start + part.stop] = chunk
     mean_bracket = float(np.mean(brackets))
     se_bracket = float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))
     unreported = n * mean_bracket

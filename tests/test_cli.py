@@ -9,7 +9,7 @@ import pytest
 
 import claimflow
 from claimflow import SchemaError, pricing
-from claimflow.cli import MAX_GRID_CELLS, MAX_PATH_GRID_VALUES, main, parse_config, run_scenario
+from claimflow.cli import MAX_GRID_CELLS, MAX_MARK_MEAN, MAX_PATH_GRID_VALUES, main, parse_config, run_scenario
 from claimflow.selftest import run_selftest
 
 
@@ -264,6 +264,54 @@ def test_oracle_contradiction_exits_one_naming_field(tmp_path, capsys, overrides
     with pytest.raises(SystemExit) as exc:
         main(["run", config, "--out", str(tmp_path / "out"), "--analytic-only"])
     assert exc.value.code == analytic_only_code
+
+
+def _run_main(config, out, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(config), "--out", str(out), flag])
+    return exc.value.code
+
+
+def test_oracle_book_beyond_array_bound_exits_one(tmp_path, capsys):
+    # 1e8 policies x 2,000 paths: the oracle's first per-policy array would
+    # take 1.46 TiB.  The closed form allocates nothing per policy.
+    config = _write(tmp_path, _scenario(portfolio={"n": 100_000_000}, mc={"n_paths": 2000}))
+    for flag in ("--validate", "--mc-only"):
+        assert _run_main(config, tmp_path / "out", flag) == 1
+        assert "config error at portfolio.n:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+    assert _run_main(config, tmp_path / "out", "--analytic-only") == 0
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("field, section, key, value", [
+    ("first_mark.mean", "first_mark", "mean", 1e300),
+    ("development.mark_mean", "development", "mark_mean", 1e308),
+])
+def test_huge_mark_means_exit_one_naming_field(tmp_path, capsys, field, section, key, value):
+    # Unbounded, these wrote Infinity and NaN into report.json: 1e300 with
+    # exit 0 (diff / inf = 0 passed the check), 1e308 with exit 2.
+    example = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+    example[section][key] = value
+    config = _write(tmp_path, example)
+    assert _run_main(config, tmp_path / "out", "--validate") == 1
+    assert f"config error at {field}: must be <= {MAX_MARK_MEAN}" in capsys.readouterr().err
+
+
+def test_mark_means_at_the_bound_give_a_finite_report(tmp_path):
+    config = _write(tmp_path, _scenario(
+        first_mark={"mean": MAX_MARK_MEAN, "kind": "lognormal", "sigma_ln": 1.0},
+        development={"rate": 1.5, "mark_mean": MAX_MARK_MEAN, "mark_kind": "exponential"},
+        market={"kind": "martingale", "init": 1.0, "vol": 0.2}, portfolio={"n": 8}))
+    assert _run_main(config, tmp_path / "out", "--validate") == 0
+    report = _strict_json((tmp_path / "out" / "report.json").read_text())
+    assert math.isfinite(report["mc"]["std_error"]) and report["mc"]["std_error"] > 0.0
+    assert report["comparison"]["passed"] is True
 
 
 def test_validated_mismatch_exits_two(tmp_path, monkeypatch):

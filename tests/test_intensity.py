@@ -15,6 +15,7 @@ from claimflow import (
     simulate_intensity_path,
 )
 from claimflow.grids import DEFAULT_STEP
+from claimflow.intensity import _hazard_chunk_rows, hazard_chunks, trapezoid_hazard
 
 
 def _path(model, t_end=2.0, step=DEFAULT_STEP, seed=0):
@@ -96,6 +97,49 @@ def test_log_ou_parameter_validation():
         LogOUIntensity(mean_rev=1.0, long_run_log_level=0.0, vol=-0.5, init=1.0)
     with pytest.raises(ConfigurationError):
         LogOUIntensity(mean_rev=1.0, long_run_log_level=0.0, vol=0.5, init=0.0)
+
+
+def _path_major_log_levels(model, grid, normals):
+    """The path-major recursion the time-major builder replaced: the reference."""
+    decay, innov = model.step_params(grid.step)
+    n_paths, n_cells = normals.shape
+    x = np.empty((n_paths, n_cells + 1))
+    x[:, 0] = np.log(model.init)
+    b = model.long_run_log_level
+    for k in range(n_cells):
+        x[:, k + 1] = b + (x[:, k] - b) * decay + innov * normals[:, k]
+    return x
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
+    LogOUIntensity(mean_rev=0.0, long_run_log_level=-0.7, vol=0.5, init=2.5),
+], ids=["mean-reverting", "driftless"])
+@pytest.mark.parametrize("rows", ["1", "chunk-1", "chunk", "chunk+1", "5000"])
+def test_hazard_chunks_match_path_major_reference(model, rows):
+    grid = TimeGrid.regular(1.0)
+    chunk = _hazard_chunk_rows(grid)
+    assert 1 < chunk < 5000
+    n_paths = {"1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1, "5000": 5000}[rows]
+    normals = np.random.default_rng(n_paths).standard_normal((n_paths, grid.n_cells))
+    x = _path_major_log_levels(model, grid, normals)
+    mu = np.exp(x)
+    gamma = trapezoid_hazard(grid, mu)
+
+    assert _same_bits(model.log_level_paths(grid, normals), x)
+    levels = model.log_levels(grid, normals)
+    assert _same_bits(levels, np.ascontiguousarray(x.T))
+    seen = np.zeros(n_paths, dtype=int)
+    for part, mu_part, gamma_part in hazard_chunks(grid, levels):
+        assert part.stop - part.start <= chunk
+        assert _same_bits(mu_part, mu[part])
+        assert _same_bits(gamma_part, gamma[part])
+        seen[part] += 1
+    assert np.all(seen == 1)
 
 
 def test_trapezoid_order_on_smooth_rate():

@@ -1,5 +1,6 @@
 """Monte Carlo oracle: estimates, buckets, comparison contract."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from claimflow import (
     invert_hazard,
     reserve,
 )
-from claimflow.claims import _invert_gamma_rows
-from claimflow.mc import BLOCK_SIZE, _brownian_at_events
+from claimflow.claims import _BISECT_CHUNK, _invert_gamma_rows
+from claimflow.market import constant_level
+from claimflow.mc import BLOCK_SIZE, _block_paths, _brownian_at_events
 
 
 def _config(**overrides):
@@ -170,30 +172,46 @@ def test_oracle_numbers_are_pinned(name, mean, std_error):
 # Block kernels: hazard inversion and the event-time Brownian motion
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n_nodes, n_policies", [(2, 9), (37, 9), (64, 9), (366, 64)],
-                         ids=["2", "37", "64", "366"])
-def test_invert_gamma_rows_matches_scalar_inverter(n_nodes, n_policies):
+@pytest.mark.parametrize("n_nodes, n_policies, n_rows", [
+    (2, 9, 40), (37, 9, 40), (64, 9, 40), (366, 64, 40),
+    (65, 9, 40), (731, 9, 40), (366, 1, 40), (65, 1, 40), (366, 64, 400),
+], ids=["2", "37", "64", "366", "65", "731", "366-n1", "65-n1", "366-several-passes"])
+def test_invert_gamma_rows_matches_scalar_inverter(n_nodes, n_policies, n_rows):
     rng = np.random.default_rng(11)
-    n_rows = 40
     grid = TimeGrid.regular(2.0, step=2.0 / (n_nodes - 1))
     increments = rng.exponential(0.1, size=(n_rows, n_nodes - 1))
     increments[rng.random(increments.shape) < 0.2] = 0.0  # flat stretches
+    increments[6:12, : max(1, (n_nodes - 1) // 4)] = 0.0  # flat from the start
     gamma = np.zeros((n_rows, n_nodes))
     np.cumsum(increments, axis=1, out=gamma[:, 1:])
     e = rng.uniform(0.0, 1.3 * gamma[:, -1:], size=(n_rows, n_policies))
-    e[:, 0] = gamma[:, -1] * 1.01 + 1e-9   # beyond the horizon: inf
-    e[:, 1] = gamma[:, -1]                  # exactly the last node
-    e[:, 2] = gamma[:, n_nodes // 2]        # exactly an interior node
-    e[:, 3] = 0.0
+    if n_policies >= 4:
+        e[:, 0] = gamma[:, -1] * 1.01 + 1e-9   # beyond the horizon: inf
+        e[:, 1] = gamma[:, -1]                  # exactly the last node
+        e[:, 2] = gamma[:, n_nodes // 2]        # exactly an interior node
+        e[:, 3] = 0.0
     e[4] = gamma[4, -1] + rng.uniform(1e-9, 1.0, size=n_policies)  # no threshold crosses
     e[5] = rng.uniform(0.0, gamma[5, -1], size=n_policies)         # every threshold crosses
+    # Where a bisection that is off by one step or one comparison shows:
+    # 0, Gamma_T and one ulp above it, and exactly at nodes, flat ones too.
+    columns = range(4, n_policies) if n_policies >= 4 else range(n_policies)
+    for r in range(6, n_rows):
+        flat = np.flatnonzero(increments[r] == 0.0)
+        at_flat = gamma[r, rng.choice(flat)] if len(flat) else 0.0
+        special = (0.0, gamma[r, -1], np.nextafter(gamma[r, -1], np.inf), at_flat,
+                   gamma[r, rng.integers(n_nodes)])
+        for j, col in enumerate(columns):
+            e[r, col] = special[(r + j) % len(special)]
+    if n_rows > 40:
+        assert np.count_nonzero(e <= gamma[:, -1:]) > 2 * _BISECT_CHUNK
     out = _invert_gamma_rows(gamma, grid.points, e)
     expected = np.empty_like(e)
     for r in range(n_rows):
         path = IntensityPath(grid=grid, mu=np.zeros(n_nodes), gamma=gamma[r])
         for j in range(n_policies):
             expected[r, j] = invert_hazard(path, float(e[r, j]))
-    assert np.all(np.isinf(np.delete(out[:, 0], 5)))
+    if n_policies >= 4:
+        assert np.all(np.isinf(np.delete(out[:, 0], 5)))
     assert np.all(np.isinf(out[4]))
     assert np.all(np.isfinite(out[5]))
     assert np.array_equal(out, expected)
@@ -209,6 +227,25 @@ def _sample_brownian(times_per_row, n_rows, seed=4, antithetic=False):
     w = np.empty(len(times))
     w[shuffle] = _brownian_at_events(times[shuffle], rows[shuffle], rng, antithetic=antithetic)
     return w.reshape(n_rows, k)
+
+
+def test_log_ou_block_peak_memory():
+    # One 4,096-path block of the stochastic_validate book at n = 64.  The
+    # time-major builder keeps at most two block-sized arrays beside the
+    # hazard; a path-major build with whole-block rate and increments
+    # arrays peaked at about 5x one (4,096 x 366) float64 array.
+    config = _config(
+        n_policies=64, intensity=LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
+        development=DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="exponential")),
+        n_paths=BLOCK_SIZE, seed=3)
+    grid = config.grid()
+    tracemalloc.start()
+    try:
+        _block_paths(config, grid, 0, None, constant_level(config.market))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * BLOCK_SIZE * len(grid.points) * 8
 
 
 def test_event_brownian_has_brownian_covariance():
