@@ -429,6 +429,14 @@ def run_scenario(
               f"paths per block exceed {MAX_PATH_GRID_VALUES} values per path array "
               f"(--analytic-only prices it)", file=sys.stderr)
         return 1
+    # Development events per block, one entry each in the oracle's arrays.
+    dev_events = cfg.n_policies * oracle_rows * cfg.development.rate * cfg.T
+    if (mc_only or validate) and dev_events > MAX_PATH_GRID_VALUES:
+        print(f"config error at development.rate: {cfg.n_policies} policies x {oracle_rows} Monte "
+              f"Carlo paths per block x rate {cfg.development.rate:g} x T = {cfg.T:g} expect "
+              f"{dev_events:.6g} development events per block, over {MAX_PATH_GRID_VALUES} "
+              f"values per path array (--analytic-only prices it)", file=sys.stderr)
+        return 1
 
     out_dir = Path(out_dir)
     grid = TimeGrid.regular(cfg.T, step=cfg.grid_step)
@@ -446,9 +454,12 @@ def run_scenario(
         state = PortfolioState.from_counts(cfg.t, cfg.n_policies, cfg.reported_count)
         t0 = time.perf_counter()
         try:
+            # A deterministic intensity is priced on the curve's path, whose
+            # node density reporting_curve has already memoized.
             analytic_result = reserve(
-                state, cfg.intensity, cfg.delay, cfg.first_mark, cfg.development, cfg.T,
-                market=cfg.market, grid=grid, intensity_draws=cfg.intensity_draws, seed=cfg.seed)
+                state, cfg.intensity if stochastic else curve_path, cfg.delay, cfg.first_mark,
+                cfg.development, cfg.T, market=cfg.market, grid=grid,
+                intensity_draws=cfg.intensity_draws, seed=cfg.seed)
         except UnsupportedRegimeError as exc:
             print(f"unsupported pricing regime: {exc}", file=sys.stderr)
             return 3

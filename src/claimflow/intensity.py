@@ -147,19 +147,31 @@ def is_deterministic(model: IntensityModel) -> bool:
     return not isinstance(model, LogOUIntensity) or model.vol == 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntensityPath:
     """One realization of mu on a grid plus its cumulative hazard.
 
     ``gamma`` is the trapezoidal running integral of ``mu`` anchored at 0 on
     the first grid point; queries between nodes interpolate linearly.
+
+    A path is a value that never changes: ``mu`` and ``gamma`` are
+    read-only copies of the arrays passed in, and equality and hashing are
+    by identity (two paths on one grid may carry different rates).  That
+    lets ``pricing`` memoize, per instance, arrays that depend on the path
+    and a delay law but not on the valuation time (the refined half-step
+    path and the node density); the memo lives as long as the path.
     """
 
     grid: TimeGrid
-    mu: np.ndarray = field(repr=False, compare=False)
-    gamma: np.ndarray = field(repr=False, compare=False)
+    mu: np.ndarray = field(repr=False)
+    gamma: np.ndarray = field(repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("mu", "gamma"):
+            values = np.array(getattr(self, name))
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if len(self.mu) != len(self.grid.points) or len(self.gamma) != len(self.mu):
             raise ConfigurationError("path arrays must match the grid")
         if np.any(self.mu < 0.0):

@@ -27,6 +27,14 @@ as the exact exponential mass exp(-Gamma_k) - exp(-Gamma_{k+1}) times a
 Simpson average of the smooth factor.  This is exact (up to rounding) when
 the factor is constant, so zero-delay reporting reproduces 1 - exp(-Gamma)
 to machine precision, and second-order accurate otherwise.
+
+Arrays that depend on a path and a delay law but not on the valuation time
+are built once per path: the node density p' and the half-step refined
+path of the Richardson estimate live in the path's private memo (see
+``IntensityPath``).  So re-valuing one book at many dates on one path runs
+no whole-grid convolution after the first date.  Integrating the payout by
+parts against the reporting cdf would memoize the grid cdf in place of the
+density.
 """
 
 from __future__ import annotations
@@ -89,9 +97,9 @@ def _stieltjes(path: IntensityPath, t: float, factor) -> float:
     if frac == 1.0:
         k, frac = k + 1, 0.0
     masses = _cell_masses(np.exp(-path.gamma[: k + 1]))
-    left = points[:k]
-    right = points[1 : k + 1]
-    weights = (factor(left) + 4.0 * factor(0.5 * (left + right)) + factor(right)) / 6.0
+    nodes = points[: k + 1]
+    ends = factor(nodes)
+    weights = (ends[:-1] + 4.0 * factor(0.5 * (nodes[:-1] + nodes[1:])) + ends[1:]) / 6.0
     total = float(np.dot(weights, masses))
     if frac > 0.0:
         mass = math.exp(-path.gamma[k]) - math.exp(-path.hazard(t))
@@ -178,19 +186,32 @@ class ReportingCurve:
         return np.maximum((1.0 - self.survival) - self.cdf, 0.0)
 
 
-def _density_nodes(path: IntensityPath, delay: DelayLaw, surv: np.ndarray) -> np.ndarray:
-    """p' on every grid node, from the survival exp(-Gamma) at the nodes."""
-    density = delay.alpha0 * surv * path.mu
-    if delay.density is not None:
-        density = density + _convolve_masses(_cell_masses(surv), _kernel_arrays(delay.pdf, path.grid))
+def _node_density(path: IntensityPath, delay: DelayLaw) -> np.ndarray:
+    """p' on every grid node, read-only, built once per path and delay law.
+
+    The memo entry lives on the path (see ``IntensityPath``), keyed by the
+    delay law's value; threads that fill it at once compute the same bits.
+    """
+    key = ("density", delay)
+    density = path._memo.get(key)
+    if density is None:
+        surv = np.exp(-path.gamma)
+        density = delay.alpha0 * surv * path.mu
+        if delay.density is not None:
+            density = density + _convolve_masses(_cell_masses(surv), _kernel_arrays(delay.pdf, path.grid))
+        density.flags.writeable = False
+        path._memo[key] = density
     return density
 
 
 def reporting_curve(path: IntensityPath, delay: DelayLaw) -> ReportingCurve:
-    """Evaluate the reporting law on the whole grid in one pass."""
+    """Evaluate the reporting law on the whole grid in one pass.
+
+    The density is the path's memoized node density, shared and read-only.
+    """
     surv = np.exp(-path.gamma)
     cdf = _convolve_masses(_cell_masses(surv), _kernel_arrays(delay.cdf, path.grid))
-    return ReportingCurve(grid=path.grid, cdf=cdf, density=_density_nodes(path, delay, surv),
+    return ReportingCurve(grid=path.grid, cdf=cdf, density=_node_density(path, delay),
                           survival=surv)
 
 
@@ -235,16 +256,21 @@ def _refined(path: IntensityPath) -> IntensityPath:
 
     Linear interpolation is the declared between-node behaviour of a
     realized path, so the refined path shares the original's continuum
-    limit (and its hazard at the original nodes, exactly).
+    limit (and its hazard at the original nodes, exactly).  It is built
+    once per path and memoized on it, so its own node densities are too.
     """
-    grid = path.grid
-    n = grid.n_cells
-    fine_grid = TimeGrid(t0=grid.t0, t_end=grid.t_end, step=0.5 * grid.step,
-                         points=np.linspace(grid.t0, grid.t_end, 2 * n + 1))
-    mu = np.empty(2 * n + 1)
-    mu[0::2] = path.mu
-    mu[1::2] = 0.5 * (path.mu[:-1] + path.mu[1:])
-    return IntensityPath(grid=fine_grid, mu=mu, gamma=trapezoid_hazard(fine_grid, mu))
+    fine = path._memo.get("refined")
+    if fine is None:
+        grid = path.grid
+        n = grid.n_cells
+        fine_grid = TimeGrid(t0=grid.t0, t_end=grid.t_end, step=0.5 * grid.step,
+                             points=np.linspace(grid.t0, grid.t_end, 2 * n + 1))
+        mu = np.empty(2 * n + 1)
+        mu[0::2] = path.mu
+        mu[1::2] = 0.5 * (path.mu[:-1] + path.mu[1:])
+        fine = IntensityPath(grid=fine_grid, mu=mu, gamma=trapezoid_hazard(fine_grid, mu))
+        path._memo["refined"] = fine
+    return fine
 
 
 def _payout_integral(path: IntensityPath, delay: DelayLaw, first_mark: MarkLaw,
@@ -269,7 +295,7 @@ def _payout_integral(path: IntensityPath, delay: DelayLaw, first_mark: MarkLaw,
         d_T = reporting_density(path, delay, T)
         return 0.5 * (psi(t) * d_t + psi(T) * d_T) * (T - t)
     nodes = grid.points[i_lo : i_hi + 1]
-    density = _density_nodes(path, delay, np.exp(-path.gamma))
+    density = _node_density(path, delay)
     values = psi(nodes) * density[i_lo : i_hi + 1]
     total = float(np.trapezoid(values, dx=grid.step)) if len(values) > 1 else 0.0
     left_gap = nodes[0] - t

@@ -283,6 +283,32 @@ def test_oracle_book_beyond_array_bound_exits_one(tmp_path, capsys):
     assert _run_main(config, tmp_path / "out", "--analytic-only") == 0
 
 
+def test_deterministic_run_prices_on_the_curve_path(tmp_path, monkeypatch):
+    # reporting_curve convolves for the cdf and the density; the reserve
+    # reuses that density and convolves once more, on the half-step path.
+    calls = []
+    convolve = pricing._fft_convolve
+    monkeypatch.setattr(pricing, "_fft_convolve", lambda a, b: calls.append(1) or convolve(a, b))
+    path = _write(tmp_path, _scenario())
+    assert run_scenario(path, tmp_path / "out", analytic_only=True) == 0
+    assert len(calls) == 3
+
+
+def test_oracle_development_beyond_array_bound_exits_one(tmp_path, capsys):
+    # 8 policies x 200 paths x rate 1e9 x T = 2: the oracle's array of
+    # development events would take 9.51 TiB.  The closed form is linear in
+    # the rate and allocates nothing per event.
+    config = _write(tmp_path, _scenario(development={"rate": 1e9, "mark_mean": 0.5},
+                                        portfolio={"n": 8}, valuation={"T": 2.0},
+                                        mc={"n_paths": 200}))
+    for flag in ("--validate", "--mc-only"):
+        assert _run_main(config, tmp_path / "out", flag) == 1
+        err = capsys.readouterr().err
+        assert "config error at development.rate:" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+    assert _run_main(config, tmp_path / "out", "--analytic-only") == 0
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")

@@ -9,6 +9,7 @@ from claimflow import (
     ConfigurationError,
     ConstantIntensity,
     GridRangeError,
+    IntensityPath,
     LogOUIntensity,
     PiecewiseConstantIntensity,
     TimeGrid,
@@ -66,6 +67,24 @@ def test_deterministic_models_ignore_seed():
     assert np.array_equal(a.mu, np.full(5, 0.5))
     assert np.array_equal(a.mu, b.mu)
     assert np.array_equal(a.gamma, b.gamma)
+
+
+def test_paths_compare_by_identity_and_are_read_only():
+    # Two paths on one grid with different rates are different values; a
+    # path's arrays are copies that cannot be written, so nothing derived
+    # from them (the pricing memo) can go stale.
+    grid = TimeGrid.regular(1.0, step=0.25)
+    mu = np.full(5, 0.5)
+    slow = simulate_intensity_path(ConstantIntensity(0.5), grid)
+    fast = simulate_intensity_path(ConstantIntensity(2.0), grid)
+    assert slow != fast and slow == slow
+    assert len({slow, fast}) == 2
+    path = IntensityPath(grid=grid, mu=mu, gamma=trapezoid_hazard(grid, mu))
+    for values in (path.mu, path.gamma):
+        with pytest.raises(ValueError):
+            values[1] = 7.0
+    mu[1] = 7.0
+    assert path.mu[1] == 0.5
 
 
 def test_log_ou_positive_and_seed_sensitive():

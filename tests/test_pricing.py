@@ -1,7 +1,9 @@
 """Closed-form pricing: reporting law, backlog probability, reserve."""
 import json
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,7 @@ from claimflow import (
     simulate_intensity_path,
     simulate_portfolio,
 )
+from claimflow import pricing
 from claimflow.cli import parse_config
 from claimflow.intensity import trapezoid_hazard
 from claimflow.pricing import (
@@ -163,6 +166,33 @@ def test_kernel_arrays_share_node_evaluations():
     three_calls = (law.cdf(j * h) + 4.0 * law.cdf((j - 0.5) * h) + law.cdf((j - 1.0) * h)) / 6.0
     np.testing.assert_array_equal(_kernel_arrays(fn, grid), three_calls)
     assert calls == [grid.n_cells + 1, grid.n_cells]
+
+
+def test_stieltjes_shares_node_evaluations():
+    # p(t) a third of a step past node 182 covers 182 whole cells and a
+    # partial one: the factor runs once on the 183 nodes, once on the 182
+    # midpoints and three times for the partial cell, and the whole cells
+    # sum to what separate left, midpoint and right calls give.
+    path = _unit_path()
+    delay = DelayLaw(alpha0=0.2, density=GammaDelay(shape=2.3, rate=4.0))
+    t = float(path.grid.points[182]) + path.grid.step / 3.0
+    calls = []
+
+    def factor(s):
+        calls.append(np.size(s))
+        return delay.cdf(t - s)
+
+    k = 182
+    left, right = path.grid.points[:k], path.grid.points[1 : k + 1]
+    whole = np.dot((factor(left) + 4.0 * factor(0.5 * (left + right)) + factor(right)) / 6.0,
+                   _cell_masses(np.exp(-path.gamma[: k + 1])))
+    calls.clear()
+    value = pricing._stieltjes(path, t, factor)
+    assert calls == [k + 1, k, 1, 1, 1]
+    s_lo = path.grid.points[k]
+    w = (factor(s_lo) + 4.0 * factor(0.5 * (s_lo + t)) + factor(np.asarray(t))) / 6.0
+    mass = math.exp(-path.gamma[k]) - math.exp(-path.hazard(t))
+    assert value == float(whole) + float(w) * mass
 
 
 def test_reporting_law_nonnegative_after_reporting_dies_out():
@@ -349,6 +379,79 @@ def test_reserve_reads_reporting_cdf_pointwise_at_every_t():
                        ).diagnostics["reporting_cdf_at_t"]
         assert p[t] == reporting_cdf(path, delay, t)
     assert p[node] == pytest.approx(reporting_curve(path, delay).cdf[365], abs=1e-15)
+
+
+_SEASONAL = PiecewiseConstantIntensity(breakpoints=(0.25, 0.5, 1.0), rates=(0.6, 1.4, 0.9, 1.1))
+_GAMMA_DELAY = DelayLaw(alpha0=0.1, density=GammaDelay(shape=2.0, rate=3.0))
+
+
+def _ladder_values(path, delay, t):
+    _, fm, dev = _book()
+    res = reserve(PortfolioState.from_counts(t, 40, 3), path, delay, fm, dev, 2.0)
+    return res.total.hex(), res.diagnostics["unreported_error_estimate"].hex()
+
+
+def test_memoized_reserve_matches_fresh_paths():
+    # Re-valuing on one path reads the memoized density and refined path;
+    # every value must equal the one from a fresh path, bit for bit.
+    delay = _GAMMA_DELAY
+    grid = TimeGrid.regular(2.0, step=1.0 / 730.0)
+    path = simulate_intensity_path(_SEASONAL, grid)
+    node = float(grid.points[400])
+    for t in (node, node + grid.step / 3.0, float(np.nextafter(node, 0.0)), 0.5):
+        fresh = simulate_intensity_path(_SEASONAL, grid)
+        assert _ladder_values(path, delay, t) == _ladder_values(fresh, delay, t)
+
+
+def test_memo_keeps_one_density_per_delay_law():
+    grid = TimeGrid.regular(2.0, step=1.0 / 730.0)
+    path = simulate_intensity_path(_SEASONAL, grid)
+    slow = _GAMMA_DELAY
+    fast = DelayLaw(alpha0=0.3, density=ExponentialDelay(8.0))
+    for delay in (slow, fast, slow, fast):
+        fresh = simulate_intensity_path(_SEASONAL, grid)
+        assert _ladder_values(path, delay, 0.7) == _ladder_values(fresh, delay, 0.7)
+    # An equal law built anew reads the same entry.
+    same = reporting_curve(path, DelayLaw(alpha0=0.1, density=GammaDelay(shape=2.0, rate=3.0)))
+    assert same.density is reporting_curve(path, slow).density
+    assert reporting_curve(path, fast).density is not same.density
+    assert not same.density.flags.writeable
+
+
+def test_memo_filled_by_racing_threads_gives_fresh_values():
+    # Threads that fill one path's memo at once each compute the same bits;
+    # a lost update only repeats work.  Short switch interval, more threads
+    # than cores.
+    delay = _GAMMA_DELAY
+    grid = TimeGrid.regular(2.0)
+    dates = (0.1, 0.5 + grid.step / 3.0, 1.2, 1.9)
+    expected = [_ladder_values(simulate_intensity_path(_SEASONAL, grid), delay, t) for t in dates]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            path = simulate_intensity_path(_SEASONAL, grid)
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(lambda: [_ladder_values(path, delay, t) for t in dates])
+                           for _ in range(6)]
+                results = [f.result(timeout=60) for f in futures]
+            assert all(r == expected for r in results)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_memo_skips_convolutions_after_first_reserve(monkeypatch):
+    calls = []
+    convolve = pricing._fft_convolve
+    monkeypatch.setattr(pricing, "_fft_convolve", lambda a, b: calls.append(1) or convolve(a, b))
+    delay = _GAMMA_DELAY
+    path = simulate_intensity_path(_SEASONAL, TimeGrid.regular(2.0))
+    _ladder_values(path, delay, 0.25)
+    # The node density on the grid and on the half-step grid.
+    assert len(calls) == 2
+    for t in (0.25, 0.5, 0.5 + 1e-3, 1.9):
+        _ladder_values(path, delay, t)
+    assert len(calls) == 2
 
 
 def test_reserve_rejects_out_of_range_times():
