@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigurationError
 from .intensity import IntensityPath
@@ -70,15 +69,21 @@ class GammaDelay:
             raise ConfigurationError(f"delay rate must be > 0, got {self.rate}")
 
     # cdf and pdf repeat the operations of scipy.stats.gamma(shape, scale=1/rate)
-    # in the same order, so the values are bit-identical to it without the
-    # cost of importing scipy.stats or building a frozen distribution per call.
+    # in the same order, so the values are bit-identical to it without building
+    # a frozen distribution per call.  scipy.special is imported on the first
+    # evaluation, not with the package: its import costs about 0.25 s and
+    # 25 MB, and a book without a gamma delay never imports scipy at all.
 
     def cdf(self, x):
+        from scipy import special
+
         x = np.asarray(x, dtype=float)
         y = np.maximum(x, 0.0) / (1.0 / self.rate)
         return np.where(x >= 0.0, special.gammainc(self.shape, y), 0.0)
 
     def pdf(self, x):
+        from scipy import special
+
         x = np.asarray(x, dtype=float)
         scale = 1.0 / self.rate
         y = np.maximum(x, 0.0) / scale

@@ -13,8 +13,10 @@ oracle, or both with a cross-check) and writes
   (RFC 4180, 12 significant digits).
 
 Exit codes: 0 success, 1 config error naming the field (also a regime that
-no requested leg can price), 2 failed analytic-vs-MC comparison under
-``--validate``, 3 scenario outside the closed-form regime (``--mc-only``).
+no requested leg can price, or a failed comparison whose quadrature error
+estimate exceeds the oracle's standard error: ``grid.step``), 2 failed
+analytic-vs-MC comparison under ``--validate``, 3 scenario outside the
+closed-form regime (``--mc-only``).
 """
 
 from __future__ import annotations
@@ -557,6 +559,15 @@ def run_scenario(
     print(f"elapsed: {elapsed:.2f} s {stage}".rstrip())
 
     if validate and comparison is not None and not comparison.passed:
+        # A quadrature error larger than the oracle's SE can explain the
+        # mismatch, so blame the grid; the estimate stays out of z, where it
+        # would hide real mismatches.
+        estimate = analytic_result.diagnostics.get("unreported_error_estimate", 0.0)
+        if estimate > mc_estimate.std_error:
+            print(f"config error at grid.step: quadrature error estimate {estimate:.3g} exceeds "
+                  f"the oracle's standard error {mc_estimate.std_error:.3g}; refine grid.step",
+                  file=sys.stderr)
+            return 1
         return 2
     return 0
 

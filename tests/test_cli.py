@@ -1,6 +1,7 @@
 """Scenario configs, report files, exit codes."""
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -174,15 +175,44 @@ def test_grid_limits_admit_fine_grids():
                                       mc={"n_paths": 10_000, "intensity_draws": 4096})))
 
 
-def test_cli_import_leaves_slow_scipy_modules_out():
-    # scipy.stats and scipy.signal each take about a second to import;
-    # every run would pay for them before its first request.
+# Runs the ``python -m claimflow`` entry point in a fresh interpreter and prints,
+# as JSON, the exit code and the scipy modules loaded after ``import claimflow,
+# claimflow.cli`` and after the run.
+_FRESH_RUN = """
+import json, runpy, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import claimflow, claimflow.cli
+imported = scipy_modules()
+sys.argv[0] = "claimflow"
+try:
+    runpy.run_module("claimflow", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(json.dumps({"exit": exc.code, "imported": imported, "run": scipy_modules()}))
+"""
+
+
+def _fresh_run(tmp_path, config, *flags):
     src = str(Path(claimflow.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import claimflow.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    argv = ["run", str(_write(tmp_path, config)), "--out", str(tmp_path / "out"), *flags]
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _FRESH_RUN, *argv], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_without_gamma_delay_never_imports_scipy(tmp_path):
+    # Importing scipy.special takes about 0.25 s, half the start-up of a run;
+    # only a gamma delay needs it.
+    result = _fresh_run(tmp_path, _scenario(mc={"n_paths": 4096}), "--validate", "--threads", "2")
+    assert result == {"exit": 0, "imported": [], "run": []}
+
+
+def test_cli_with_gamma_delay_imports_scipy_special(tmp_path):
+    gamma = {"alpha0": 0.2, "density": {"kind": "gamma", "shape": 2.3, "rate": 2.0}}
+    result = _fresh_run(tmp_path, _scenario(delay=gamma), "--analytic-only")
+    assert result["exit"] == 0 and result["imported"] == []
+    assert "scipy.special" in result["run"]
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +380,20 @@ def test_validated_mismatch_exits_two(tmp_path, monkeypatch):
     assert code == 2
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["comparison"]["passed"] is False
+
+
+def test_coarse_grid_mismatch_exits_one_naming_grid_step(tmp_path, capsys):
+    # On a yearly grid the quadrature error estimate (about 1.0) dwarfs the
+    # oracle's standard error (about 0.033) and explains z = -30.8: the grid
+    # is at fault, not the formula.  The report is still written.
+    example = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+    example["grid"]["step"] = 1.0
+    example["mc"]["n_paths"] = 20000
+    assert _run_main(_write(tmp_path, example), tmp_path / "out", "--validate") == 1
+    assert "config error at grid.step" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["comparison"]["passed"] is False
+    assert report["analytic"]["diagnostics"]["unreported_error_estimate"] > report["mc"]["std_error"]
 
 
 def test_run_missing_file_exits_one(tmp_path, capsys):
