@@ -1,16 +1,21 @@
 """Monte Carlo oracle for the reserve: full-scenario brute force.
 
 Each path simulates the intensity, every policy's claim history and the
-deflator, then accumulates the deflated payments falling in the valuation
-window.  A martingale deflator independent of the intensity is sampled
-exactly at each path's payment times, so its cost follows the number of
-payments rather than the grid size.  Under a log-OU intensity a block
-builds its log-levels time-major and its hazards a few cached paths at a
-time, and inverts them by a bisection made of whole-array numpy passes,
-which release the GIL, so blocks on several threads run side by side.
-Paths are generated in fixed-size blocks with one RNG substream per block,
-so the estimate is bitwise identical for any thread count, and the draw
-layout inside a block is fixed by the configuration and the seed alone.
+deflator.  A block's payments in the valuation window form one event list
+(time, path, amount), first reports then developments; the deflator is
+evaluated at those events and one ``bincount`` sums the deflated amounts
+by path.  A martingale deflator independent of the intensity is sampled
+exactly at the event times, so its cost follows the number of payments
+rather than the grid size.  Accident times come from one inverter,
+``claims._invert_gamma_rows``, whether the hazard is one deterministic
+curve or per path.  Under a log-OU intensity a block builds its
+log-levels time-major and its hazards a few cached paths at a time, and
+inverts them by a bisection made of whole-array numpy passes, which
+release the GIL, so blocks on several threads run side by side.  Paths
+are generated in fixed-size blocks with one RNG substream per block,
+mapped over a thread pool, so the estimate is bitwise identical for any
+thread count, and the draw layout inside a block is fixed by the
+configuration and the seed alone.
 
 The conditional variant buckets paths by the realized reported count at
 the valuation time; under a deterministic intensity and deflator the
@@ -158,44 +163,36 @@ def _brownian_at_events(times: np.ndarray, rows: np.ndarray, rng: np.random.Gene
 
 
 def _deflator_values(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
-                     first_times: np.ndarray, in_window: np.ndarray,
-                     dev_times: np.ndarray, dev_rows: np.ndarray,
+                     times: np.ndarray, rows: np.ndarray,
                      z_mu: np.ndarray | None, det_deflator: np.ndarray | float | None,
-                     ) -> tuple[np.ndarray | float, np.ndarray | float, float]:
-    """Deflator at the first reports, at the development events and at t.
+                     ) -> tuple[np.ndarray | float, float]:
+    """Deflator at a block's payment events and at t.
 
-    ``first_times`` and ``in_window`` are (paths, policies); values outside
-    the window are unused.  The value at t is the same on every path, so it
-    is one float.  A constant deflator (``det_deflator`` a float) is its
-    level everywhere, which is exactly what ``np.interp`` of a flat curve
-    returns; a time-varying one is interpolated on the grid.  A
-    martingale deflator independent of the intensity is sampled exactly at
-    the payment times; one correlated with a log-OU intensity shares its
-    grid noise and is interpolated from an on-grid path.
+    ``times`` and ``rows`` are the events' times and paths.  The value at t
+    is the same on every path, so it is one float.  A constant deflator
+    (``det_deflator`` a float) is its level everywhere, which is exactly
+    what ``np.interp`` of a flat curve returns; a time-varying one is
+    interpolated on the grid.  A martingale deflator independent of the
+    intensity is sampled exactly at the event times; one correlated with a
+    log-OU intensity shares its grid noise and is interpolated from an
+    on-grid path.
     """
     points = grid.points
-    n_block = first_times.shape[0]
     market = config.market
     if isinstance(det_deflator, float):
-        return det_deflator, det_deflator, det_deflator
+        return det_deflator, det_deflator
     if det_deflator is not None:
-        at_t = float(np.interp(config.t, points, det_deflator))
-        return (np.interp(first_times, points, det_deflator),
-                np.interp(dev_times, points, det_deflator), at_t)
+        return np.interp(times, points, det_deflator), float(np.interp(config.t, points, det_deflator))
 
     assert isinstance(market, MartingaleDeflator) and market.vol > 0.0
     at_t = float(market.init)  # t = 0 in this regime
     rho = market.corr_with_intensity
     if rho == 0.0:
-        times = np.concatenate((first_times[in_window], dev_times))
-        rows = np.concatenate((np.nonzero(in_window)[0], dev_rows))
         w = _brownian_at_events(times, rows, rng, antithetic=config.antithetic)
-        values = market.init * np.exp(market.vol * w - (0.5 * market.vol ** 2) * times)
-        first = np.zeros(first_times.shape)
-        n_first = int(np.count_nonzero(in_window))
-        first[in_window] = values[:n_first]
-        return first, values[n_first:], at_t
+        return market.init * np.exp(market.vol * w - (0.5 * market.vol ** 2) * times), at_t
 
+    assert z_mu is not None
+    n_block = len(z_mu)
     if config.antithetic:
         half = rng.standard_normal((n_block // 2, grid.n_cells))
         z_i = np.empty((n_block, grid.n_cells))
@@ -203,12 +200,9 @@ def _deflator_values(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
         z_i[1::2] = -half
     else:
         z_i = rng.standard_normal((n_block, grid.n_cells))
-    assert z_mu is not None
     z_i = rho * z_mu + math.sqrt(1.0 - rho * rho) * z_i
     paths = market.paths_from_normals(grid, z_i)
-    rows = np.broadcast_to(np.arange(n_block)[:, None], first_times.shape)
-    return (_interp_on_paths(first_times, rows, grid, paths),
-            _interp_on_paths(dev_times, dev_rows, grid, paths), at_t)
+    return _interp_on_paths(times, rows, grid, paths), at_t
 
 
 def _log_ou_hazards(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
@@ -237,7 +231,11 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
                  det_deflator: np.ndarray | float | None) -> tuple[np.ndarray, np.ndarray | None]:
     """Simulate one block; returns (payoffs, reported counts or None).
 
-    The draw order is fixed: intensity normals, accident thresholds, delays
+    Stages: hazards (``det_gamma``, or per path from the log-OU stage),
+    accident times by one inverter, delays, first marks, developments,
+    the block's event list, the deflator at its events, and one
+    ``bincount`` of deflated amounts by path.  The draw order is fixed:
+    intensity normals, accident thresholds, delays
     (in ``DelayLaw.sample_many``'s layout), first marks, development counts,
     offsets and marks, then the deflator: for a martingale deflator
     independent of the intensity one normal per payment event in the
@@ -251,16 +249,11 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
     t, T = config.t, config.T
     points = grid.points
 
-    z_mu = None
-    if det_gamma is None:
+    z_mu, gamma = None, det_gamma
+    if gamma is None:
         z_mu, gamma = _log_ou_hazards(config, grid, rng, n_block)
-    e = rng.exponential(size=(n_block, n))
-    if det_gamma is not None:
-        tau0 = np.interp(e, det_gamma, points)
-        tau0 = np.where(e > det_gamma[-1], np.inf, tau0)
-    else:
-        tau0 = _invert_gamma_rows(gamma, points, e)
-        del gamma  # before the per-policy arrays below are allocated
+    tau0 = _invert_gamma_rows(gamma, points, rng.exponential(size=(n_block, n)))
+    del gamma  # before the per-policy arrays below are allocated
 
     tau1 = tau0 + config.delay.sample_many(rng, (n_block, n))
 
@@ -285,15 +278,13 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
             dev_marks = np.asarray(dev.mark.sample(rng, size=total))[keep]
             dev_rows = (cell // n)[keep]
 
-    in_window = (tau1 > t) & (tau1 <= T)
-    first_times = np.where(in_window, tau1, t)
-    defl_first, defl_dev, deflator_at_t = _deflator_values(
-        config, grid, rng, first_times, in_window, dev_times, dev_rows, z_mu, det_deflator)
-
-    payoffs = np.zeros(n_block)
-    payoffs += np.sum(np.where(in_window, defl_first * x1, 0.0), axis=1)
-    payoffs += np.bincount(dev_rows, weights=defl_dev * dev_marks, minlength=n_block)
-    payoffs = payoffs / deflator_at_t
+    # First reports in the window, row-major, then developments: one event list.
+    first = np.flatnonzero((tau1 > t) & (tau1 <= T))
+    times = np.concatenate((tau1.take(first), dev_times))
+    rows = np.concatenate((first // n, dev_rows))
+    amounts = np.concatenate((x1.take(first), dev_marks))
+    deflator, deflator_at_t = _deflator_values(config, grid, rng, times, rows, z_mu, det_deflator)
+    payoffs = np.bincount(rows, weights=deflator * amounts, minlength=n_block) / deflator_at_t
     reported = None
     if config.conditioning is not None:
         reported = np.sum(tau1 <= t, axis=1).astype(int)
@@ -312,13 +303,10 @@ def _run_blocks(config: McConfig, threads: int) -> tuple[np.ndarray, np.ndarray 
         det_deflator = config.market.curve(grid.points)
 
     n_blocks = (config.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
-    if threads == 1 or n_blocks == 1:
-        results = [_block_paths(config, grid, b, det_gamma, det_deflator) for b in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda b: _block_paths(config, grid, b, det_gamma, det_deflator),
-                range(n_blocks)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(
+            lambda b: _block_paths(config, grid, b, det_gamma, det_deflator),
+            range(n_blocks)))
     payoffs = np.concatenate([r[0] for r in results])
     reported = None
     if config.conditioning is not None:
@@ -343,8 +331,6 @@ def mc_reserve(config: McConfig, threads: int = 1) -> McEstimate:
     """
     if config.conditioning is not None:
         raise ConfigurationError("use mc_conditional_reserve for a conditioned run")
-    if config.n_policies == 0:
-        return McEstimate(mean=0.0, std_error=0.0, n_effective=config.n_paths, ci95=(0.0, 0.0))
     payoffs, _ = _run_blocks(config, threads)
     if config.antithetic:
         even = payoffs[0 : 2 * (len(payoffs) // 2) : 2]

@@ -456,7 +456,9 @@ def test_threads_below_one_exits_one(tmp_path, capsys, argv):
 # ---------------------------------------------------------------------------
 
 def test_quick_selftest_passes(capsys):
-    assert run_selftest(quick=True) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["selftest", "--quick"])
+    assert exit_info.value.code == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
 

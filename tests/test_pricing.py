@@ -366,6 +366,18 @@ def test_reserve_supports_off_grid_valuation_time():
     assert min(values[0], values[2]) - 1e-9 <= values[1] <= max(values[0], values[2]) + 1e-9
 
 
+@pytest.mark.parametrize("t, T, tol", [(1.0012, 1.0015, 1e-9), (0.0, 1.0015, 1e-6)],
+                         ids=["one-cell", "off-node-T"])
+def test_payout_integral_end_cells_closed_form(t, T, tol):
+    # One unreported zero-delay policy with a unit mark under rate 1 pays in
+    # (t, T] with probability 1 - e^(-(T - t)); the window either lies in one
+    # cell or ends inside a cell.
+    life = DelayLaw(alpha0=1.0)
+    dev = DevelopmentLaw(rate=0.0, mark=MarkLaw(mean=1.0))
+    result = reserve(PortfolioState.from_counts(t, 1, 0), _unit_path(), life, MarkLaw(mean=1.0), dev, T)
+    assert abs(result.total - (1.0 - math.exp(-(T - t)))) <= tol
+
+
 def test_reserve_reads_reporting_cdf_pointwise_at_every_t():
     # p(t) has one source, on a node, an ulp below one and between nodes;
     # on a node it agrees with the whole-grid curve up to rounding.
