@@ -49,7 +49,7 @@ from .intensity import (
     simulate_intensity_path,
 )
 from .market import DeterministicDeflator, MarketModel, MartingaleDeflator, constant_level
-from .mc import BLOCK_SIZE, Z_THRESHOLD, McConfig, compare, mc_conditional_reserve, mc_reserve
+from .mc import BLOCK_SIZE, Z_THRESHOLD, McConfig, compare, mc_reserve
 from .pricing import (
     ibnr_probability,
     reporting_cdf,
@@ -400,6 +400,26 @@ def _finite(x: float) -> float | str:
     return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
 
 
+def _oracle_refusal(cfg: ScenarioConfig, conditioning: int | None) -> str | None:
+    """``field: reason`` for a config only the closed form can price, else None."""
+    if cfg.n_paths > MAX_PATH_GRID_VALUES:
+        return (f"mc.n_paths: {cfg.n_paths} paths exceed {MAX_PATH_GRID_VALUES} values "
+                f"per path array")
+    rows = min(BLOCK_SIZE, cfg.n_paths)
+    if cfg.n_policies * rows > MAX_PATH_GRID_VALUES:
+        return (f"portfolio.n: {cfg.n_policies} policies x {rows} Monte Carlo paths per block "
+                f"exceed {MAX_PATH_GRID_VALUES} values per path array")
+    # Development events per block, one entry each in the oracle's arrays.
+    dev_events = cfg.n_policies * rows * cfg.development.rate * cfg.T
+    if dev_events > MAX_PATH_GRID_VALUES:
+        return (f"development.rate: {cfg.n_policies} policies x {rows} Monte Carlo paths per "
+                f"block x rate {cfg.development.rate:g} x T = {cfg.T:g} expect {dev_events:.6g} "
+                f"development events per block, over {MAX_PATH_GRID_VALUES} values per path array")
+    if conditioning is not None and constant_level(cfg.market) is None:
+        return "market.vol: must be 0 for the Monte Carlo oracle at valuation.t > 0"
+    return None
+
+
 def run_scenario(
     config_path: str | Path,
     out_dir: str | Path = ".",
@@ -410,9 +430,12 @@ def run_scenario(
     threads: int = 1,
 ) -> int:
     """Execute one scenario; returns the process exit code."""
-    if mc_only and analytic_only:
-        print("error: --mc-only and --analytic-only are mutually exclusive", file=sys.stderr)
+    if validate + mc_only + analytic_only > 1:
+        print("error: --validate, --mc-only and --analytic-only are mutually exclusive",
+              file=sys.stderr)
         return 1
+    analytic = not mc_only
+    oracle = validate or mc_only
     started = time.perf_counter()
     try:
         text = Path(config_path).read_text(encoding="utf-8")
@@ -425,20 +448,12 @@ def run_scenario(
         print(f"config error at {exc.field}: {exc.args[0][len(exc.field) + 2:]}", file=sys.stderr)
         return 1
 
-    oracle_rows = min(BLOCK_SIZE, cfg.n_paths)
-    if (mc_only or validate) and cfg.n_policies * oracle_rows > MAX_PATH_GRID_VALUES:
-        print(f"config error at portfolio.n: {cfg.n_policies} policies x {oracle_rows} Monte Carlo "
-              f"paths per block exceed {MAX_PATH_GRID_VALUES} values per path array "
-              f"(--analytic-only prices it)", file=sys.stderr)
-        return 1
-    # Development events per block, one entry each in the oracle's arrays.
-    dev_events = cfg.n_policies * oracle_rows * cfg.development.rate * cfg.T
-    if (mc_only or validate) and dev_events > MAX_PATH_GRID_VALUES:
-        print(f"config error at development.rate: {cfg.n_policies} policies x {oracle_rows} Monte "
-              f"Carlo paths per block x rate {cfg.development.rate:g} x T = {cfg.T:g} expect "
-              f"{dev_events:.6g} development events per block, over {MAX_PATH_GRID_VALUES} "
-              f"values per path array (--analytic-only prices it)", file=sys.stderr)
-        return 1
+    conditioning = None if (cfg.t == 0.0 and cfg.reported_count == 0) else cfg.reported_count
+    if oracle:
+        refusal = _oracle_refusal(cfg, conditioning)
+        if refusal is not None:
+            print(f"config error at {refusal} (--analytic-only prices it)", file=sys.stderr)
+            return 1
 
     out_dir = Path(out_dir)
     grid = TimeGrid.regular(cfg.T, step=cfg.grid_step)
@@ -452,7 +467,7 @@ def run_scenario(
     comparison = None
     timings: dict[str, float] = {}
 
-    if not mc_only:
+    if analytic:
         state = PortfolioState.from_counts(cfg.t, cfg.n_policies, cfg.reported_count)
         t0 = time.perf_counter()
         try:
@@ -470,23 +485,15 @@ def run_scenario(
             return 1
         timings["analytic_s"] = time.perf_counter() - t0
 
-    if mc_only or validate:
-        conditioning = None if (cfg.t == 0.0 and cfg.reported_count == 0) else cfg.reported_count
-        if conditioning is not None and constant_level(cfg.market) is None:
-            print("config error at market.vol: must be 0 for the Monte Carlo oracle at "
-                  "valuation.t > 0 (--analytic-only prices it)", file=sys.stderr)
-            return 1
+    if oracle:
         t0 = time.perf_counter()
         try:
-            mc_config = McConfig(
+            mc_estimate = mc_reserve(McConfig(
                 n_policies=cfg.n_policies, t=cfg.t, T=cfg.T, intensity=cfg.intensity,
                 delay=cfg.delay, first_mark=cfg.first_mark, development=cfg.development,
                 market=cfg.market, n_paths=cfg.n_paths, seed=cfg.seed,
-                grid_step=cfg.grid_step, conditioning=conditioning, antithetic=cfg.antithetic)
-            if conditioning is None:
-                mc_estimate = mc_reserve(mc_config, threads=threads)
-            else:
-                mc_estimate = mc_conditional_reserve(mc_config, threads=threads)
+                grid_step=cfg.grid_step, conditioning=conditioning, antithetic=cfg.antithetic),
+                threads=threads)
         except ClaimflowError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

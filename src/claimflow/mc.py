@@ -17,10 +17,11 @@ mapped over a thread pool, so the estimate is bitwise identical for any
 thread count, and the draw layout inside a block is fixed by the
 configuration and the seed alone.
 
-The conditional variant buckets paths by the realized reported count at
-the valuation time; under a deterministic intensity and deflator the
-bucket mean is an unbiased estimate of the reserve given that count, by
-exchangeability of the homogeneous portfolio.
+``mc_reserve`` is the one entry point.  At t = 0 it averages every path
+(or every antithetic pair).  With ``conditioning`` set it buckets paths by
+the realized reported count at the valuation time; under a deterministic
+intensity and deflator the bucket mean is an unbiased estimate of the
+reserve given that count, by exchangeability of the homogeneous portfolio.
 """
 
 from __future__ import annotations
@@ -323,40 +324,25 @@ def _estimate(samples: np.ndarray) -> McEstimate:
 
 
 def mc_reserve(config: McConfig, threads: int = 1) -> McEstimate:
-    """Unconditional value at t = 0 of the payments in (0, T], real units.
+    """Value of the payments in (t, T], real units, estimated by the oracle.
 
-    Averages the deflated payment sum over full-scenario paths; with the
+    Averages the deflated payment sum over full-scenario paths.  With the
     antithetic flag, deflator noise is mirrored in consecutive paths and
-    the standard error is computed on pair means.
+    the standard error is computed on pair means.  With
+    ``config.conditioning`` set, paths are bucketed by the reported count
+    at t and the target bucket's statistics are returned; it needs at
+    least 100 paths (``InsufficientDataError``).
     """
-    if config.conditioning is not None:
-        raise ConfigurationError("use mc_conditional_reserve for a conditioned run")
-    payoffs, _ = _run_blocks(config, threads)
-    if config.antithetic:
-        even = payoffs[0 : 2 * (len(payoffs) // 2) : 2]
-        odd = payoffs[1 : 2 * (len(payoffs) // 2) : 2]
-        payoffs = 0.5 * (even + odd)
-    return _estimate(payoffs)
-
-
-def mc_conditional_reserve(config: McConfig, threads: int = 1) -> McEstimate:
-    """Reserve at t given the realized reported count equals the target.
-
-    Simulates unconditionally, buckets paths by the reported count at t and
-    returns the statistics of the target bucket.  Needs a deterministic
-    intensity and deflator so that the bucket mean identifies the
-    conditional value.
-    """
-    if config.conditioning is None:
-        raise ConfigurationError("config.conditioning must name the target reported count")
     payoffs, reported = _run_blocks(config, threads)
-    mask = reported == config.conditioning
-    count = int(np.sum(mask))
-    if count < 100:
-        raise InsufficientDataError(
-            f"only {count} of {config.n_paths} paths realized a reported count of "
-            f"{config.conditioning}; need at least 100")
-    return _estimate(payoffs[mask])
+    if config.antithetic:
+        payoffs = 0.5 * (payoffs[0::2] + payoffs[1::2])
+    if reported is not None:
+        payoffs = payoffs[reported == config.conditioning]
+        if len(payoffs) < 100:
+            raise InsufficientDataError(
+                f"only {len(payoffs)} of {config.n_paths} paths realized a reported count of "
+                f"{config.conditioning}; need at least 100")
+    return _estimate(payoffs)
 
 
 def compare(analytic: ReserveResult, mc: McEstimate) -> ComparisonReport:

@@ -238,16 +238,16 @@ class ReserveResult:
             raise ConfigurationError("total must equal the sum of its components")
 
 
-def _unreported_integrand_weights(grid: TimeGrid, i_t: int, i_T: int,
+def _unreported_integrand_weights(grid: TimeGrid, i_T: int,
                                   first_mark: MarkLaw, dev: DevelopmentLaw) -> np.ndarray:
-    """Trapezoid weights times (E[X1] + expected development to T) per node."""
+    """Trapezoid weights on [0, T] times (E[X1] + expected development to T) per node."""
     c = np.zeros(grid.n_cells + 1)
-    u = grid.points[i_t : i_T + 1]
+    u = grid.points[: i_T + 1]
     psi = first_mark.mean + dev.rate * dev.mark_mean * (grid.points[i_T] - u)
     w = np.full(len(u), grid.step)
     w[0] *= 0.5
     w[-1] *= 0.5
-    c[i_t : i_T + 1] = w * psi
+    c[: i_T + 1] = w * psi
     return c
 
 
@@ -309,17 +309,16 @@ def _payout_integral(path: IntensityPath, delay: DelayLaw, first_mark: MarkLaw,
     return total
 
 
-def _bracket_functional(c: np.ndarray, delay: DelayLaw, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+def _bracket_functional(c: np.ndarray, delay: DelayLaw, grid: TimeGrid) -> np.ndarray:
     """Precompute the linear functional taking a path to its payout integral.
 
-    Returns (q, atom_weights) with
+    Returns q with
 
-        integral = sum_k masses[k] * q[k]
-                   + alpha0 * sum_i atom_weights[i] * surv[i] * mu[i]
+        integral = sum_k masses[k] * q[k] + alpha0 * sum_i c[i] * surv[i] * mu[i]
 
-    equal to the trapezoid of c_i * density_i over the grid.  Only the atom
-    weights depend on nothing but c; q folds the delay kernel in once, so
-    evaluating many intensity paths costs two dot products each.
+    equal to the trapezoid of c_i * density_i over the grid.  The atom term
+    weighs by c itself; q folds the delay kernel in once, so evaluating
+    many intensity paths costs two dot products each.
     """
     n = grid.n_cells
     if delay.density is None:
@@ -328,7 +327,7 @@ def _bracket_functional(c: np.ndarray, delay: DelayLaw, grid: TimeGrid) -> tuple
         # q[k] = sum_j c[k + j] * kernel[j]: a convolution with the kernel reversed.
         kernel = np.concatenate([[0.0], _kernel_arrays(delay.pdf, grid)])
         q = _fft_convolve(c, kernel[::-1])[n : 2 * n]
-    return q, c.copy()
+    return q
 
 
 def reserve(
@@ -434,8 +433,8 @@ def reserve(
     if intensity_draws < 2:
         raise ConfigurationError("need at least 2 intensity draws")
     i_T = grid.node_index(T, what="horizon")
-    c = _unreported_integrand_weights(grid, 0, i_T, first_mark, dev)
-    q, atom_w = _bracket_functional(c, delay, grid)
+    c = _unreported_integrand_weights(grid, i_T, first_mark, dev)
+    q = _bracket_functional(c, delay, grid)
     rng = substream(seed, 0x1A7E)
     brackets = np.empty(intensity_draws)
     for start in range(0, intensity_draws, _OUTER_CHUNK):
@@ -445,7 +444,7 @@ def reserve(
             surv = np.exp(-gamma)
             chunk = _cell_masses(surv) @ q
             if delay.alpha0 > 0.0:
-                chunk = chunk + delay.alpha0 * ((surv * mu) @ atom_w)
+                chunk = chunk + delay.alpha0 * ((surv * mu) @ c)
             brackets[start + part.start : start + part.stop] = chunk
     mean_bracket = float(np.mean(brackets))
     se_bracket = float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))

@@ -37,7 +37,7 @@ from .intensity import (
     simulate_intensity_path,
 )
 from .market import DeterministicDeflator, MarketModel, MartingaleDeflator
-from .mc import McConfig, compare, mc_conditional_reserve, mc_reserve
+from .mc import McConfig, compare, mc_reserve
 from .pricing import (
     reporting_cdf,
     reporting_density,
@@ -341,7 +341,7 @@ def check_conditional_buckets(threads: int = 1) -> list[CheckResult]:
             n_policies=n, t=t, T=horizon, intensity=intensity, delay=delay,
             first_mark=fm, development=dev, market=market, n_paths=200_000,
             seed=2030 + target, conditioning=target)
-        estimate = mc_conditional_reserve(config, threads=threads)
+        estimate = mc_reserve(config, threads=threads)
         report = compare(analytic, estimate)
         out.append(_result(
             f"conditional_bucket_r{target}", report.passed,

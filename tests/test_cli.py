@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import claimflow
-from claimflow import SchemaError, pricing
+from claimflow import SchemaError, cli, pricing
 from claimflow.cli import MAX_GRID_CELLS, MAX_MARK_MEAN, MAX_PATH_GRID_VALUES, main, parse_config, run_scenario
 from claimflow.selftest import run_selftest
 
@@ -339,6 +339,27 @@ def test_oracle_development_beyond_array_bound_exits_one(tmp_path, capsys):
     assert _run_main(config, tmp_path / "out", "--analytic-only") == 0
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"mc": {"n_paths": MAX_PATH_GRID_VALUES + 1}}, "mc.n_paths"),
+    ({"portfolio": {"n": 100_000_000}}, "portfolio.n"),
+    ({"development": {"rate": 1e9, "mark_mean": 0.5}}, "development.rate"),
+    ({"market": _MARTINGALE, **_AT_HALF}, "market.vol"),
+], ids=["paths", "book", "development", "moving_deflator_after_zero"])
+def test_oracle_refusals_precede_any_pricing(tmp_path, capsys, monkeypatch, overrides, field):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("priced a config the oracle refuses")
+    for name in ("simulate_intensity_path", "reporting_curve", "reserve", "mc_reserve"):
+        monkeypatch.setattr(cli, name, forbidden)
+    config = _write(tmp_path, _scenario(**overrides))
+    for flag in ("--validate", "--mc-only"):
+        assert _run_main(config, tmp_path / "out", flag) == 1
+        assert f"config error at {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    # The closed form allocates nothing per path, policy or event.
+    monkeypatch.undo()
+    assert _run_main(config, tmp_path / "out", "--analytic-only") == 0
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
@@ -437,6 +458,16 @@ def test_exclusive_flags(tmp_path, capsys):
     path = _write(tmp_path, _scenario())
     assert run_scenario(path, tmp_path, mc_only=True, analytic_only=True) == 1
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [("--validate", "--mc-only"), ("--validate", "--analytic-only")])
+def test_validate_excludes_the_other_mode_flags(tmp_path, capsys, flags):
+    # Refused before the config is read: the path names no file.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out"), *flags])
+    assert exc.value.code == 1
+    assert "mutually exclusive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["run", "<config>", "--out", "<out>", "--validate", "--threads", "0"],

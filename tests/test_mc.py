@@ -23,7 +23,6 @@ from claimflow import (
     PortfolioState,
     ReserveResult,
     compare,
-    mc_conditional_reserve,
     mc_reserve,
     TimeGrid,
     invert_hazard,
@@ -87,14 +86,16 @@ def test_std_error_scaling_with_path_count():
 
 
 def test_thread_count_does_not_change_results():
-    # Event-time deflator, plain and antithetic, and the on-grid deflator
-    # that shares noise with a log-OU intensity; each spans several blocks.
+    # Event-time deflator, plain and antithetic, the on-grid deflator that
+    # shares noise with a log-OU intensity, and a conditioned run at t > 0;
+    # each spans several blocks.
     stochastic = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
     configs = [
         _config(n_paths=10_000, market=MartingaleDeflator(init=1.0, vol=0.2)),
         _config(n_paths=10_000, market=MartingaleDeflator(init=1.0, vol=0.2), antithetic=True),
         _config(n_paths=BLOCK_SIZE + 1000, intensity=stochastic,
                 market=MartingaleDeflator(init=1.0, vol=0.2, corr_with_intensity=0.5)),
+        _config(n_paths=BLOCK_SIZE + 1000, t=0.5, conditioning=1),
     ]
     for config in configs:
         assert config.n_paths > BLOCK_SIZE
@@ -107,7 +108,7 @@ def test_threads_below_one_is_an_error(threads):
     with pytest.raises(ConfigurationError, match="threads"):
         mc_reserve(_config(), threads=threads)
     with pytest.raises(ConfigurationError, match="threads"):
-        mc_conditional_reserve(_config(t=0.5, conditioning=1), threads=threads)
+        mc_reserve(_config(t=0.5, conditioning=1), threads=threads)
 
 
 def test_reproducible_across_calls():
@@ -194,8 +195,7 @@ def test_oracle_numbers_are_pinned(name, mean, std_error):
     # delay layouts (alpha0 in (0, 1), 0 and 1) and a conditional run.
     # Thread invariance cannot see a change in these numbers; this can.
     config = _pinned_configs()[name]
-    run = mc_reserve if config.conditioning is None else mc_conditional_reserve
-    estimate = run(config)
+    estimate = mc_reserve(config)
     assert (estimate.mean.hex(), estimate.std_error.hex()) == (mean, std_error)
 
 
@@ -359,7 +359,7 @@ def test_conditional_insufficient_data():
     config = _config(t=0.5, T=1.0, conditioning=4,
                      intensity=ConstantIntensity(0.01), n_paths=2000, seed=3)
     with pytest.raises(InsufficientDataError):
-        mc_conditional_reserve(config)
+        mc_reserve(config)
 
 
 def test_conditional_bucket_matches_reported_only_value():
@@ -372,7 +372,7 @@ def test_conditional_bucket_matches_reported_only_value():
         development=DevelopmentLaw(rate=2.0, mark=MarkLaw(mean=0.5, kind="exponential")),
         n_paths=30_000, conditioning=2, seed=5,
     )
-    estimate = mc_conditional_reserve(config)
+    estimate = mc_reserve(config)
     expected = 2.0 * 0.5 * 2 * 1.0
     assert abs(estimate.mean - expected) <= 3.0 * estimate.std_error
 
@@ -389,17 +389,9 @@ def test_conditional_bucket_none_reported_matches_ratio_formula():
         development=DevelopmentLaw(rate=0.0, mark=MarkLaw(mean=1.0)),
         n_paths=50_000, conditioning=0, seed=6,
     )
-    estimate = mc_conditional_reserve(config)
+    estimate = mc_reserve(config)
     expected = 2 * 2.0 * (math.exp(-mu * t) - math.exp(-mu * T)) / math.exp(-mu * t)
     assert abs(estimate.mean - expected) <= 3.0 * estimate.std_error
-
-
-def test_mc_reserve_rejects_conditioned_config():
-    config = _config(t=0.5, conditioning=1)
-    with pytest.raises(ConfigurationError):
-        mc_reserve(config)
-    with pytest.raises(ConfigurationError):
-        mc_conditional_reserve(_config())
 
 
 # ---------------------------------------------------------------------------

@@ -486,14 +486,14 @@ def test_stochastic_reserve_reproducible_and_reports_error():
 
 def _unchunked_stochastic_reserve(model, delay, fm, dev, T, grid, draws, seed, n):
     """The outer average over all draws at once: (unreported, outer SE)."""
-    c = _unreported_integrand_weights(grid, 0, grid.node_index(T), fm, dev)
-    q, atom_w = _bracket_functional(c, delay, grid)
+    c = _unreported_integrand_weights(grid, grid.node_index(T), fm, dev)
+    q = _bracket_functional(c, delay, grid)
     normals = substream(seed, 0x1A7E).standard_normal((draws, grid.n_cells))
     mu = np.exp(model.log_level_paths(grid, normals))
     gamma = trapezoid_hazard(grid, mu)
     brackets = _cell_masses(np.exp(-gamma)) @ q
     if delay.alpha0 > 0.0:
-        brackets = brackets + delay.alpha0 * ((np.exp(-gamma) * mu) @ atom_w)
+        brackets = brackets + delay.alpha0 * ((np.exp(-gamma) * mu) @ c)
     se = float(np.std(brackets, ddof=1) / math.sqrt(draws))
     return n * float(np.mean(brackets)), n * se
 
@@ -629,9 +629,9 @@ def test_bracket_functional_matches_direct_quadrature():
     fm = MarkLaw(mean=1.3)
     dev = DevelopmentLaw(rate=0.9, mark=MarkLaw(mean=0.4))
     curve = reporting_curve(path, delay)
-    c = _unreported_integrand_weights(grid, 0, grid.n_cells, fm, dev)
+    c = _unreported_integrand_weights(grid, grid.n_cells, fm, dev)
     direct = float(np.dot(c, curve.density))
-    q, atom_w = _bracket_functional(c, delay, grid)
+    q = _bracket_functional(c, delay, grid)
     masses = np.exp(-path.gamma[:-1]) - np.exp(-path.gamma[1:])
-    fast = float(masses @ q) + delay.alpha0 * float((np.exp(-path.gamma) * path.mu) @ atom_w)
+    fast = float(masses @ q) + delay.alpha0 * float((np.exp(-path.gamma) * path.mu) @ c)
     assert fast == pytest.approx(direct, rel=1e-12)
