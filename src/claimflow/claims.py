@@ -395,7 +395,9 @@ def _invert_gamma_rows(gamma: np.ndarray, points: np.ndarray, e: np.ndarray) -> 
     element with the scalar ``invert_hazard`` for nonnegative thresholds.
     """
     if gamma.ndim == 1:
-        idx = gamma.searchsorted(e)  # side="left"
+        idx = np.zeros(e.size, dtype=np.intp)
+        _lower_bound(gamma, e.ravel(), idx, len(gamma))
+        idx = idx.reshape(e.shape)
         return _crossing_times(gamma, points, e, idx, idx)
     n_rows, nodes = gamma.shape
     hit = e <= gamma[:, -1:]

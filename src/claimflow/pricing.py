@@ -29,18 +29,21 @@ the factor is constant, so zero-delay reporting reproduces 1 - exp(-Gamma)
 to machine precision, and second-order accurate otherwise.
 
 Arrays that depend on a path and a delay law but not on the valuation time
-are built once per path: the node density p' and the half-step refined
-path of the Richardson estimate live in the path's private memo (see
-``IntensityPath``).  So re-valuing one book at many dates on one path runs
-no whole-grid convolution after the first date.  Integrating the payout by
-parts against the reporting cdf would memoize the grid cdf in place of the
-density.
+are built once per path: the node density p', its two suffix sums and the
+half-step refined path of the Richardson estimate live in the path's
+private memo (see ``IntensityPath``).  The payout is linear in u, so the
+unreported integral over the whole cells of [t, T] reads those sums at the
+window's ends.  Re-valuing one book at many dates on one path therefore
+runs no whole-grid convolution and no whole-window sum after the first
+date.  Integrating the payout by parts against the reporting cdf would
+memoize the suffix sums of the grid cdf in place of the density's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,20 +94,26 @@ def _cell_masses(surv: np.ndarray) -> np.ndarray:
 
 
 def _stieltjes(path: IntensityPath, t: float, factor) -> float:
-    """integral_0^t factor(s) exp(-Gamma_s) mu_s ds by per-cell Simpson weights."""
+    """integral_0^t factor(s) exp(-Gamma_s) mu_s ds by per-cell Simpson weights.
+
+    ``factor`` runs once, on the k + 1 nodes, the k midpoints and, when t
+    ends inside a cell, that cell's midpoint and t itself.
+    """
     points = path.grid.points
     k, frac = path.grid.locate(t)
     if frac == 1.0:
         k, frac = k + 1, 0.0
-    masses = _cell_masses(np.exp(-path.gamma[: k + 1]))
     nodes = points[: k + 1]
-    ends = factor(nodes)
-    weights = (ends[:-1] + 4.0 * factor(0.5 * (nodes[:-1] + nodes[1:])) + ends[1:]) / 6.0
-    total = float(np.dot(weights, masses))
+    args = [nodes, 0.5 * (nodes[:-1] + nodes[1:])]
+    if frac > 0.0:
+        args.append(np.array([0.5 * (points[k] + t), t]))
+    values = factor(np.concatenate(args))
+    ends, mids = values[: k + 1], values[k + 1 : 2 * k + 1]
+    weights = (ends[:-1] + 4.0 * mids + ends[1:]) / 6.0
+    total = float(np.dot(weights, _cell_masses(np.exp(-path.gamma[: k + 1]))))
     if frac > 0.0:
         mass = math.exp(-path.gamma[k]) - math.exp(-path.hazard(t))
-        s_lo = points[k]
-        w = (factor(s_lo) + 4.0 * factor(0.5 * (s_lo + t)) + factor(np.asarray(t))) / 6.0
+        w = (ends[-1] + 4.0 * values[-2] + values[-1]) / 6.0
         total += float(w) * mass
     return total
 
@@ -186,22 +195,45 @@ class ReportingCurve:
         return np.maximum((1.0 - self.survival) - self.cdf, 0.0)
 
 
-def _node_density(path: IntensityPath, delay: DelayLaw) -> np.ndarray:
-    """p' on every grid node, read-only, built once per path and delay law.
+class _NodeDensity(NamedTuple):
+    """One path's memo entry for one delay law; every array is read-only.
+
+    ``tail`` and ``tail_lag`` are suffix sums with a trailing 0, so the sum
+    over nodes i..j is ``tail[i] - tail[j + 1]``.
+    """
+
+    density: np.ndarray   # p'(u_i) on every grid node
+    tail: np.ndarray      # sum_{j >= i} p'(u_j)
+    tail_lag: np.ndarray  # sum_{j >= i} (t_end - u_j) p'(u_j)
+
+
+def _tail_sums(x: np.ndarray) -> np.ndarray:
+    """S[i] = sum_{j >= i} x[j] for i = 0..len(x); S[len(x)] = 0."""
+    out = np.zeros(len(x) + 1)
+    out[:-1] = np.cumsum(x[::-1])[::-1]
+    return out
+
+
+def _node_density(path: IntensityPath, delay: DelayLaw) -> _NodeDensity:
+    """p' on every grid node and its tail sums, built once per path and delay law.
 
     The memo entry lives on the path (see ``IntensityPath``), keyed by the
     delay law's value; threads that fill it at once compute the same bits.
     """
     key = ("density", delay)
-    density = path._memo.get(key)
-    if density is None:
+    entry = path._memo.get(key)
+    if entry is None:
+        grid = path.grid
         surv = np.exp(-path.gamma)
         density = delay.alpha0 * surv * path.mu
         if delay.density is not None:
-            density = density + _convolve_masses(_cell_masses(surv), _kernel_arrays(delay.pdf, path.grid))
-        density.flags.writeable = False
-        path._memo[key] = density
-    return density
+            density = density + _convolve_masses(_cell_masses(surv), _kernel_arrays(delay.pdf, grid))
+        entry = _NodeDensity(density, _tail_sums(density),
+                             _tail_sums((grid.t_end - grid.points) * density))
+        for array in entry:
+            array.flags.writeable = False
+        path._memo[key] = entry
+    return entry
 
 
 def reporting_curve(path: IntensityPath, delay: DelayLaw) -> ReportingCurve:
@@ -211,7 +243,7 @@ def reporting_curve(path: IntensityPath, delay: DelayLaw) -> ReportingCurve:
     """
     surv = np.exp(-path.gamma)
     cdf = _convolve_masses(_cell_masses(surv), _kernel_arrays(delay.cdf, path.grid))
-    return ReportingCurve(grid=path.grid, cdf=cdf, density=_node_density(path, delay),
+    return ReportingCurve(grid=path.grid, cdf=cdf, density=_node_density(path, delay).density,
                           survival=surv)
 
 
@@ -277,13 +309,18 @@ def _payout_integral(path: IntensityPath, delay: DelayLaw, first_mark: MarkLaw,
                      dev: DevelopmentLaw, t: float, T: float) -> float:
     """Trapezoid of (E[X1] + expected development to T) * p'(u) over [t, T].
 
-    Endpoints need not sit on grid nodes; partial end cells use pointwise
-    density evaluations.
+    The payout psi(u) = E[X1] + c (T - u) is linear in u, so over the whole
+    cells of the window the trapezoid reads the memoized tail sums of p' at
+    the window's two end nodes: O(1) once the path's entry is filled.  The
+    sums round relative to the tail from the first node, which equals the
+    window's own sum when T is the grid's end.  Endpoints need not sit on
+    grid nodes; partial end cells use pointwise density evaluations.
     """
     grid = path.grid
+    c = dev.rate * dev.mark_mean
 
     def psi(u):
-        return first_mark.mean + dev.rate * dev.mark_mean * (T - u)
+        return first_mark.mean + c * (T - u)
 
     i_lo = int(math.ceil((t - grid.t0) / grid.step - 1e-12))
     i_hi = int(math.floor((T - grid.t0) / grid.step + 1e-12))
@@ -294,18 +331,25 @@ def _payout_integral(path: IntensityPath, delay: DelayLaw, first_mark: MarkLaw,
         d_t = reporting_density(path, delay, t)
         d_T = reporting_density(path, delay, T)
         return 0.5 * (psi(t) * d_t + psi(T) * d_T) * (T - t)
-    nodes = grid.points[i_lo : i_hi + 1]
-    density = _node_density(path, delay)
-    values = psi(nodes) * density[i_lo : i_hi + 1]
-    total = float(np.trapezoid(values, dx=grid.step)) if len(values) > 1 else 0.0
-    left_gap = nodes[0] - t
+    entry = _node_density(path, delay)
+    u_lo, u_hi = float(grid.points[i_lo]), float(grid.points[i_hi])
+    v_lo = psi(u_lo) * float(entry.density[i_lo])
+    v_hi = psi(u_hi) * float(entry.density[i_hi])
+    total = 0.0
+    if i_hi > i_lo:
+        # psi(u) = a + c (t_end - u), so sum_{i_lo..i_hi} psi p' = a dS0 + c dS1.
+        a = first_mark.mean + c * (T - grid.t_end)
+        s0 = float(entry.tail[i_lo] - entry.tail[i_hi + 1])
+        s1 = float(entry.tail_lag[i_lo] - entry.tail_lag[i_hi + 1])
+        total = grid.step * (a * s0 + c * s1 - 0.5 * (v_lo + v_hi))
+    left_gap = u_lo - t
     if left_gap > 1e-12 * grid.step:
         d_t = reporting_density(path, delay, t)
-        total += 0.5 * (psi(t) * d_t + values[0]) * left_gap
-    right_gap = T - nodes[-1]
+        total += 0.5 * (psi(t) * d_t + v_lo) * left_gap
+    right_gap = T - u_hi
     if right_gap > 1e-12 * grid.step:
         d_T = reporting_density(path, delay, T)
-        total += 0.5 * (values[-1] + psi(T) * d_T) * right_gap
+        total += 0.5 * (v_hi + psi(T) * d_T) * right_gap
     return total
 
 

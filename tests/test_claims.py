@@ -31,7 +31,9 @@ from claimflow.claims import (
     STREAM_DELAY,
     STREAM_DEVELOPMENT,
     STREAM_FIRST_MARK,
+    _crossing_times,
     _invert_gamma_rows,
+    _lower_bound,
 )
 from claimflow._rng import substream
 
@@ -80,6 +82,31 @@ def test_invert_gamma_rows_shared_hazard_matches_scalar_inverter(n_nodes):
     expected = np.array([invert_hazard(path, float(x)) for x in e])
     assert np.isinf(out[0])
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("n_nodes", [2, 37, 731])
+def test_shared_hazard_search_matches_searchsorted(n_nodes):
+    # The one-hazard branch searches with the same branchless lower bound
+    # as the per-row branch; indices and times equal searchsorted's, for
+    # thresholds at 0, exactly at node values (flat stretches included)
+    # and beyond the last node, in any threshold shape.
+    rng = np.random.default_rng(7)
+    grid = TimeGrid.regular(2.0, step=2.0 / (n_nodes - 1))
+    increments = rng.exponential(0.1, size=n_nodes - 1)
+    increments[rng.random(n_nodes - 1) < 0.2] = 0.0
+    gamma = np.zeros(n_nodes)
+    np.cumsum(increments, out=gamma[1:])
+    e = np.concatenate([[0.0, 0.0], gamma, rng.uniform(0.0, 1.3 * gamma[-1], size=500),
+                        [gamma[-1] * 1.01 + 1e-9, np.nextafter(gamma[-1], np.inf)]])
+    idx = np.zeros(len(e), dtype=np.intp)
+    _lower_bound(gamma, e, idx, n_nodes)
+    expected = gamma.searchsorted(e)  # side="left"
+    assert np.array_equal(idx, expected)
+    times = _crossing_times(gamma, grid.points, e, expected, expected)
+    assert np.array_equal(_invert_gamma_rows(gamma, grid.points, e), times)
+    order = rng.permutation(len(e))[: 4 * (len(e) // 4)]
+    blocks = _invert_gamma_rows(gamma, grid.points, e[order].reshape(4, -1))
+    assert np.array_equal(blocks, times[order].reshape(4, -1))
 
 
 def test_accident_times_follow_exponential_law():

@@ -168,11 +168,31 @@ def test_kernel_arrays_share_node_evaluations():
     assert calls == [grid.n_cells + 1, grid.n_cells]
 
 
+def _three_call_stieltjes(path, t, factor):
+    """_stieltjes as it was written with separate factor calls for the node
+    ends, the midpoints and each point of the partial cell."""
+    points = path.grid.points
+    k, frac = path.grid.locate(t)
+    if frac == 1.0:
+        k, frac = k + 1, 0.0
+    masses = _cell_masses(np.exp(-path.gamma[: k + 1]))
+    nodes = points[: k + 1]
+    ends = factor(nodes)
+    weights = (ends[:-1] + 4.0 * factor(0.5 * (nodes[:-1] + nodes[1:])) + ends[1:]) / 6.0
+    total = float(np.dot(weights, masses))
+    if frac > 0.0:
+        mass = math.exp(-path.gamma[k]) - math.exp(-path.hazard(t))
+        s_lo = points[k]
+        w = (factor(s_lo) + 4.0 * factor(0.5 * (s_lo + t)) + factor(np.asarray(t))) / 6.0
+        total += float(w) * mass
+    return total
+
+
 def test_stieltjes_shares_node_evaluations():
     # p(t) a third of a step past node 182 covers 182 whole cells and a
-    # partial one: the factor runs once on the 183 nodes, once on the 182
-    # midpoints and three times for the partial cell, and the whole cells
-    # sum to what separate left, midpoint and right calls give.
+    # partial one: the factor runs once, on the 183 nodes, the 182
+    # midpoints, the partial cell's midpoint and t, and the sum equals what
+    # separate calls for each of those give.
     path = _unit_path()
     delay = DelayLaw(alpha0=0.2, density=GammaDelay(shape=2.3, rate=4.0))
     t = float(path.grid.points[182]) + path.grid.step / 3.0
@@ -183,16 +203,35 @@ def test_stieltjes_shares_node_evaluations():
         return delay.cdf(t - s)
 
     k = 182
-    left, right = path.grid.points[:k], path.grid.points[1 : k + 1]
-    whole = np.dot((factor(left) + 4.0 * factor(0.5 * (left + right)) + factor(right)) / 6.0,
-                   _cell_masses(np.exp(-path.gamma[: k + 1])))
+    expected = _three_call_stieltjes(path, t, factor)
     calls.clear()
     value = pricing._stieltjes(path, t, factor)
-    assert calls == [k + 1, k, 1, 1, 1]
-    s_lo = path.grid.points[k]
-    w = (factor(s_lo) + 4.0 * factor(0.5 * (s_lo + t)) + factor(np.asarray(t))) / 6.0
-    mass = math.exp(-path.gamma[k]) - math.exp(-path.hazard(t))
-    assert value == float(whole) + float(w) * mass
+    assert calls == [(k + 1) + k + 2]
+    assert value == expected
+
+
+@pytest.mark.parametrize("delay", [
+    DelayLaw(alpha0=0.2, density=GammaDelay(shape=2.3, rate=4.0)),
+    DelayLaw(alpha0=0.0, density=ExponentialDelay(2.0)),
+    DelayLaw(alpha0=1.0),
+], ids=["gamma", "exponential", "zero-delay"])
+def test_pointwise_reporting_law_matches_three_call_stieltjes(delay):
+    # One factor call gives the bits of separate calls: on nodes, one ulp
+    # below a node (where the last cell's right end lies past t) and off
+    # the nodes.
+    path = simulate_intensity_path(_SEASONAL, TimeGrid.regular(2.0, step=1.0 / 730.0))
+    points = path.grid.points
+    dates = [0.0, 2.0, 0.5, 1.0 / 3.0]
+    for i in (1, 17, 365, 1000, 1460):
+        node = float(points[i])
+        dates += [node, float(np.nextafter(node, 0.0)), node - path.grid.step / 3.0]
+    for t in dates:
+        cdf = _three_call_stieltjes(path, t, lambda s: delay.cdf(t - s))
+        assert reporting_cdf(path, delay, t) == cdf
+        if delay.density is not None:
+            atom = delay.alpha0 * path.survival(t) * path.rate(t)
+            density = atom + _three_call_stieltjes(path, t, lambda u: delay.pdf(t - u))
+            assert reporting_density(path, delay, t) == density
 
 
 def test_reporting_law_nonnegative_after_reporting_dies_out():
@@ -404,13 +443,15 @@ def _ladder_values(path, delay, t):
 
 
 def test_memoized_reserve_matches_fresh_paths():
-    # Re-valuing on one path reads the memoized density and refined path;
-    # every value must equal the one from a fresh path, bit for bit.
+    # Re-valuing on one path reads the memoized density, its tail sums and
+    # the refined path; at ten dates every value must equal the one from a
+    # fresh path, bit for bit.
     delay = _GAMMA_DELAY
     grid = TimeGrid.regular(2.0, step=1.0 / 730.0)
     path = simulate_intensity_path(_SEASONAL, grid)
     node = float(grid.points[400])
-    for t in (node, node + grid.step / 3.0, float(np.nextafter(node, 0.0)), 0.5):
+    for t in (node, node + grid.step / 3.0, float(np.nextafter(node, 0.0)), 0.5, 0.0,
+              7.0 / 365.0, 1.0, 1.5 - grid.step / 4.0, 1.99, 2.0):
         fresh = simulate_intensity_path(_SEASONAL, grid)
         assert _ladder_values(path, delay, t) == _ladder_values(fresh, delay, t)
 
@@ -464,6 +505,69 @@ def test_memo_skips_convolutions_after_first_reserve(monkeypatch):
     for t in (0.25, 0.5, 0.5 + 1e-3, 1.9):
         _ladder_values(path, delay, t)
     assert len(calls) == 2
+
+
+def test_tail_sums_filled_once_per_path_and_delay(monkeypatch):
+    calls = []
+    tail_sums = pricing._tail_sums
+    monkeypatch.setattr(pricing, "_tail_sums", lambda x: calls.append(len(x)) or tail_sums(x))
+    path = simulate_intensity_path(_SEASONAL, TimeGrid.regular(2.0))
+    n = path.grid.n_cells
+    _ladder_values(path, _GAMMA_DELAY, 0.25)
+    # Two sums on the grid and two on the half-step grid.
+    assert calls == [n + 1, n + 1, 2 * n + 1, 2 * n + 1]
+    for t in (0.25, 0.5, 0.5 + 1e-3, 1.0, 1.9):
+        _ladder_values(path, _GAMMA_DELAY, t)
+    assert len(calls) == 4
+
+
+def _trapezoid_payout(path, delay, fm, dev, t, T):
+    """The payout integral as np.trapezoid of psi * p' over the whole
+    cells, plus the partial end cells from pointwise densities."""
+    grid = path.grid
+
+    def psi(u):
+        return fm.mean + dev.rate * dev.mark_mean * (T - u)
+
+    i_lo = min(max(int(math.ceil((t - grid.t0) / grid.step - 1e-12)), 0), grid.n_cells)
+    i_hi = min(max(int(math.floor((T - grid.t0) / grid.step + 1e-12)), 0), grid.n_cells)
+    if i_lo > i_hi:
+        d_t, d_T = reporting_density(path, delay, t), reporting_density(path, delay, T)
+        return 0.5 * (psi(t) * d_t + psi(T) * d_T) * (T - t)
+    nodes = grid.points[i_lo : i_hi + 1]
+    values = psi(nodes) * reporting_curve(path, delay).density[i_lo : i_hi + 1]
+    total = float(np.trapezoid(values, dx=grid.step))
+    if nodes[0] - t > 1e-12 * grid.step:
+        total += 0.5 * (psi(t) * reporting_density(path, delay, t) + values[0]) * (nodes[0] - t)
+    if T - nodes[-1] > 1e-12 * grid.step:
+        total += 0.5 * (values[-1] + psi(T) * reporting_density(path, delay, T)) * (T - nodes[-1])
+    return total
+
+
+_DAY = 1.0 / 365.0
+
+
+@pytest.mark.parametrize("delay, t, T", [
+    (_exp_delay(), 100 * _DAY, 2.0),
+    (_exp_delay(), 100 * _DAY, 500 * _DAY),
+    (_exp_delay(), 1.0012, 1.0015),
+    (_exp_delay(), 0.5, 1.7 + _DAY / 3.0),
+    (_exp_delay(), 0.1, 0.3),
+    (_GAMMA_DELAY, 0.5, 2.0),
+    (_GAMMA_DELAY, 0.0, 1.2 + _DAY / 5.0),
+    (DelayLaw(alpha0=1.0), 0.25, 2.0),
+    (DelayLaw(alpha0=1.0), 0.3 + _DAY / 2.0, 1.4),
+], ids=["T-grid-end", "T-inside", "one-cell", "off-node", "short-early", "gamma",
+        "gamma-off-node-T", "alpha0-1", "alpha0-1-off-node"])
+def test_payout_integral_matches_trapezoid_reference(delay, t, T):
+    fm = MarkLaw(mean=1.3)
+    dev = DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5))
+    grid = TimeGrid.regular(2.0)
+    expected = _trapezoid_payout(simulate_intensity_path(_SEASONAL, grid), delay, fm, dev, t, T)
+    path = simulate_intensity_path(_SEASONAL, grid)
+    for _ in range(2):  # cold, then warm
+        value = pricing._payout_integral(path, delay, fm, dev, t, T)
+        assert value == pytest.approx(expected, rel=1e-11, abs=0.0)
 
 
 def test_reserve_rejects_out_of_range_times():
@@ -548,11 +652,11 @@ _CONDITIONAL_SCENARIO = {
 
 @pytest.mark.parametrize("text, diagnostic, total, value", [
     ((Path(__file__).resolve().parents[1] / "configs" / "example.json").read_text(),
-     "unreported_error_estimate", "0x1.65f41a19488cap+3", "0x1.0a3f588d55555p-17"),
+     "unreported_error_estimate", "0x1.65f41a19488cdp+3", "0x1.0a3f588aaaaaap-17"),
     (json.dumps(_STOCHASTIC_SCENARIO),
      "outer_std_error", "0x1.369995e5d2390p+5", "0x1.437cb97d07aa9p-5"),
     (json.dumps(_CONDITIONAL_SCENARIO),
-     "unreported_error_estimate", "0x1.7539062074596p+2", "0x1.49dd512c3755ap-20"),
+     "unreported_error_estimate", "0x1.7539062074594p+2", "0x1.49dd513b1fa86p-20"),
 ], ids=["example", "log_ou_n64", "piecewise_t0.7"])
 def test_analytic_reserve_numbers_are_pinned(text, diagnostic, total, value):
     # The analytic reserve bit for bit, as run_scenario computes it: the
