@@ -73,7 +73,8 @@ MAX_GRID_CELLS = 1 << 19
 
 #: Most values (128 MiB of float64) in one per-path array: policies x paths
 #: per Monte Carlo block for the oracle, and under a log-OU intensity also
-#: cells x paths per block and cells x intensity draws for the stochastic
+#: cells x paths per block (the block's log-levels, and its normals under a
+#: correlated deflator) and cells x intensity draws for the stochastic
 #: reserve.
 MAX_PATH_GRID_VALUES = 1 << 24
 
@@ -569,7 +570,7 @@ def run_scenario(
         # A quadrature error larger than the oracle's SE can explain the
         # mismatch, so blame the grid; the estimate stays out of z, where it
         # would hide real mismatches.
-        estimate = analytic_result.diagnostics.get("unreported_error_estimate", 0.0)
+        estimate = analytic_result.diagnostics["unreported_error_estimate"]
         if estimate > mc_estimate.std_error:
             print(f"config error at grid.step: quadrature error estimate {estimate:.3g} exceeds "
                   f"the oracle's standard error {mc_estimate.std_error:.3g}; refine grid.step",

@@ -125,14 +125,36 @@ class LogOUIntensity:
         innov * z`` operation by operation (IEEE addition commutes), so the
         values equal a path-major recursion bit for bit.
         """
-        decay, innov = self.step_params(grid.step)
         n_paths, n_cells = normals.shape
         x = np.empty((n_cells + 1, n_paths))
+        np.multiply(normals.T, self.step_params(grid.step)[1], out=x[1:])
+        return self._recur(grid, x)
+
+    def draw_log_levels(self, grid: TimeGrid, rng: np.random.Generator, n_paths: int) -> np.ndarray:
+        """``log_levels(grid, rng.standard_normal((n_paths, n_cells)))`` without
+        the normals array.
+
+        The normals are drawn a few paths at a time (``hazard_chunks``' rows)
+        straight into the levels buffer.  Consecutive row-chunk draws equal
+        one whole draw bit for bit, so the levels and the generator's state
+        afterwards are those of the one-array call.
+        """
+        innov = self.step_params(grid.step)[1]
+        x = np.empty((grid.n_cells + 1, n_paths))
+        size = _hazard_chunk_rows(grid)
+        for start in range(0, n_paths, size):
+            rows = slice(start, min(start + size, n_paths))
+            z = rng.standard_normal((rows.stop - rows.start, grid.n_cells))
+            np.multiply(z.T, innov, out=x[1:, rows])
+        return self._recur(grid, x)
+
+    def _recur(self, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
+        """Run the recursion in place on ``x``, whose rows 1.. hold ``innov * z``."""
+        decay = self.step_params(grid.step)[0]
         x[0] = np.log(self.init)
-        np.multiply(normals.T, innov, out=x[1:])
         b = self.long_run_log_level
-        step = np.empty(n_paths)
-        for k in range(n_cells):
+        step = np.empty(x.shape[1])
+        for k in range(len(x) - 1):
             np.subtract(x[k], b, out=step)
             step *= decay
             step += b
@@ -159,7 +181,8 @@ class IntensityPath:
     by identity (two paths on one grid may carry different rates).  That
     lets ``pricing`` memoize, per instance, arrays that depend on the path
     and a delay law but not on the valuation time (the refined half-step
-    path and the node density); the memo lives as long as the path.
+    path and the node density), and ``claims`` the hazard's guide table;
+    the memo lives as long as the path.
     """
 
     grid: TimeGrid
@@ -223,7 +246,10 @@ def hazard_chunks(grid: TimeGrid, log_levels: np.ndarray
     Yields ``(rows, mu, gamma)``: a slice of the paths and their (rows,
     nodes) ``exp`` of the levels and its ``trapezoid_hazard``, equal bit
     for bit to the same transforms of the whole path-major array.  No
-    rate or increments array of all the paths ever exists.
+    rate, increments or hazard array of all the paths ever exists: the
+    oracle inverts each chunk's hazard and the stochastic reserve reduces
+    each chunk to its brackets before the next chunk is built.  The
+    levels stay the one (nodes, paths) array.
     """
     n_paths = log_levels.shape[1]
     size = _hazard_chunk_rows(grid)

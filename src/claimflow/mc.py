@@ -8,10 +8,14 @@ by path.  A martingale deflator independent of the intensity is sampled
 exactly at the event times, so its cost follows the number of payments
 rather than the grid size.  Accident times come from one inverter,
 ``claims._invert_gamma_rows``, whether the hazard is one deterministic
-curve or per path.  Under a log-OU intensity a block builds its
-log-levels time-major and its hazards a few cached paths at a time, and
-inverts them by a bisection made of whole-array numpy passes, which
-release the GIL, so blocks on several threads run side by side.  Paths
+curve (searched through its guide table, built once per run) or per path.
+Under a log-OU intensity a block draws its normals a few paths at a time
+into its time-major log-levels, the one block-sized array it keeps, then
+builds and inverts its hazards a few cached paths at a time; only a
+deflator correlated with the intensity makes it draw the normals as one
+block-sized array, which the deflator reads.  The inversion is a
+bisection made of whole-array numpy passes, which release the GIL, so
+blocks on several threads run side by side.  Paths
 are generated in fixed-size blocks with one RNG substream per block,
 mapped over a thread pool, so the estimate is bitwise identical for any
 thread count, and the draw layout inside a block is fixed by the
@@ -33,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .claims import DelayLaw, DevelopmentLaw, MarkLaw, _invert_gamma_rows
+from .claims import DelayLaw, DevelopmentLaw, MarkLaw, _HazardGuide, _hazard_guide, _invert_gamma_rows
 from .errors import ConfigurationError, InsufficientDataError
 from .grids import DEFAULT_STEP, TimeGrid
 from .intensity import IntensityModel, LogOUIntensity, hazard_chunks, is_deterministic, simulate_intensity_path
@@ -206,34 +210,42 @@ def _deflator_values(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
     return _interp_on_paths(times, rows, grid, paths), at_t
 
 
-def _log_ou_hazards(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
-                    n_block: int) -> tuple[np.ndarray | None, np.ndarray]:
+def _log_ou_accidents(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
+                      n_block: int) -> tuple[np.ndarray | None, np.ndarray]:
     """A block's intensity normals, if a correlated deflator reads them, and
-    its per-path hazards (paths, nodes).
+    its accident times (paths, policies) under a log-OU intensity.
 
-    The levels are built time-major and turned into hazards a few cached
-    rows at a time, so beside the result at most the normals and the
-    levels, one block-sized array each, are alive at once.
+    Draws the intensity normals, then the accident thresholds.  The normals
+    go a few paths at a time straight into the time-major levels
+    (``draw_log_levels``), unless a correlated deflator needs them as one
+    array.  Each ``hazard_chunks`` chunk is inverted as soon as it exists
+    and its thresholds are overwritten by their accident times.  So the
+    levels are the one block-sized array; neither a (paths, nodes) hazard
+    nor, without a correlated deflator, a block of normals ever exists.
     """
-    assert isinstance(config.intensity, LogOUIntensity)
-    normals = rng.standard_normal((n_block, grid.n_cells))
-    levels = config.intensity.log_levels(grid, normals)
+    model = config.intensity
+    assert isinstance(model, LogOUIntensity)
     market = config.market
-    if not (isinstance(market, MartingaleDeflator) and market.corr_with_intensity != 0.0):
-        normals = None
-    gamma = np.empty((n_block, grid.n_cells + 1))
-    for rows, _, part in hazard_chunks(grid, levels):
-        gamma[rows] = part
-    return normals, gamma
+    normals = None
+    if isinstance(market, MartingaleDeflator) and market.corr_with_intensity != 0.0:
+        normals = rng.standard_normal((n_block, grid.n_cells))
+        levels = model.log_levels(grid, normals)
+    else:
+        levels = model.draw_log_levels(grid, rng, n_block)
+    tau0 = rng.exponential(size=(n_block, config.n_policies))
+    for rows, _, gamma in hazard_chunks(grid, levels):
+        tau0[rows] = _invert_gamma_rows(gamma, grid.points, tau0[rows])
+    return normals, tau0
 
 
 def _block_paths(config: McConfig, grid: TimeGrid, block: int,
-                 det_gamma: np.ndarray | None,
+                 det_hazard: _HazardGuide | None,
                  det_deflator: np.ndarray | float | None) -> tuple[np.ndarray, np.ndarray | None]:
     """Simulate one block; returns (payoffs, reported counts or None).
 
-    Stages: hazards (``det_gamma``, or per path from the log-OU stage),
-    accident times by one inverter, delays, first marks, developments,
+    Stages: accident times by one inverter (of ``det_hazard``, the guide
+    table of a deterministic hazard, or per path in the log-OU stage),
+    delays, first marks, developments,
     the block's event list, the deflator at its events, and one
     ``bincount`` of deflated amounts by path.  The draw order is fixed:
     intensity normals, accident thresholds, delays
@@ -250,13 +262,15 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
     t, T = config.t, config.T
     points = grid.points
 
-    z_mu, gamma = None, det_gamma
-    if gamma is None:
-        z_mu, gamma = _log_ou_hazards(config, grid, rng, n_block)
-    tau0 = _invert_gamma_rows(gamma, points, rng.exponential(size=(n_block, n)))
-    del gamma  # before the per-policy arrays below are allocated
+    z_mu = None
+    if det_hazard is None:
+        z_mu, tau0 = _log_ou_accidents(config, grid, rng, n_block)
+    else:
+        tau0 = _invert_gamma_rows(det_hazard.gamma, points, rng.exponential(size=(n_block, n)),
+                                  guide=det_hazard)
 
-    tau1 = tau0 + config.delay.sample_many(rng, (n_block, n))
+    tau1 = tau0  # report times, in place of the accident times
+    tau1 += config.delay.sample_many(rng, (n_block, n))
 
     x1 = np.asarray(config.first_mark.sample(rng, size=(n_block, n)))
 
@@ -296,9 +310,9 @@ def _run_blocks(config: McConfig, threads: int) -> tuple[np.ndarray, np.ndarray 
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     grid = config.grid()
-    det_gamma = None
+    det_hazard = None
     if is_deterministic(config.intensity):
-        det_gamma = simulate_intensity_path(config.intensity, grid, seed=0).gamma
+        det_hazard = _hazard_guide(simulate_intensity_path(config.intensity, grid, seed=0).gamma)
     det_deflator: np.ndarray | float | None = constant_level(config.market)
     if det_deflator is None and isinstance(config.market, DeterministicDeflator):
         det_deflator = config.market.curve(grid.points)
@@ -306,7 +320,7 @@ def _run_blocks(config: McConfig, threads: int) -> tuple[np.ndarray, np.ndarray 
     n_blocks = (config.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(
-            lambda b: _block_paths(config, grid, b, det_gamma, det_deflator),
+            lambda b: _block_paths(config, grid, b, det_hazard, det_deflator),
             range(n_blocks)))
     payoffs = np.concatenate([r[0] for r in results])
     reported = None

@@ -293,15 +293,24 @@ def _refined(path: IntensityPath) -> IntensityPath:
     """
     fine = path._memo.get("refined")
     if fine is None:
-        grid = path.grid
-        n = grid.n_cells
-        fine_grid = TimeGrid(t0=grid.t0, t_end=grid.t_end, step=0.5 * grid.step,
-                             points=np.linspace(grid.t0, grid.t_end, 2 * n + 1))
-        mu = np.empty(2 * n + 1)
-        mu[0::2] = path.mu
-        mu[1::2] = 0.5 * (path.mu[:-1] + path.mu[1:])
+        fine_grid = _half_step_grid(path.grid)
+        mu = _half_step_rates(path.mu)
         fine = IntensityPath(grid=fine_grid, mu=mu, gamma=trapezoid_hazard(fine_grid, mu))
         path._memo["refined"] = fine
+    return fine
+
+
+def _half_step_grid(grid: TimeGrid) -> TimeGrid:
+    return TimeGrid(t0=grid.t0, t_end=grid.t_end, step=0.5 * grid.step,
+                    points=np.linspace(grid.t0, grid.t_end, 2 * grid.n_cells + 1))
+
+
+def _half_step_rates(mu: np.ndarray) -> np.ndarray:
+    """Rates (last axis on the nodes) on the half-step grid: the nodes' own,
+    and linear interpolation at the midpoints."""
+    fine = np.empty(mu.shape[:-1] + (2 * mu.shape[-1] - 1,))
+    fine[..., 0::2] = mu
+    fine[..., 1::2] = 0.5 * (mu[..., :-1] + mu[..., 1:])
     return fine
 
 
@@ -374,6 +383,17 @@ def _bracket_functional(c: np.ndarray, delay: DelayLaw, grid: TimeGrid) -> np.nd
     return q
 
 
+def _brackets(mu: np.ndarray, gamma: np.ndarray, q: np.ndarray, c: np.ndarray,
+              alpha0: float) -> np.ndarray:
+    """Payout integral of each path (rows of ``mu`` and ``gamma``) through
+    ``_bracket_functional``'s ``q`` and the weights ``c``."""
+    surv = np.exp(-gamma)
+    out = _cell_masses(surv) @ q
+    if alpha0 > 0.0:
+        out = out + alpha0 * ((surv * mu) @ c)
+    return out
+
+
 def reserve(
     state: PortfolioState,
     intensity: IntensityPath | IntensityModel,
@@ -398,11 +418,16 @@ def reserve(
     model is supported at t = 0 only, where the outer average over
     intensity paths is estimated from ``intensity_draws`` fresh draws and
     its standard error lands in the diagnostics.  The draws come from one
-    generator ``_OUTER_CHUNK`` paths at a time and each chunk is reduced to
-    its payout brackets before the next is drawn, so memory stays at a few
-    chunk x cells arrays and the result equals a one-pass average bit for
-    bit.  Other regimes raise UnsupportedRegimeError; the Monte Carlo oracle
-    prices all of them but a stochastic model at t > 0.
+    generator ``_OUTER_CHUNK`` paths at a time, the normals a few paths at
+    a time straight into the levels (``draw_log_levels``), and each chunk
+    is reduced to its payout brackets before the next is drawn, so memory
+    stays at a few chunk x cells arrays and the result equals a one-pass
+    average bit for bit.  The first chunk's paths are also bracketed on
+    the half-step grid (the rate interpolated linearly at the midpoints,
+    as in ``_refined``), a few paths at a time; their mean gap gives the
+    Richardson ``unreported_error_estimate`` and ``error_estimate_draws``
+    counts them.  Other regimes raise UnsupportedRegimeError; the Monte
+    Carlo oracle prices all of them but a stochastic model at t > 0.
     """
     t = state.as_of
     n = state.n_policies
@@ -447,6 +472,7 @@ def reserve(
         unreported_count = n - reported
         if unreported_count == 0:
             unreported = 0.0
+            diagnostics["unreported_error_estimate"] = 0.0
         else:
             surviving = 1.0 - p_t
             if surviving < _MIN_SURVIVING_MASS:
@@ -479,22 +505,33 @@ def reserve(
     i_T = grid.node_index(T, what="horizon")
     c = _unreported_integrand_weights(grid, i_T, first_mark, dev)
     q = _bracket_functional(c, delay, grid)
+    fine_grid = _half_step_grid(grid)
+    c_fine = _unreported_integrand_weights(fine_grid, 2 * i_T, first_mark, dev)
+    q_fine = _bracket_functional(c_fine, delay, fine_grid)
     rng = substream(seed, 0x1A7E)
     brackets = np.empty(intensity_draws)
+    gap = 0.0  # sum of bracket - half-step bracket over the first chunk
     for start in range(0, intensity_draws, _OUTER_CHUNK):
         rows = min(_OUTER_CHUNK, intensity_draws - start)
-        levels = intensity_model.log_levels(grid, rng.standard_normal((rows, grid.n_cells)))
+        levels = intensity_model.draw_log_levels(grid, rng, rows)
         for part, mu, gamma in hazard_chunks(grid, levels):
-            surv = np.exp(-gamma)
-            chunk = _cell_masses(surv) @ q
-            if delay.alpha0 > 0.0:
-                chunk = chunk + delay.alpha0 * ((surv * mu) @ c)
+            chunk = _brackets(mu, gamma, q, c, delay.alpha0)
             brackets[start + part.start : start + part.stop] = chunk
+            if start == 0:
+                mu_fine = _half_step_rates(mu)
+                fine = _brackets(mu_fine, trapezoid_hazard(fine_grid, mu_fine), q_fine, c_fine,
+                                 delay.alpha0)
+                gap += float(np.sum(chunk - fine))
     mean_bracket = float(np.mean(brackets))
     se_bracket = float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))
     unreported = n * mean_bracket
     diagnostics["intensity_draws"] = int(intensity_draws)
     diagnostics["outer_std_error"] = n * se_bracket
+    # Richardson estimate, as in the deterministic branch, from the mean
+    # half-step gap of the first chunk's paths.
+    estimate_draws = min(_OUTER_CHUNK, intensity_draws)
+    diagnostics["error_estimate_draws"] = estimate_draws
+    diagnostics["unreported_error_estimate"] = n * (4.0 / 3.0) * abs(gap / estimate_draws)
     total = reported_component + unreported
     return ReserveResult(as_of=t, horizon=T, reported_component=reported_component,
                          unreported_component=unreported, total=total,

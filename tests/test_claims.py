@@ -31,10 +31,14 @@ from claimflow.claims import (
     STREAM_DELAY,
     STREAM_DEVELOPMENT,
     STREAM_FIRST_MARK,
+    _bucket,
     _crossing_times,
+    _hazard_guide,
     _invert_gamma_rows,
     _lower_bound,
+    _path_guide,
 )
+from claimflow.intensity import trapezoid_hazard
 from claimflow._rng import substream
 
 
@@ -107,6 +111,64 @@ def test_shared_hazard_search_matches_searchsorted(n_nodes):
     order = rng.permutation(len(e))[: 4 * (len(e) // 4)]
     blocks = _invert_gamma_rows(gamma, grid.points, e[order].reshape(4, -1))
     assert np.array_equal(blocks, times[order].reshape(4, -1))
+
+
+def _guide_case(case):
+    grid = TimeGrid.regular(2.0, step=2.0 / 730)
+    mu = {
+        "constant": np.ones(len(grid.points)),
+        "stiff": np.full(len(grid.points), 1e4),
+        "all-zero": np.zeros(len(grid.points)),
+        # A zero rate over (0.5, 1.5): half the nodes share one bucket.
+        "zero-stretch": np.where((grid.points > 0.5) & (grid.points < 1.5), 0.0, 1.0),
+    }[case]
+    return grid, IntensityPath(grid=grid, mu=mu, gamma=trapezoid_hazard(grid, mu))
+
+
+@pytest.mark.parametrize("case", ["constant", "stiff", "zero-stretch", "all-zero"])
+def test_guide_table_search_matches_scalar_inverter(case):
+    # The one-hazard branch starts each bisection from its threshold's
+    # bucket of the path's memoized guide table.  Indices equal
+    # searchsorted's and times the scalar inverter's, for thresholds at 0,
+    # at every node, at Gamma_T, one ulp above it and beyond it.
+    grid, path = _guide_case(case)
+    gamma = path.gamma
+    guide = _path_guide(path)
+    assert _path_guide(path) is guide
+    total = gamma[-1]
+    e = np.concatenate([[0.0, total, np.nextafter(total, np.inf), 1.5 * total + 1.0], gamma,
+                        np.random.default_rng(3).uniform(0.0, 1.2 * total, size=300)])
+    idx = guide.base.take(_bucket(e, guide.scale, len(guide.base) - 1))
+    _lower_bound(gamma, e, idx, guide.width)
+    assert np.array_equal(idx, gamma.searchsorted(e))
+    out = _invert_gamma_rows(gamma, grid.points, e, guide=guide)
+    assert np.array_equal(out, [invert_hazard(path, float(x)) for x in e])
+    widest = {"constant": 3, "stiff": 3, "zero-stretch": 366, "all-zero": 731}
+    assert guide.width <= widest[case]
+    if case == "zero-stretch":
+        assert guide.width > 300
+
+
+def test_guide_table_of_an_overflowed_hazard():
+    # A hazard that overflows to inf (a rate near 1e308) puts every finite
+    # threshold in the first bucket; the search still finds searchsorted's
+    # index, warning-free.
+    gamma = np.full(731, np.inf)
+    gamma[:3] = (0.0, 0.0, 1.0)
+    guide = _hazard_guide(gamma)
+    e = np.array([0.0, 0.5, 1.0, 2.0, 1e300])
+    idx = guide.base.take(_bucket(e, guide.scale, len(guide.base) - 1))
+    _lower_bound(gamma, e, idx, guide.width)
+    assert np.array_equal(idx, gamma.searchsorted(e))
+
+
+def test_simulate_portfolio_builds_the_guide_table_once():
+    path = simulate_intensity_path(ConstantIntensity(1.0), TimeGrid.regular(2.0))
+    args = (DelayLaw(alpha0=1.0), MarkLaw(mean=1.0), DevelopmentLaw(rate=0.0, mark=MarkLaw(mean=1.0)))
+    first = simulate_portfolio(2, path, *args, horizon=2.0, seed=1)
+    guide = path._memo["guide"]
+    assert simulate_portfolio(2, path, *args, horizon=2.0, seed=1) == first
+    assert path._memo["guide"] is guide
 
 
 def test_accident_times_follow_exponential_law():

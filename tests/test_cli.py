@@ -417,6 +417,42 @@ def test_coarse_grid_mismatch_exits_one_naming_grid_step(tmp_path, capsys):
     assert report["analytic"]["diagnostics"]["unreported_error_estimate"] > report["mc"]["std_error"]
 
 
+#: The log-OU book of the stochastic_validate benchmark workload at seed 11.
+_STOCHASTIC_BOOK = {
+    "schema_version": 1,
+    "seed": 11,
+    "intensity": {"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": 0.0, "vol": 0.5, "init": 1.0},
+    "delay": {"alpha0": 0.2, "density": {"kind": "exponential", "rate": 2.0}},
+    "first_mark": {"mean": 1.0, "kind": "exponential"},
+    "development": {"rate": 1.5, "mark_mean": 0.5, "mark_kind": "exponential"},
+    "market": {"kind": "deterministic", "level": 1.0},
+    "portfolio": {"n": 64},
+    "valuation": {"t": 0.0, "T": 1.0},
+    "mc": {"n_paths": 32768, "antithetic": False, "intensity_draws": 8192},
+}
+
+
+@pytest.mark.parametrize("step, code", [(0.5, 1), (0.25, 1), (1.0 / 365.0, 0)],
+                         ids=["0.5", "0.25", "daily"])
+def test_log_ou_quadrature_estimate_names_grid_step(tmp_path, capsys, step, code):
+    # The stochastic reserve's half-step estimate (2.76 and 0.69) explains
+    # its misses of z = -47.3 and -10.6 at steps 0.5 and 0.25, so the run
+    # blames the grid instead of exiting 2.  At the daily step the estimate
+    # (8e-5) is far below the oracle's standard error (0.05).
+    config = _write(tmp_path, {**_STOCHASTIC_BOOK, "grid": {"step": step}})
+    assert _run_main(config, tmp_path / "out", "--validate") == code
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    diagnostics = report["analytic"]["diagnostics"]
+    assert diagnostics["error_estimate_draws"] == 1024
+    if code == 1:
+        assert "config error at grid.step" in capsys.readouterr().err
+        assert report["comparison"]["passed"] is False
+        assert diagnostics["unreported_error_estimate"] > report["mc"]["std_error"]
+    else:
+        assert report["comparison"]["passed"] is True
+        assert diagnostics["unreported_error_estimate"] < 0.01 * report["mc"]["std_error"]
+
+
 def test_run_missing_file_exits_one(tmp_path, capsys):
     assert run_scenario(tmp_path / "nope.json", tmp_path) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -161,6 +161,25 @@ def test_hazard_chunks_match_path_major_reference(model, rows):
     assert np.all(seen == 1)
 
 
+@pytest.mark.parametrize("model", [
+    LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
+    LogOUIntensity(mean_rev=0.0, long_run_log_level=-0.7, vol=0.5, init=2.5),
+], ids=["mean-reverting", "driftless"])
+@pytest.mark.parametrize("rows", ["1", "chunk-1", "chunk", "2chunk", "2chunk+5"])
+def test_drawn_levels_equal_one_normals_draw(model, rows):
+    # Normals drawn a few paths at a time into the levels equal one
+    # (paths, cells) draw fed to log_levels, bit for bit, and leave the
+    # generator where the one draw leaves it.
+    grid = TimeGrid.regular(1.0)
+    chunk = _hazard_chunk_rows(grid)
+    n_paths = {"1": 1, "chunk-1": chunk - 1, "chunk": chunk, "2chunk": 2 * chunk,
+               "2chunk+5": 2 * chunk + 5}[rows]
+    one, streamed = np.random.default_rng(5), np.random.default_rng(5)
+    expected = model.log_levels(grid, one.standard_normal((n_paths, grid.n_cells)))
+    assert _same_bits(model.draw_log_levels(grid, streamed, n_paths), expected)
+    assert streamed.random() == one.random()
+
+
 def test_trapezoid_order_on_smooth_rate():
     # Frozen (zero-vol) exponential-OU rate is smooth, so halving the step
     # divides the hazard error by about four.

@@ -29,8 +29,8 @@ from claimflow import (
     reserve,
 )
 from claimflow.claims import _BISECT_CHUNK, _invert_gamma_rows
-from claimflow.market import constant_level
-from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _block_paths, _brownian_at_events
+from claimflow.intensity import _hazard_chunk_rows, trapezoid_hazard
+from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _brownian_at_events, _log_ou_accidents
 
 
 def _config(**overrides):
@@ -179,6 +179,12 @@ def _pinned_configs():
             n_policies=3, t=0.5, delay=DelayLaw(alpha0=0.3, density=ExponentialDelay(2.0)),
             development=DevelopmentLaw(rate=1.0, mark=MarkLaw(mean=0.5)),
             market=DeterministicDeflator(1.1), n_paths=3000, seed=9, conditioning=1),
+        "log_ou_correlated": _config(
+            n_policies=8, intensity=log_ou, n_paths=BLOCK_SIZE + 904, seed=4,
+            market=MartingaleDeflator(init=1.0, vol=0.2, corr_with_intensity=0.5)),
+        "log_ou_correlated_antithetic": _config(
+            n_policies=8, intensity=log_ou, n_paths=BLOCK_SIZE + 904, seed=4, antithetic=True,
+            market=MartingaleDeflator(init=1.0, vol=0.3, corr_with_intensity=-0.4)),
     }
 
 
@@ -187,12 +193,16 @@ def _pinned_configs():
     ("constant_level", "0x1.d58d477b0da6dp+1", "0x1.27b2ef2ac6f73p-5"),
     ("flat_martingale", "0x1.5b2225995eff0p+2", "0x1.1b6473a4817f7p-4"),
     ("conditional", "0x1.ef2609c2b4066p-1", "0x1.14bbf3a6cb236p-5"),
+    ("log_ou_correlated", "0x1.1fb104f95516dp+2", "0x1.53a144e19e940p-5"),
+    ("log_ou_correlated_antithetic", "0x1.199bc3621aa9fp+2", "0x1.42e1a936451ccp-5"),
 ])
 def test_oracle_numbers_are_pinned(name, mean, std_error):
     # The draw layout and the arithmetic of a block, bit for bit: a log-OU
     # book over two blocks (per-row hazard inversion), a constant
     # deterministic and a zero-volatility martingale deflator, the three
-    # delay layouts (alpha0 in (0, 1), 0 and 1) and a conditional run.
+    # delay layouts (alpha0 in (0, 1), 0 and 1), a conditional run, and a
+    # deflator correlated with a log-OU intensity, plain and antithetic,
+    # whose block draws the intensity normals as one array.
     # Thread invariance cannot see a change in these numbers; this can.
     config = _pinned_configs()[name]
     estimate = mc_reserve(config)
@@ -262,21 +272,48 @@ def _sample_brownian(times_per_row, n_rows, seed=4, antithetic=False):
 
 def test_log_ou_block_peak_memory():
     # One 4,096-path block of the stochastic_validate book at n = 64.  The
-    # time-major builder keeps at most two block-sized arrays beside the
-    # hazard; a path-major build with whole-block rate and increments
-    # arrays peaked at about 5x one (4,096 x 366) float64 array.
+    # block's normals go straight into the time-major levels and each
+    # hazard chunk is inverted as it is built, so the levels are its one
+    # (nodes, paths) array and the peak stays below two of them.  Drawing
+    # the normals as one array beside the levels peaked at 2.1 of them.
     config = _config(
         n_policies=64, intensity=LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
         development=DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="exponential")),
         n_paths=BLOCK_SIZE, seed=3)
-    grid = config.grid()
     tracemalloc.start()
     try:
-        _block_paths(config, grid, 0, None, constant_level(config.market))
+        mc_reserve(config, threads=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * BLOCK_SIZE * len(grid.points) * 8
+    assert peak < 2 * BLOCK_SIZE * len(config.grid().points) * 8
+
+
+@pytest.mark.parametrize("correlated", [False, True], ids=["independent", "correlated"])
+def test_streamed_accident_times_match_whole_block_inversion(correlated):
+    # The log-OU stage against its one-array reference: the block's normals
+    # in one draw, the (paths, nodes) hazard of all its paths, then one
+    # inversion.  Path counts straddle the chunk size, and about a third of
+    # the thresholds lie above their row's Gamma_T and map to inf.
+    market = (MartingaleDeflator(init=1.0, vol=0.2, corr_with_intensity=0.5) if correlated
+              else DeterministicDeflator(1.0))
+    model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+    config = _config(n_policies=9, intensity=model, market=market)
+    grid = config.grid()
+    chunk = _hazard_chunk_rows(grid)
+    for n_block in (chunk - 1, 2 * chunk + 7):
+        rng = np.random.default_rng(n_block)
+        normals = rng.standard_normal((n_block, grid.n_cells))
+        gamma = trapezoid_hazard(grid, np.exp(model.log_levels(grid, normals).T))
+        e = rng.exponential(size=(n_block, config.n_policies))
+        expected = _invert_gamma_rows(gamma, grid.points, e)
+        assert 0.1 < np.mean(np.isinf(expected)) < 0.9
+        z_mu, tau0 = _log_ou_accidents(config, grid, np.random.default_rng(n_block), n_block)
+        assert np.array_equal(tau0, expected)
+        if correlated:
+            assert np.array_equal(z_mu, normals)
+        else:
+            assert z_mu is None
 
 
 def test_event_brownian_has_brownian_covariance():

@@ -620,6 +620,34 @@ def test_stochastic_reserve_chunks_match_one_pass(alpha0):
         assert (result.total, result.diagnostics["outer_std_error"]) == expected
 
 
+@pytest.mark.parametrize("draws", [2, 1023, 1024, 2049])
+def test_stochastic_error_estimate_matches_one_pass_half_step(draws):
+    # The Richardson estimate reads the first chunk's paths (the first
+    # min(draws, 1024) draws) on the half-step grid: the same levels, the
+    # rate linearly interpolated at the midpoints, and the fine grid's own
+    # payout weights.  Chunked, it matches that one-pass computation.
+    model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+    delay, fm, dev = DelayLaw(alpha0=0.2, density=ExponentialDelay(2.0)), MarkLaw(mean=1.0), _book()[2]
+    grid = TimeGrid.regular(1.0, step=1 / 52)
+    fine_grid = TimeGrid.regular(1.0, step=1 / 104)
+    state = PortfolioState.from_counts(0.0, 64, 0)
+    result = reserve(state, model, delay, fm, dev, 1.0, grid=grid, intensity_draws=draws, seed=3)
+    k = min(draws, _OUTER_CHUNK)
+    mu = np.exp(model.log_level_paths(grid, substream(3, 0x1A7E).standard_normal((k, grid.n_cells))))
+    mu_fine = np.empty((k, fine_grid.n_cells + 1))
+    mu_fine[:, 0::2] = mu
+    mu_fine[:, 1::2] = 0.5 * (mu[:, :-1] + mu[:, 1:])
+    gaps = 0.0
+    for g, rates, sign in ((grid, mu, 1.0), (fine_grid, mu_fine, -1.0)):
+        c = _unreported_integrand_weights(g, g.n_cells, fm, dev)
+        surv = np.exp(-trapezoid_hazard(g, rates))
+        brackets = _cell_masses(surv) @ _bracket_functional(c, delay, g) + 0.2 * ((surv * rates) @ c)
+        gaps = gaps + sign * brackets
+    assert result.diagnostics["error_estimate_draws"] == k
+    assert result.diagnostics["unreported_error_estimate"] == pytest.approx(
+        64 * (4.0 / 3.0) * abs(float(np.mean(gaps))), rel=1e-9)
+
+
 _STOCHASTIC_SCENARIO = {
     "schema_version": 1,
     "seed": 3,
