@@ -13,7 +13,7 @@ first report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np

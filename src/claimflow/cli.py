@@ -12,6 +12,15 @@ oracle, or both with a cross-check) and writes
   backlog probability and the no-accident probability on the grid
   (RFC 4180, 12 significant digits).
 
+``parse_config`` checks each field and bounds the grid, then builds one
+``ScenarioConfig``: an ``McConfig``, the book both legs read, plus four CLI
+fields (``sha256``, ``intensity_draws``, ``report_name``, ``curve_name``).
+``McConfig`` refuses each cross-field contradiction once, as a
+``SchemaError`` naming the config field.  Under ``--validate`` or
+``--mc-only``, ``check_oracle_bounds`` (which ``mc_reserve`` also
+enforces) refuses a book too large for the oracle before any pricing;
+``--analytic-only`` never calls it.
+
 Exit codes: 0 success, 1 config error naming the field (also a regime that
 no requested leg can price, or a failed comparison whose quadrature error
 estimate exceeds the oracle's standard error: ``grid.step``), 2 failed
@@ -48,8 +57,16 @@ from .intensity import (
     is_deterministic,
     simulate_intensity_path,
 )
-from .market import DeterministicDeflator, MarketModel, MartingaleDeflator, constant_level
-from .mc import BLOCK_SIZE, Z_THRESHOLD, McConfig, compare, mc_reserve
+from .market import DeterministicDeflator, MarketModel, MartingaleDeflator
+from .mc import (
+    BLOCK_SIZE,
+    MAX_PATH_GRID_VALUES,
+    Z_THRESHOLD,
+    McConfig,
+    check_oracle_bounds,
+    compare,
+    mc_reserve,
+)
 from .pricing import (
     ibnr_probability,
     reporting_cdf,
@@ -71,13 +88,6 @@ _MISSING = object()
 #: The analytic run at this size takes about 6 s and 250 MB.
 MAX_GRID_CELLS = 1 << 19
 
-#: Most values (128 MiB of float64) in one per-path array: policies x paths
-#: per Monte Carlo block for the oracle, and under a log-OU intensity also
-#: cells x paths per block (the block's log-levels, and its normals under a
-#: correlated deflator) and cells x intensity draws for the stochastic
-#: reserve.
-MAX_PATH_GRID_VALUES = 1 << 24
-
 #: Largest mean of a first or development mark.  A sampled mark exceeds its
 #: mean by at most about e^(z^2 / 2) < 1e18 (lognormal, |z| <= 9; an
 #: exponential by about 37), and so does a martingale deflator's ratio.  So
@@ -87,27 +97,19 @@ MAX_PATH_GRID_VALUES = 1 << 24
 MAX_MARK_MEAN = 1e100
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated scenario: parsed model objects plus the config fingerprint."""
+@dataclass(frozen=True, kw_only=True)
+class ScenarioConfig(McConfig):
+    """Validated scenario: an ``McConfig``, the book both legs read, plus the
+    CLI's own fields; ``conditioning`` is None for a valuation at t = 0."""
 
     sha256: str
-    seed: int
-    grid_step: float
-    intensity: IntensityModel
-    delay: DelayLaw
-    first_mark: MarkLaw
-    development: DevelopmentLaw
-    market: MarketModel
-    n_policies: int
-    reported_count: int
-    t: float
-    T: float
-    n_paths: int
-    antithetic: bool
     intensity_draws: int
     report_name: str
     curve_name: str
+
+    @property
+    def reported_count(self) -> int:
+        return 0 if self.conditioning is None else self.conditioning
 
 
 # ---------------------------------------------------------------------------
@@ -298,29 +300,16 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
     market = _parse_market(root.get("market"))
-    if (isinstance(market, MartingaleDeflator) and market.corr_with_intensity != 0.0
-            and is_deterministic(intensity)):
-        raise SchemaError("market.corr_with_intensity",
-                          "must be 0 unless the intensity is a stochastic log_ou")
 
     pf_node = root["portfolio"]
     _check_keys(pf_node, "portfolio", ("n",), ("reported_count",))
     n_policies = _integer(pf_node, "n", "portfolio", lo=0)
     reported_count = _integer(pf_node, "reported_count", "portfolio", lo=0, default=0)
-    if reported_count > n_policies:
-        raise SchemaError("portfolio.reported_count", f"exceeds portfolio size {n_policies}")
 
     val_node = root["valuation"]
     _check_keys(val_node, "valuation", ("T",), ("t",))
     t = _number(val_node, "t", "valuation", lo=0.0, default=0.0)
     T = _number(val_node, "T", "valuation", lo=0.0, strict_lo=True)
-    if t > T:
-        raise SchemaError("valuation.t", f"must be <= T = {T}, got {t}")
-    if t == 0.0 and reported_count > 0:
-        raise SchemaError("portfolio.reported_count", "must be 0 when valuing at t = 0")
-    if t > 0.0 and not is_deterministic(intensity):
-        raise SchemaError("valuation.t", "must be 0 under a stochastic log_ou intensity: "
-                                         "no pricing leg conditions on a partial intensity history")
 
     # The grid has round(T / step) cells (TimeGrid.regular); bound them
     # before anything is allocated.
@@ -336,12 +325,6 @@ def parse_config(text: str) -> ScenarioConfig:
     antithetic = mc_node.get("antithetic", False)
     if not isinstance(antithetic, bool):
         raise SchemaError("mc.antithetic", f"expected a boolean, got {antithetic!r}")
-    if antithetic:
-        if not (isinstance(market, MartingaleDeflator) and market.vol > 0.0):
-            raise SchemaError("mc.antithetic", "needs a martingale deflator with market.vol > 0: "
-                                               "antithetic variates mirror its draws")
-        if n_paths % 2 != 0:
-            raise SchemaError("mc.n_paths", f"must be even under mc.antithetic, got {n_paths}")
     intensity_draws = _integer(mc_node, "intensity_draws", "mc", lo=2, default=8192)
     if isinstance(intensity, LogOUIntensity):
         rows = min(BLOCK_SIZE, n_paths)
@@ -367,7 +350,7 @@ def parse_config(text: str) -> ScenarioConfig:
         development=development,
         market=market,
         n_policies=n_policies,
-        reported_count=reported_count,
+        conditioning=None if (t == 0.0 and reported_count == 0) else reported_count,
         t=t,
         T=T,
         n_paths=n_paths,
@@ -401,26 +384,6 @@ def _finite(x: float) -> float | str:
     return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
 
 
-def _oracle_refusal(cfg: ScenarioConfig, conditioning: int | None) -> str | None:
-    """``field: reason`` for a config only the closed form can price, else None."""
-    if cfg.n_paths > MAX_PATH_GRID_VALUES:
-        return (f"mc.n_paths: {cfg.n_paths} paths exceed {MAX_PATH_GRID_VALUES} values "
-                f"per path array")
-    rows = min(BLOCK_SIZE, cfg.n_paths)
-    if cfg.n_policies * rows > MAX_PATH_GRID_VALUES:
-        return (f"portfolio.n: {cfg.n_policies} policies x {rows} Monte Carlo paths per block "
-                f"exceed {MAX_PATH_GRID_VALUES} values per path array")
-    # Development events per block, one entry each in the oracle's arrays.
-    dev_events = cfg.n_policies * rows * cfg.development.rate * cfg.T
-    if dev_events > MAX_PATH_GRID_VALUES:
-        return (f"development.rate: {cfg.n_policies} policies x {rows} Monte Carlo paths per "
-                f"block x rate {cfg.development.rate:g} x T = {cfg.T:g} expect {dev_events:.6g} "
-                f"development events per block, over {MAX_PATH_GRID_VALUES} values per path array")
-    if conditioning is not None and constant_level(cfg.market) is None:
-        return "market.vol: must be 0 for the Monte Carlo oracle at valuation.t > 0"
-    return None
-
-
 def run_scenario(
     config_path: str | Path,
     out_dir: str | Path = ".",
@@ -446,18 +409,17 @@ def run_scenario(
     try:
         cfg = parse_config(text)
     except SchemaError as exc:
-        print(f"config error at {exc.field}: {exc.args[0][len(exc.field) + 2:]}", file=sys.stderr)
+        print(f"config error at {exc}", file=sys.stderr)
         return 1
-
-    conditioning = None if (cfg.t == 0.0 and cfg.reported_count == 0) else cfg.reported_count
     if oracle:
-        refusal = _oracle_refusal(cfg, conditioning)
-        if refusal is not None:
-            print(f"config error at {refusal} (--analytic-only prices it)", file=sys.stderr)
+        try:
+            check_oracle_bounds(cfg)
+        except SchemaError as exc:
+            print(f"config error at {exc} (--analytic-only prices it)", file=sys.stderr)
             return 1
 
     out_dir = Path(out_dir)
-    grid = TimeGrid.regular(cfg.T, step=cfg.grid_step)
+    grid = cfg.grid()
     stochastic = not is_deterministic(cfg.intensity)
     curve_seed = substream(cfg.seed, _STREAM_CURVE) if stochastic else 0
     curve_path = simulate_intensity_path(cfg.intensity, grid, seed=curve_seed)
@@ -489,12 +451,7 @@ def run_scenario(
     if oracle:
         t0 = time.perf_counter()
         try:
-            mc_estimate = mc_reserve(McConfig(
-                n_policies=cfg.n_policies, t=cfg.t, T=cfg.T, intensity=cfg.intensity,
-                delay=cfg.delay, first_mark=cfg.first_mark, development=cfg.development,
-                market=cfg.market, n_paths=cfg.n_paths, seed=cfg.seed,
-                grid_step=cfg.grid_step, conditioning=conditioning, antithetic=cfg.antithetic),
-                threads=threads)
+            mc_estimate = mc_reserve(cfg, threads=threads)
         except ClaimflowError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -21,11 +21,19 @@ mapped over a thread pool, so the estimate is bitwise identical for any
 thread count, and the draw layout inside a block is fixed by the
 configuration and the seed alone.
 
-``mc_reserve`` is the one entry point.  At t = 0 it averages every path
-(or every antithetic pair).  With ``conditioning`` set it buckets paths by
-the realized reported count at the valuation time; under a deterministic
-intensity and deflator the bucket mean is an unbiased estimate of the
-reserve given that count, by exchangeability of the homogeneous portfolio.
+``McConfig`` is the one record of a book (the CLI's ``ScenarioConfig`` is
+an ``McConfig`` plus four CLI fields).  Its constructor refuses each
+cross-field contradiction as a ``SchemaError`` naming the config field.
+
+``mc_reserve`` is the one entry point.  It first calls
+``check_oracle_bounds``, which refuses a book too large for the oracle's
+arrays, or a moving deflator at t > 0, before anything is allocated; the
+CLI's ``--analytic-only`` never calls it.  At t = 0 ``mc_reserve``
+averages every path (or every antithetic pair).  With ``conditioning``
+set it buckets paths by the realized reported count at the valuation
+time; under a deterministic intensity and deflator the bucket mean is an
+unbiased estimate of the reserve given that count, by exchangeability of
+the homogeneous portfolio.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .claims import DelayLaw, DevelopmentLaw, MarkLaw, _HazardGuide, _hazard_guide, _invert_gamma_rows
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError, InsufficientDataError, SchemaError
 from .grids import DEFAULT_STEP, TimeGrid
 from .intensity import IntensityModel, LogOUIntensity, hazard_chunks, is_deterministic, simulate_intensity_path
 from .market import DeterministicDeflator, MarketModel, MartingaleDeflator, constant_level
@@ -52,6 +60,13 @@ _STREAM_MC_BLOCK = 0xB10C
 
 #: Largest |z| at which the analytic reserve and the oracle agree.
 Z_THRESHOLD = 3.0
+
+#: Most values (128 MiB of float64) in one per-path array: policies x paths
+#: per Monte Carlo block for the oracle, and under a log-OU intensity also
+#: cells x paths per block (the block's log-levels, and its normals under a
+#: correlated deflator) and cells x intensity draws for the stochastic
+#: reserve.
+MAX_PATH_GRID_VALUES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -73,32 +88,32 @@ class McConfig:
     antithetic: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_policies < 0:
-            raise ConfigurationError("portfolio size must be >= 0")
+        n, k, t, T, market = self.n_policies, self.conditioning, self.t, self.T, self.market
+        if n < 0:
+            raise SchemaError("portfolio.n", f"must be >= 0, got {n}")
         if self.n_paths < 100:
-            raise ConfigurationError(f"need at least 100 paths, got {self.n_paths}")
-        if not 0.0 <= self.t <= self.T:
-            raise ConfigurationError(f"need 0 <= t <= T, got t={self.t}, T={self.T}")
-        if self.conditioning is None:
-            if self.t != 0.0:
-                raise ConfigurationError("unconditional valuation is supported at t = 0 only")
-        else:
-            if not 0 <= self.conditioning <= self.n_policies:
-                raise ConfigurationError(
-                    f"target reported count {self.conditioning} outside [0, {self.n_policies}]")
-            if not is_deterministic(self.intensity):
-                raise ConfigurationError("conditioning on the reported count needs a deterministic intensity")
-            if constant_level(self.market) is None:
-                raise ConfigurationError("conditioning on the reported count needs a deterministic deflator")
-        if isinstance(self.market, MartingaleDeflator) and self.market.corr_with_intensity != 0.0:
-            if is_deterministic(self.intensity):
-                raise ConfigurationError("deflator correlation requires a stochastic intensity")
+            raise SchemaError("mc.n_paths", f"must be >= 100, got {self.n_paths}")
+        if (isinstance(market, MartingaleDeflator) and market.corr_with_intensity != 0.0
+                and is_deterministic(self.intensity)):
+            raise SchemaError("market.corr_with_intensity",
+                              "must be 0 unless the intensity is a stochastic log_ou")
+        if k is not None and not 0 <= k <= n:
+            raise SchemaError("portfolio.reported_count", f"must be in [0, portfolio size {n}], got {k}")
+        if not 0.0 <= t <= T:
+            raise SchemaError("valuation.t", f"must be in [0, T = {T}], got {t}")
+        if t == 0.0 and k:
+            raise SchemaError("portfolio.reported_count", "must be 0 when valuing at t = 0")
+        if t > 0.0 and k is None:
+            raise SchemaError("portfolio.reported_count", "must be set when valuing at t > 0")
+        if t > 0.0 and not is_deterministic(self.intensity):
+            raise SchemaError("valuation.t", "must be 0 under a stochastic log_ou intensity: "
+                                             "no pricing leg conditions on a partial intensity history")
         if self.antithetic:
-            if not (isinstance(self.market, MartingaleDeflator) and self.market.vol > 0.0):
-                raise ConfigurationError("antithetic variates act on deflator draws; "
-                                         "the deflator must be stochastic")
+            if not (isinstance(market, MartingaleDeflator) and market.vol > 0.0):
+                raise SchemaError("mc.antithetic", "needs a martingale deflator with market.vol > 0: "
+                                                   "antithetic variates mirror its draws")
             if self.n_paths % 2 != 0:
-                raise ConfigurationError("antithetic pairing needs an even path count")
+                raise SchemaError("mc.n_paths", f"must be even under mc.antithetic, got {self.n_paths}")
 
     def grid(self) -> TimeGrid:
         return TimeGrid.regular(self.T, step=self.grid_step)
@@ -277,8 +292,7 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
     dev = config.development
     dev_times, dev_marks, dev_rows = np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)
     if dev.rate > 0.0 and n > 0:
-        horizon = np.clip(T - tau1, 0.0, None)
-        horizon = np.where(np.isfinite(horizon), horizon, 0.0)
+        horizon = np.clip(T - tau1, 0.0, None)  # 0 for a claim never reported (inf)
         counts = rng.poisson(dev.rate * horizon)
         total = int(counts.sum())
         if total > 0:
@@ -337,6 +351,32 @@ def _estimate(samples: np.ndarray) -> McEstimate:
                       ci95=(mean - 1.96 * se, mean + 1.96 * se))
 
 
+def check_oracle_bounds(config: McConfig) -> None:
+    """Refuse, as ``SchemaError``, a book the closed form prices but the oracle cannot.
+
+    The oracle holds one entry per path, per policy and path of a block, and
+    per development event of a block; each count is held to
+    ``MAX_PATH_GRID_VALUES`` before anything is allocated.  Its
+    reported-count buckets at t > 0 need a deflator that never moves.
+    """
+    n_paths, n, dev = config.n_paths, config.n_policies, config.development
+    if n_paths > MAX_PATH_GRID_VALUES:
+        raise SchemaError("mc.n_paths", f"{n_paths} paths exceed {MAX_PATH_GRID_VALUES} values "
+                                        f"per path array")
+    rows = min(BLOCK_SIZE, n_paths)
+    if n * rows > MAX_PATH_GRID_VALUES:
+        raise SchemaError("portfolio.n", f"{n} policies x {rows} Monte Carlo paths per block "
+                                         f"exceed {MAX_PATH_GRID_VALUES} values per path array")
+    dev_events = n * rows * dev.rate * config.T
+    if dev_events > MAX_PATH_GRID_VALUES:
+        raise SchemaError("development.rate",
+                          f"{n} policies x {rows} Monte Carlo paths per block x rate {dev.rate:g} "
+                          f"x T = {config.T:g} expect {dev_events:.6g} development events per "
+                          f"block, over {MAX_PATH_GRID_VALUES} values per path array")
+    if config.t > 0.0 and constant_level(config.market) is None:
+        raise SchemaError("market.vol", "must be 0 for the Monte Carlo oracle at valuation.t > 0")
+
+
 def mc_reserve(config: McConfig, threads: int = 1) -> McEstimate:
     """Value of the payments in (t, T], real units, estimated by the oracle.
 
@@ -345,8 +385,10 @@ def mc_reserve(config: McConfig, threads: int = 1) -> McEstimate:
     the standard error is computed on pair means.  With
     ``config.conditioning`` set, paths are bucketed by the reported count
     at t and the target bucket's statistics are returned; it needs at
-    least 100 paths (``InsufficientDataError``).
+    least 100 paths (``InsufficientDataError``).  A book beyond
+    ``check_oracle_bounds`` is refused before anything is allocated.
     """
+    check_oracle_bounds(config)
     payoffs, reported = _run_blocks(config, threads)
     if config.antithetic:
         payoffs = 0.5 * (payoffs[0::2] + payoffs[1::2])

@@ -14,7 +14,7 @@ import json
 import math
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -31,12 +31,11 @@ from .claims import (
 from .grids import DEFAULT_STEP, TimeGrid
 from .intensity import (
     ConstantIntensity,
-    IntensityModel,
     LogOUIntensity,
     PiecewiseConstantIntensity,
     simulate_intensity_path,
 )
-from .market import DeterministicDeflator, MarketModel, MartingaleDeflator
+from .market import DeterministicDeflator, MartingaleDeflator
 from .mc import McConfig, compare, mc_reserve
 from .pricing import (
     reporting_cdf,
@@ -234,74 +233,64 @@ def check_accident_independence() -> list[CheckResult]:
 
 @dataclass(frozen=True)
 class AgreementCase:
-    """One analytic-vs-oracle configuration of the regression suite."""
+    """One analytic-vs-oracle configuration of the regression suite: a book
+    valued at t = 0 by both legs."""
 
     name: str
-    n_policies: int
-    horizon: float
-    intensity: IntensityModel
-    delay: DelayLaw
-    first_mark: MarkLaw
-    development: DevelopmentLaw
-    market: MarketModel
-    seed: int
+    book: McConfig
     intensity_draws: int = 8192
 
     def analytic(self):
-        state = PortfolioState.from_counts(0.0, self.n_policies, 0)
-        return reserve(state, self.intensity, self.delay, self.first_mark,
-                       self.development, self.horizon, market=self.market,
-                       intensity_draws=self.intensity_draws, seed=self.seed + 1)
+        b = self.book
+        state = PortfolioState.from_counts(0.0, b.n_policies, 0)
+        return reserve(state, b.intensity, b.delay, b.first_mark, b.development, b.T,
+                       market=b.market, intensity_draws=self.intensity_draws, seed=b.seed + 1)
 
     def mc(self, threads: int = 1, n_paths: int = 100_000):
-        config = McConfig(
-            n_policies=self.n_policies, t=0.0, T=self.horizon, intensity=self.intensity,
-            delay=self.delay, first_mark=self.first_mark, development=self.development,
-            market=self.market, n_paths=n_paths, seed=self.seed)
-        return mc_reserve(config, threads=threads)
+        return mc_reserve(replace(self.book, n_paths=n_paths), threads=threads)
 
 
 AGREEMENT_CASES: tuple[AgreementCase, ...] = (
-    AgreementCase(
-        name="life_reduction", n_policies=1, horizon=1.0,
+    AgreementCase("life_reduction", McConfig(
+        n_policies=1, t=0.0, T=1.0,
         intensity=ConstantIntensity(1.0), delay=DelayLaw(alpha0=1.0),
         first_mark=MarkLaw(mean=1.0),
         development=DevelopmentLaw(rate=0.0, mark=MarkLaw(mean=1.0)),
-        market=DeterministicDeflator(1.0), seed=101),
-    AgreementCase(
-        name="pure_delay_ibnr", n_policies=5, horizon=1.0,
+        market=DeterministicDeflator(1.0), seed=101)),
+    AgreementCase("pure_delay_ibnr", McConfig(
+        n_policies=5, t=0.0, T=1.0,
         intensity=ConstantIntensity(1.0),
         delay=DelayLaw(alpha0=0.0, density=ExponentialDelay(2.0)),
         first_mark=MarkLaw(mean=1.0, kind="exponential"),
         development=DevelopmentLaw(rate=0.0, mark=MarkLaw(mean=1.0)),
-        market=DeterministicDeflator(1.0), seed=102),
-    AgreementCase(
-        name="development_heavy", n_policies=5, horizon=2.0,
+        market=DeterministicDeflator(1.0), seed=102)),
+    AgreementCase("development_heavy", McConfig(
+        n_policies=5, t=0.0, T=2.0,
         intensity=ConstantIntensity(1.0), delay=DelayLaw(alpha0=1.0),
         first_mark=MarkLaw(mean=1.0),
         development=DevelopmentLaw(rate=2.0, mark=MarkLaw(mean=0.5, kind="exponential")),
-        market=DeterministicDeflator(1.0), seed=103),
-    AgreementCase(
-        name="mixed", n_policies=10, horizon=2.0,
+        market=DeterministicDeflator(1.0), seed=103)),
+    AgreementCase("mixed", McConfig(
+        n_policies=10, t=0.0, T=2.0,
         intensity=PiecewiseConstantIntensity(breakpoints=(1.0,), rates=(0.8, 1.2)),
         delay=DelayLaw(alpha0=0.3, density=ExponentialDelay(1.5)),
         first_mark=MarkLaw(mean=2.0, kind="exponential"),
         development=DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.8, kind="lognormal", sigma_ln=0.5)),
-        market=DeterministicDeflator(1.0), seed=104),
-    AgreementCase(
-        name="stochastic_intensity", n_policies=5, horizon=2.0,
+        market=DeterministicDeflator(1.0), seed=104)),
+    AgreementCase("stochastic_intensity", McConfig(
+        n_policies=5, t=0.0, T=2.0,
         intensity=LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
         delay=DelayLaw(alpha0=0.2, density=ExponentialDelay(2.0)),
         first_mark=MarkLaw(mean=1.0, kind="exponential"),
         development=DevelopmentLaw(rate=1.0, mark=MarkLaw(mean=0.5, kind="lognormal", sigma_ln=0.5)),
-        market=DeterministicDeflator(1.0), seed=105, intensity_draws=32768),
-    AgreementCase(
-        name="martingale_deflator", n_policies=5, horizon=1.5,
+        market=DeterministicDeflator(1.0), seed=105), intensity_draws=32768),
+    AgreementCase("martingale_deflator", McConfig(
+        n_policies=5, t=0.0, T=1.5,
         intensity=ConstantIntensity(1.0),
         delay=DelayLaw(alpha0=0.0, density=ExponentialDelay(2.0)),
         first_mark=MarkLaw(mean=1.0, kind="exponential"),
         development=DevelopmentLaw(rate=1.0, mark=MarkLaw(mean=0.5, kind="exponential")),
-        market=MartingaleDeflator(init=1.0, vol=0.3), seed=106),
+        market=MartingaleDeflator(init=1.0, vol=0.3), seed=106)),
 )
 
 

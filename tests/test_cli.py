@@ -4,12 +4,26 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import claimflow
-from claimflow import SchemaError, cli, pricing
+from claimflow import (
+    ConstantIntensity,
+    DelayLaw,
+    DeterministicDeflator,
+    DevelopmentLaw,
+    ExponentialDelay,
+    LogOUIntensity,
+    MarkLaw,
+    MartingaleDeflator,
+    McConfig,
+    SchemaError,
+    cli,
+    pricing,
+)
 from claimflow.cli import MAX_GRID_CELLS, MAX_MARK_MEAN, MAX_PATH_GRID_VALUES, main, parse_config, run_scenario
 from claimflow.selftest import run_selftest
 
@@ -294,6 +308,39 @@ def test_oracle_contradiction_exits_one_naming_field(tmp_path, capsys, overrides
     with pytest.raises(SystemExit) as exc:
         main(["run", config, "--out", str(tmp_path / "out"), "--analytic-only"])
     assert exc.value.code == analytic_only_code
+
+
+_BOOK = McConfig(
+    n_policies=3, t=0.0, T=1.0, intensity=ConstantIntensity(1.0),
+    delay=DelayLaw(alpha0=0.2, density=ExponentialDelay(2.0)),
+    first_mark=MarkLaw(mean=1.0, kind="exponential"),
+    development=DevelopmentLaw(rate=1.0, mark=MarkLaw(mean=0.5, kind="exponential")),
+    market=DeterministicDeflator(1.0), n_paths=2000, seed=42)
+_T_HALF = {"valuation": {"t": 0.5, "T": 1.0}}
+
+
+@pytest.mark.parametrize("field, scenario, book", [
+    ("valuation.t", {"valuation": {"t": 1.5, "T": 1.0}}, {"t": 1.5, "conditioning": 0}),
+    ("portfolio.reported_count", {"portfolio": {"n": 3, "reported_count": 4}, **_T_HALF},
+     {"t": 0.5, "conditioning": 4}),
+    ("portfolio.reported_count", {"portfolio": {"n": 3, "reported_count": 1}}, {"conditioning": 1}),
+    ("valuation.t", {"intensity": _LOG_OU, **_AT_HALF},
+     {"intensity": LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
+      "t": 0.5, "conditioning": 1}),
+    ("market.corr_with_intensity", {"market": {**_MARTINGALE, "corr_with_intensity": 0.5}},
+     {"market": MartingaleDeflator(init=1.0, vol=0.2, corr_with_intensity=0.5)}),
+    ("mc.antithetic", {"mc": {"n_paths": 2000, "antithetic": True}}, {"antithetic": True}),
+    ("mc.n_paths", {"market": _MARTINGALE, "mc": {"n_paths": 2001, "antithetic": True}},
+     {"market": MartingaleDeflator(init=1.0, vol=0.2), "n_paths": 2001, "antithetic": True}),
+], ids=["t_after_T", "reported_above_n", "reported_at_zero", "log_ou_after_zero",
+        "corr_deterministic_intensity", "antithetic_constant_deflator", "antithetic_odd_paths"])
+def test_each_contradiction_names_one_field_in_both_entry_points(field, scenario, book):
+    with pytest.raises(SchemaError) as err:
+        parse_config(json.dumps(_scenario(**scenario)))
+    assert err.value.field == field
+    with pytest.raises(SchemaError) as err:
+        replace(_BOOK, **book)
+    assert err.value.field == field
 
 
 def _run_main(config, out, flag):

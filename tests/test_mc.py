@@ -22,12 +22,14 @@ from claimflow import (
     McEstimate,
     PortfolioState,
     ReserveResult,
+    SchemaError,
     compare,
     mc_reserve,
     TimeGrid,
     invert_hazard,
     reserve,
 )
+from claimflow import mc
 from claimflow.claims import _BISECT_CHUNK, _invert_gamma_rows
 from claimflow.intensity import _hazard_chunk_rows, trapezoid_hazard
 from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _brownian_at_events, _log_ou_accidents
@@ -386,9 +388,23 @@ def test_conditional_regime_validation():
     with pytest.raises(ConfigurationError):
         _config(t=0.5, conditioning=1, intensity=stochastic)
     with pytest.raises(ConfigurationError):
-        _config(t=0.5, conditioning=1, market=MartingaleDeflator(init=1.0, vol=0.2))
-    with pytest.raises(ConfigurationError):
         _config(t=0.5, conditioning=5)  # more reported than policies
+    # The closed form prices a moving deflator at t > 0; only the oracle,
+    # which buckets on the reported count, refuses it.
+    moving = _config(t=0.5, conditioning=1, market=MartingaleDeflator(init=1.0, vol=0.2))
+    with pytest.raises(SchemaError) as err:
+        mc_reserve(moving)
+    assert err.value.field == "market.vol"
+
+
+def test_oracle_refuses_an_oversized_book_before_allocating(monkeypatch):
+    # 1e8 policies x 4,000 paths would take 2.9 TiB per block array.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran the oracle on a book beyond its bounds")
+    monkeypatch.setattr(mc, "_run_blocks", forbidden)
+    with pytest.raises(SchemaError) as err:
+        mc_reserve(_config(n_policies=10**8))
+    assert err.value.field == "portfolio.n"
 
 
 def test_conditional_insufficient_data():

@@ -1,5 +1,7 @@
-"""The package's public surface: ``claimflow.__all__``."""
+"""The package's public surface (``claimflow.__all__``) and its imports."""
+import ast
 import inspect
+from pathlib import Path
 
 import claimflow
 
@@ -15,3 +17,28 @@ def test_every_public_import_is_exported():
     public = {name for name, value in vars(claimflow).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public <= set(claimflow.__all__)
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def test_module_level_imports_are_used():
+    package = Path(claimflow.__file__).parent
+    unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_unused_import_gate_sees_an_unused_name():
+    source = "from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int\n"
+    assert _unused_imports(source) == ["field (line 1)"]
