@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SchemaError
 from .intensity import IntensityPath
 from ._rng import Seed, coerce_rng, rekeyable_generator, rekeyed
 
@@ -40,8 +40,8 @@ class ExponentialDelay:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0.0:
-            raise ConfigurationError(f"delay rate must be > 0, got {self.rate}")
+        if not self.rate > 0.0:
+            raise SchemaError("rate", f"must be > 0, got {self.rate}")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -63,10 +63,10 @@ class GammaDelay:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.shape < 1.0:
-            raise ConfigurationError(f"gamma delay shape must be >= 1, got {self.shape}")
-        if self.rate <= 0.0:
-            raise ConfigurationError(f"delay rate must be > 0, got {self.rate}")
+        if not self.shape >= 1.0:
+            raise SchemaError("shape", f"must be >= 1, got {self.shape}")
+        if not self.rate > 0.0:
+            raise SchemaError("rate", f"must be > 0, got {self.rate}")
 
     # cdf and pdf repeat the operations of scipy.stats.gamma(shape, scale=1/rate)
     # in the same order, so the values are bit-identical to it without building
@@ -111,11 +111,11 @@ class DelayLaw:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha0 <= 1.0:
-            raise ConfigurationError(f"alpha0 must be in [0, 1], got {self.alpha0}")
+            raise SchemaError("alpha0", f"must be in [0, 1], got {self.alpha0}")
         if self.alpha0 == 1.0 and self.density is not None:
-            raise ConfigurationError("alpha0 = 1 leaves no mass for a delay density")
+            raise SchemaError("density", "must be null when alpha0 = 1")
         if self.alpha0 < 1.0 and self.density is None:
-            raise ConfigurationError("alpha0 < 1 requires a delay density")
+            raise SchemaError("density", "required when alpha0 < 1")
 
     def cdf(self, x):
         """G(x); 0 for x < 0, alpha0 at 0, continuous beyond."""
@@ -171,12 +171,12 @@ class MarkLaw:
     sigma_ln: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mean <= 0.0:
-            raise ConfigurationError(f"mark mean must be > 0, got {self.mean}")
+        if not self.mean > 0.0:
+            raise SchemaError("mean", f"must be > 0, got {self.mean}")
         if self.kind not in MARK_KINDS:
-            raise ConfigurationError(f"unknown mark kind {self.kind!r}, expected one of {MARK_KINDS}")
-        if self.kind == "lognormal" and self.sigma_ln < 0.0:
-            raise ConfigurationError(f"sigma_ln must be >= 0, got {self.sigma_ln}")
+            raise SchemaError("kind", f"must be one of {MARK_KINDS}, got {self.kind!r}")
+        if not self.sigma_ln >= 0.0:
+            raise SchemaError("sigma_ln", f"must be >= 0, got {self.sigma_ln}")
 
     def sample(self, rng: np.random.Generator, size=None):
         if self.kind == "deterministic":
@@ -203,8 +203,8 @@ class DevelopmentLaw:
     mark: MarkLaw
 
     def __post_init__(self) -> None:
-        if self.rate < 0.0:
-            raise ConfigurationError(f"development rate must be >= 0, got {self.rate}")
+        if not self.rate >= 0.0:
+            raise SchemaError("rate", f"must be >= 0, got {self.rate}")
 
     @property
     def mark_mean(self) -> float:

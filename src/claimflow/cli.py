@@ -12,14 +12,15 @@ oracle, or both with a cross-check) and writes
   backlog probability and the no-accident probability on the grid
   (RFC 4180, 12 significant digits).
 
-``parse_config`` checks each field and bounds the grid, then builds one
-``ScenarioConfig``: an ``McConfig``, the book both legs read, plus four CLI
-fields (``sha256``, ``intensity_draws``, ``report_name``, ``curve_name``).
-``McConfig`` refuses each cross-field contradiction once, as a
-``SchemaError`` naming the config field.  Under ``--validate`` or
-``--mc-only``, ``check_oracle_bounds`` (which ``mc_reserve`` also
-enforces) refuses a book too large for the oracle before any pricing;
-``--analytic-only`` never calls it.
+``parse_config`` only translates JSON (shapes, types, finiteness, each
+``kind``) into one ``ScenarioConfig``: an ``McConfig``, the book both legs
+read, plus four CLI fields (``sha256``, ``intensity_draws``,
+``report_name``, ``curve_name``).  Each bound is stated once, as a
+``SchemaError``, by the record that owns its field; a law record's refusal
+of its attribute is re-raised under the field's JSON path.  Under
+``--validate`` or ``--mc-only``, ``check_oracle_bounds`` (which
+``mc_reserve`` also enforces) refuses a book too large for the oracle
+before any pricing; ``--analytic-only`` never calls it.
 
 Exit codes: 0 success, 1 config error naming the field (also a regime that
 no requested leg can price, or a failed comparison whose quadrature error
@@ -39,15 +40,10 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .claims import DelayLaw, DevelopmentLaw, ExponentialDelay, GammaDelay, MarkLaw, PortfolioState
-from .errors import (
-    ClaimflowError,
-    ConfigurationError,
-    SchemaError,
-    UnsupportedRegimeError,
-)
+from .errors import ClaimflowError, SchemaError, UnsupportedRegimeError
 from .grids import DEFAULT_STEP, TimeGrid
 from .intensity import (
     ConstantIntensity,
@@ -59,7 +55,6 @@ from .intensity import (
 )
 from .market import DeterministicDeflator, MarketModel, MartingaleDeflator
 from .mc import (
-    BLOCK_SIZE,
     MAX_PATH_GRID_VALUES,
     Z_THRESHOLD,
     McConfig,
@@ -84,18 +79,6 @@ _STREAM_CURVE = 0xC4E
 
 _MISSING = object()
 
-#: Most grid cells a config may ask for: an hourly grid over about 60 years.
-#: The analytic run at this size takes about 6 s and 250 MB.
-MAX_GRID_CELLS = 1 << 19
-
-#: Largest mean of a first or development mark.  A sampled mark exceeds its
-#: mean by at most about e^(z^2 / 2) < 1e18 (lognormal, |z| <= 9; an
-#: exponential by about 37), and so does a martingale deflator's ratio.  So
-#: a payoff stays below payments x 1e136, and the sum of squares in the
-#: oracle's standard error below paths x payments^2 x 1e272: finite for
-#: up to 1e36 paths x payments^2, beyond any book the other bounds admit.
-MAX_MARK_MEAN = 1e100
-
 
 @dataclass(frozen=True, kw_only=True)
 class ScenarioConfig(McConfig):
@@ -106,6 +89,17 @@ class ScenarioConfig(McConfig):
     intensity_draws: int
     report_name: str
     curve_name: str
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        draws = self.intensity_draws
+        if not draws >= 2:
+            raise SchemaError("mc.intensity_draws", f"must be >= 2, got {draws}")
+        if isinstance(self.intensity, LogOUIntensity):
+            cells = self.grid().n_cells
+            if cells * draws > MAX_PATH_GRID_VALUES:
+                raise SchemaError("mc.intensity_draws", f"{cells} grid cells x {draws} draws exceed "
+                                                        f"{MAX_PATH_GRID_VALUES} values per path array")
 
     @property
     def reported_count(self) -> int:
@@ -138,61 +132,56 @@ def _is_finite_number(value: Any) -> bool:
         return False
 
 
-def _number(node: dict, key: str, where: str, *, lo: float | None = None,
-            hi: float | None = None, strict_lo: bool = False,
-            default: Any = _MISSING) -> float:
+def _field(node: dict, key: str, where: str, default: Any, valid: Callable[[Any], bool],
+           expected: str) -> Any:
+    """``node[key]``, refused unless ``valid``, or ``default`` if it is absent."""
     if key not in node:
         if default is _MISSING:
             raise SchemaError(f"{where}.{key}", "missing required field")
         return default
-    value = node[key]
-    if not _is_finite_number(value):
-        raise SchemaError(f"{where}.{key}", f"expected a finite number, got {value!r}")
-    value = float(value)
-    if lo is not None and (value <= lo if strict_lo else value < lo):
-        bound = f"> {lo}" if strict_lo else f">= {lo}"
-        raise SchemaError(f"{where}.{key}", f"must be {bound}, got {value}")
-    if hi is not None and value > hi:
-        raise SchemaError(f"{where}.{key}", f"must be <= {hi}, got {value}")
-    return value
+    if not valid(node[key]):
+        raise SchemaError(f"{where}.{key}", f"expected {expected}, got {node[key]!r}")
+    return node[key]
 
 
-def _integer(node: dict, key: str, where: str, *, lo: int | None = None,
-             default: Any = _MISSING) -> int:
-    if key not in node:
-        if default is _MISSING:
-            raise SchemaError(f"{where}.{key}", "missing required field")
-        return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}.{key}", f"expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise SchemaError(f"{where}.{key}", f"must be >= {lo}, got {value}")
-    return value
+def _number(node: dict, key: str, where: str, *, default: Any = _MISSING) -> float:
+    return float(_field(node, key, where, default, _is_finite_number, "a finite number"))
 
 
-def _string(node: dict, key: str, where: str, *, choices: tuple[str, ...] | None = None,
-            default: Any = _MISSING) -> str:
-    if key not in node:
-        if default is _MISSING:
-            raise SchemaError(f"{where}.{key}", "missing required field")
-        return default
-    value = node[key]
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}.{key}", f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise SchemaError(f"{where}.{key}", f"must be one of {choices}, got {value!r}")
-    return value
+def _integer(node: dict, key: str, where: str, *, default: Any = _MISSING) -> int:
+    return _field(node, key, where, default, lambda v: isinstance(v, int) and not isinstance(v, bool),
+                  "an integer")
+
+
+def _string(node: dict, key: str, where: str, *, default: Any = _MISSING) -> str:
+    return _field(node, key, where, default, lambda v: isinstance(v, str), "a string")
+
+
+def _kind(node: Any, where: str, choices: tuple[str, ...]) -> str:
+    """The ``kind`` of an object that dispatches on it."""
+    if not isinstance(node, dict):
+        raise SchemaError(where, f"expected an object, got {type(node).__name__}")
+    kind = _string(node, "kind", where)
+    if kind not in choices:
+        raise SchemaError(f"{where}.kind", f"must be one of {choices}, got {kind!r}")
+    return kind
+
+
+def _build(where: str, record: type, keys: dict[str, str], **values: Any) -> Any:
+    """``record(**values)``, its refusal of an attribute re-raised under the
+    JSON path ``where`` + the attribute's key (``keys``, by default its name)."""
+    try:
+        return record(**values)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}.{keys.get(exc.field, exc.field)}", exc.reason) from None
 
 
 def _parse_intensity(node: Any) -> IntensityModel:
     where = "intensity"
-    if not isinstance(node, dict):
-        raise SchemaError(where, "expected an object")
-    kind = _string(node, "kind", where, choices=("constant", "piecewise", "log_ou"))
+    kind = _kind(node, where, ("constant", "piecewise", "log_ou"))
     if kind == "constant":
         _check_keys(node, where, ("kind", "mu"))
-        return ConstantIntensity(mu=_number(node, "mu", where, lo=0.0))
+        return _build(where, ConstantIntensity, {}, mu=_number(node, "mu", where))
     if kind == "piecewise":
         _check_keys(node, where, ("kind", "breakpoints", "rates"))
         bp = node["breakpoints"]
@@ -201,73 +190,59 @@ def _parse_intensity(node: Any) -> IntensityModel:
             raise SchemaError(f"{where}.breakpoints", "expected a list of finite numbers")
         if not isinstance(ra, list) or not all(map(_is_finite_number, ra)):
             raise SchemaError(f"{where}.rates", "expected a list of finite numbers")
-        try:
-            return PiecewiseConstantIntensity(breakpoints=tuple(bp), rates=tuple(ra))
-        except ConfigurationError as exc:
-            raise SchemaError(where, str(exc)) from exc
-    _check_keys(node, where, ("kind", "mean_rev", "long_run_log_level", "vol", "init"))
-    return LogOUIntensity(
-        mean_rev=_number(node, "mean_rev", where, lo=0.0),
-        long_run_log_level=_number(node, "long_run_log_level", where),
-        vol=_number(node, "vol", where, lo=0.0),
-        init=_number(node, "init", where, lo=0.0, strict_lo=True),
-    )
+        return _build(where, PiecewiseConstantIntensity, {}, breakpoints=tuple(bp), rates=tuple(ra))
+    names = ("mean_rev", "long_run_log_level", "vol", "init")
+    _check_keys(node, where, ("kind", *names))
+    return _build(where, LogOUIntensity, {}, **{key: _number(node, key, where) for key in names})
 
 
 def _parse_delay(node: Any) -> DelayLaw:
     where = "delay"
     _check_keys(node, where, ("alpha0",), ("density",))
-    alpha0 = _number(node, "alpha0", where, lo=0.0, hi=1.0)
+    alpha0 = _number(node, "alpha0", where)
     density_node = node.get("density")
-    if density_node is None:
-        if alpha0 != 1.0:
-            raise SchemaError(f"{where}.density", "required when alpha0 < 1")
-        return DelayLaw(alpha0=1.0)
-    dwhere = f"{where}.density"
-    kind = _string(density_node, "kind", dwhere, choices=("exponential", "gamma"))
-    if kind == "exponential":
-        _check_keys(density_node, dwhere, ("kind", "rate"))
-        density = ExponentialDelay(rate=_number(density_node, "rate", dwhere, lo=0.0, strict_lo=True))
-    else:
-        _check_keys(density_node, dwhere, ("kind", "shape", "rate"))
-        density = GammaDelay(
-            shape=_number(density_node, "shape", dwhere, lo=1.0),
-            rate=_number(density_node, "rate", dwhere, lo=0.0, strict_lo=True),
-        )
-    if alpha0 == 1.0:
-        raise SchemaError(f"{where}.density", "must be null when alpha0 = 1")
-    return DelayLaw(alpha0=alpha0, density=density)
+    density = None
+    if density_node is not None:
+        dwhere = f"{where}.density"
+        if _kind(density_node, dwhere, ("exponential", "gamma")) == "exponential":
+            _check_keys(density_node, dwhere, ("kind", "rate"))
+            density = _build(dwhere, ExponentialDelay, {}, rate=_number(density_node, "rate", dwhere))
+        else:
+            _check_keys(density_node, dwhere, ("kind", "shape", "rate"))
+            density = _build(dwhere, GammaDelay, {}, shape=_number(density_node, "shape", dwhere),
+                             rate=_number(density_node, "rate", dwhere))
+    return _build(where, DelayLaw, {}, alpha0=alpha0, density=density)
 
 
-def _parse_mark(node: Any, where: str, mean_key: str = "mean") -> MarkLaw:
-    kind = _string(node, "kind" if mean_key == "mean" else "mark_kind", where,
-                   choices=("deterministic", "exponential", "lognormal"),
-                   default="deterministic")
-    return MarkLaw(
-        mean=_number(node, mean_key, where, lo=0.0, strict_lo=True, hi=MAX_MARK_MEAN),
-        kind=kind,
-        sigma_ln=_number(node, "sigma_ln", where, lo=0.0, default=0.0),
-    )
+def _parse_mark(node: Any, where: str) -> MarkLaw:
+    # The development section prefixes its mark's mean and kind with "mark_".
+    keys = {"mean": "mark_mean", "kind": "mark_kind"} if where == "development" else {}
+    return _build(where, MarkLaw, keys,
+                  mean=_number(node, keys.get("mean", "mean"), where),
+                  kind=_string(node, keys.get("kind", "kind"), where, default="deterministic"),
+                  sigma_ln=_number(node, "sigma_ln", where, default=0.0))
 
 
 def _parse_market(node: Any) -> MarketModel:
     where = "market"
     if node is None:
         return DeterministicDeflator(1.0)
-    kind = _string(node, "kind", where, choices=("deterministic", "martingale"))
-    if kind == "deterministic":
+    if _kind(node, where, ("deterministic", "martingale")) == "deterministic":
         _check_keys(node, where, ("kind",), ("level",))
-        return DeterministicDeflator(level=_number(node, "level", where, lo=0.0, strict_lo=True, default=1.0))
+        return _build(where, DeterministicDeflator, {}, level=_number(node, "level", where, default=1.0))
     _check_keys(node, where, ("kind", "init", "vol"), ("corr_with_intensity",))
-    return MartingaleDeflator(
-        init=_number(node, "init", where, lo=0.0, strict_lo=True),
-        vol=_number(node, "vol", where, lo=0.0),
-        corr_with_intensity=_number(node, "corr_with_intensity", where, lo=-1.0, hi=1.0, default=0.0),
-    )
+    return _build(where, MartingaleDeflator, {},
+                  init=_number(node, "init", where),
+                  vol=_number(node, "vol", where),
+                  corr_with_intensity=_number(node, "corr_with_intensity", where, default=0.0))
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Validate a scenario config; unknown fields are rejected."""
+    """Translate a scenario config into a ``ScenarioConfig``; unknown fields are rejected.
+
+    Checks JSON shape, types and finiteness and dispatches on each ``kind``;
+    every bound is the record's own (see the module docstring).
+    """
     try:
         root = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
@@ -279,11 +254,11 @@ def parse_config(text: str) -> ScenarioConfig:
     version = _integer(root, "schema_version", "<config>")
     if version != SCHEMA_VERSION:
         raise SchemaError("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
-    seed = _integer(root, "seed", "<config>", lo=0)
+    seed = _integer(root, "seed", "<config>")
 
     grid_node = root.get("grid", {})
     _check_keys(grid_node, "grid", (), ("step",))
-    grid_step = _number(grid_node, "step", "grid", lo=0.0, strict_lo=True, default=DEFAULT_STEP)
+    grid_step = _number(grid_node, "step", "grid", default=DEFAULT_STEP)
 
     intensity = _parse_intensity(root["intensity"])
     delay = _parse_delay(root["delay"])
@@ -294,46 +269,26 @@ def parse_config(text: str) -> ScenarioConfig:
 
     dev_node = root["development"]
     _check_keys(dev_node, "development", ("rate", "mark_mean"), ("mark_kind", "sigma_ln"))
-    development = DevelopmentLaw(
-        rate=_number(dev_node, "rate", "development", lo=0.0),
-        mark=_parse_mark(dev_node, "development", mean_key="mark_mean"),
-    )
+    development = _build("development", DevelopmentLaw, {}, rate=_number(dev_node, "rate", "development"),
+                         mark=_parse_mark(dev_node, "development"))
 
     market = _parse_market(root.get("market"))
 
     pf_node = root["portfolio"]
     _check_keys(pf_node, "portfolio", ("n",), ("reported_count",))
-    n_policies = _integer(pf_node, "n", "portfolio", lo=0)
-    reported_count = _integer(pf_node, "reported_count", "portfolio", lo=0, default=0)
+    n_policies = _integer(pf_node, "n", "portfolio")
+    reported_count = _integer(pf_node, "reported_count", "portfolio", default=0)
 
     val_node = root["valuation"]
     _check_keys(val_node, "valuation", ("T",), ("t",))
-    t = _number(val_node, "t", "valuation", lo=0.0, default=0.0)
-    T = _number(val_node, "T", "valuation", lo=0.0, strict_lo=True)
-
-    # The grid has round(T / step) cells (TimeGrid.regular); bound them
-    # before anything is allocated.
-    ratio = T / grid_step
-    cells = max(1, round(ratio)) if math.isfinite(ratio) else math.inf
-    if cells > MAX_GRID_CELLS:
-        raise SchemaError("grid.step", f"valuation.T / grid.step = {ratio:.6g} grid cells "
-                                       f"exceeds the limit of {MAX_GRID_CELLS}")
+    t = _number(val_node, "t", "valuation", default=0.0)
+    T = _number(val_node, "T", "valuation")
 
     mc_node = root.get("mc", {})
     _check_keys(mc_node, "mc", (), ("n_paths", "antithetic", "intensity_draws"))
-    n_paths = _integer(mc_node, "n_paths", "mc", lo=100, default=100_000)
-    antithetic = mc_node.get("antithetic", False)
-    if not isinstance(antithetic, bool):
-        raise SchemaError("mc.antithetic", f"expected a boolean, got {antithetic!r}")
-    intensity_draws = _integer(mc_node, "intensity_draws", "mc", lo=2, default=8192)
-    if isinstance(intensity, LogOUIntensity):
-        rows = min(BLOCK_SIZE, n_paths)
-        if cells * rows > MAX_PATH_GRID_VALUES:
-            raise SchemaError("grid.step", f"{cells} grid cells x {rows} Monte Carlo paths per block "
-                                           f"exceed {MAX_PATH_GRID_VALUES} values per path array")
-        if cells * intensity_draws > MAX_PATH_GRID_VALUES:
-            raise SchemaError("mc.intensity_draws", f"{cells} grid cells x {intensity_draws} draws "
-                                                    f"exceed {MAX_PATH_GRID_VALUES} values per path array")
+    n_paths = _integer(mc_node, "n_paths", "mc", default=100_000)
+    antithetic = _field(mc_node, "antithetic", "mc", False, lambda v: isinstance(v, bool), "a boolean")
+    intensity_draws = _integer(mc_node, "intensity_draws", "mc", default=8192)
 
     out_node = root.get("output", {})
     _check_keys(out_node, "output", (), ("report", "curve"))

@@ -14,15 +14,16 @@ class ConfigurationError(ClaimflowError):
 
 
 class SchemaError(ConfigurationError):
-    """A scenario config file failed validation.
+    """A field failed validation: ``field`` names it, ``reason`` says why.
 
-    Carries the dotted path of the offending field so the CLI can point
-    at it in diagnostics.
+    A law record names its own attribute (``rate``); ``McConfig`` and the
+    CLI name the dotted config path (``delay.density.rate``).
     """
 
-    def __init__(self, field: str, message: str):
+    def __init__(self, field: str, reason: str):
         self.field = field
-        super().__init__(f"{field}: {message}")
+        self.reason = reason
+        super().__init__(f"{field}: {reason}")
 
 
 class UnsupportedRegimeError(ClaimflowError):

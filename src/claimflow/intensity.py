@@ -20,7 +20,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SchemaError
 from .grids import TimeGrid
 from ._rng import coerce_rng, Seed
 
@@ -32,8 +32,8 @@ class ConstantIntensity:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.mu < 0.0:
-            raise ConfigurationError(f"intensity must be >= 0, got {self.mu}")
+        if not self.mu >= 0.0:
+            raise SchemaError("mu", f"must be >= 0, got {self.mu}")
 
     def values(self, grid: TimeGrid, rng: np.random.Generator | None = None) -> np.ndarray:
         return np.full(len(grid.points), float(self.mu))
@@ -56,13 +56,13 @@ class PiecewiseConstantIntensity:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "rates", ra)
         if len(ra) != len(bp) + 1:
-            raise ConfigurationError("need exactly one more rate than breakpoints")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ConfigurationError("breakpoints must be strictly increasing")
-        if bp and bp[0] <= 0.0:
-            raise ConfigurationError("breakpoints must be > 0")
-        if any(r < 0.0 for r in ra):
-            raise ConfigurationError("rates must be >= 0")
+            raise SchemaError("rates", "need exactly one more rate than breakpoints")
+        if not all(b2 > b1 for b1, b2 in zip(bp, bp[1:])):
+            raise SchemaError("breakpoints", f"must be strictly increasing, got {list(bp)}")
+        if bp and not bp[0] > 0.0:
+            raise SchemaError("breakpoints", f"must be > 0, got {list(bp)}")
+        if not all(r >= 0.0 for r in ra):
+            raise SchemaError("rates", f"must be >= 0, got {list(ra)}")
 
     def rate_at(self, t: np.ndarray | float) -> np.ndarray:
         idx = np.searchsorted(np.asarray(self.breakpoints), t, side="right")
@@ -85,12 +85,12 @@ class LogOUIntensity:
     init: float
 
     def __post_init__(self) -> None:
-        if self.mean_rev < 0.0:
-            raise ConfigurationError(f"mean reversion must be >= 0, got {self.mean_rev}")
-        if self.vol < 0.0:
-            raise ConfigurationError(f"volatility must be >= 0, got {self.vol}")
-        if self.init <= 0.0:
-            raise ConfigurationError(f"initial rate must be > 0, got {self.init}")
+        if not self.mean_rev >= 0.0:
+            raise SchemaError("mean_rev", f"must be >= 0, got {self.mean_rev}")
+        if not self.vol >= 0.0:
+            raise SchemaError("vol", f"must be >= 0, got {self.vol}")
+        if not self.init > 0.0:
+            raise SchemaError("init", f"must be > 0, got {self.init}")
 
     def step_params(self, dt: float) -> tuple[float, float]:
         """Exact one-step transition: decay factor and innovation std dev."""

@@ -17,7 +17,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .claims import ClaimRecord
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SchemaError
 from .grids import TimeGrid
 from ._rng import Seed, coerce_rng
 
@@ -29,8 +29,8 @@ class DeterministicDeflator:
     level: Union[float, Callable[[float], float]] = 1.0
 
     def __post_init__(self) -> None:
-        if not callable(self.level) and self.level <= 0.0:
-            raise ConfigurationError(f"deflator level must be > 0, got {self.level}")
+        if not callable(self.level) and not self.level > 0.0:
+            raise SchemaError("level", f"must be > 0, got {self.level}")
 
     @property
     def is_constant(self) -> bool:
@@ -60,12 +60,12 @@ class MartingaleDeflator:
     corr_with_intensity: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.init <= 0.0:
-            raise ConfigurationError(f"initial deflator must be > 0, got {self.init}")
-        if self.vol < 0.0:
-            raise ConfigurationError(f"deflator volatility must be >= 0, got {self.vol}")
+        if not self.init > 0.0:
+            raise SchemaError("init", f"must be > 0, got {self.init}")
+        if not self.vol >= 0.0:
+            raise SchemaError("vol", f"must be >= 0, got {self.vol}")
         if not -1.0 <= self.corr_with_intensity <= 1.0:
-            raise ConfigurationError("correlation must lie in [-1, 1]")
+            raise SchemaError("corr_with_intensity", f"must be in [-1, 1], got {self.corr_with_intensity}")
 
     def paths_from_normals(self, grid: TimeGrid, normals: np.ndarray) -> np.ndarray:
         """Exact lognormal steps with drift -vol^2/2, so each step has mean one."""

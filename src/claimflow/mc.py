@@ -23,7 +23,8 @@ configuration and the seed alone.
 
 ``McConfig`` is the one record of a book (the CLI's ``ScenarioConfig`` is
 an ``McConfig`` plus four CLI fields).  Its constructor refuses each
-cross-field contradiction as a ``SchemaError`` naming the config field.
+book-level bound (seed, horizon, grid size, mark means), then each
+cross-field contradiction, as a ``SchemaError`` naming the config field.
 
 ``mc_reserve`` is the one entry point.  It first calls
 ``check_oracle_bounds``, which refuses a book too large for the oracle's
@@ -68,6 +69,18 @@ Z_THRESHOLD = 3.0
 #: reserve.
 MAX_PATH_GRID_VALUES = 1 << 24
 
+#: Most grid cells a book may ask for: an hourly grid over about 60 years.
+#: The analytic run at this size takes about 6 s and 250 MB.
+MAX_GRID_CELLS = 1 << 19
+
+#: Largest mean of a first or development mark.  A sampled mark exceeds its
+#: mean by at most about e^(z^2 / 2) < 1e18 (lognormal, |z| <= 9; an
+#: exponential by about 37), and so does a martingale deflator's ratio.  So
+#: a payoff stays below payments x 1e136, and the sum of squares in the
+#: oracle's standard error below paths x payments^2 x 1e272: finite for
+#: up to 1e36 paths x payments^2, beyond any book the other bounds admit.
+MAX_MARK_MEAN = 1e100
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -89,6 +102,25 @@ class McConfig:
 
     def __post_init__(self) -> None:
         n, k, t, T, market = self.n_policies, self.conditioning, self.t, self.T, self.market
+        if not self.seed >= 0:
+            raise SchemaError("seed", f"must be >= 0, got {self.seed}")
+        if not self.grid_step > 0.0:
+            raise SchemaError("grid.step", f"must be > 0, got {self.grid_step}")
+        if not 0.0 < T < math.inf:
+            raise SchemaError("valuation.T", f"must be finite and > 0, got {T}")
+        ratio = T / self.grid_step  # TimeGrid.regular makes round(ratio) cells
+        cells = max(1, round(ratio)) if math.isfinite(ratio) else math.inf
+        if cells > MAX_GRID_CELLS:
+            raise SchemaError("grid.step", f"valuation.T / grid.step = {ratio:.6g} grid cells "
+                                           f"exceeds the limit of {MAX_GRID_CELLS}")
+        rows = min(BLOCK_SIZE, self.n_paths)
+        if isinstance(self.intensity, LogOUIntensity) and cells * rows > MAX_PATH_GRID_VALUES:
+            raise SchemaError("grid.step", f"{cells} grid cells x {rows} Monte Carlo paths per block "
+                                           f"exceed {MAX_PATH_GRID_VALUES} values per path array")
+        for field, mean in (("first_mark.mean", self.first_mark.mean),
+                            ("development.mark_mean", self.development.mark_mean)):
+            if not mean <= MAX_MARK_MEAN:
+                raise SchemaError(field, f"must be <= {MAX_MARK_MEAN}, got {mean}")
         if n < 0:
             raise SchemaError("portfolio.n", f"must be >= 0, got {n}")
         if self.n_paths < 100:

@@ -1,4 +1,5 @@
 """Scenario configs, report files, exit codes."""
+import copy
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import claimflow
 from claimflow import (
@@ -24,7 +26,8 @@ from claimflow import (
     cli,
     pricing,
 )
-from claimflow.cli import MAX_GRID_CELLS, MAX_MARK_MEAN, MAX_PATH_GRID_VALUES, main, parse_config, run_scenario
+from claimflow.cli import main, parse_config, run_scenario
+from claimflow.mc import MAX_GRID_CELLS, MAX_MARK_MEAN, MAX_PATH_GRID_VALUES
 from claimflow.selftest import run_selftest
 
 
@@ -87,6 +90,17 @@ def test_unknown_fields_rejected():
     assert err.value.field == "intensity.nu"
 
 
+@pytest.mark.parametrize("field, override", [
+    ("intensity", {"intensity": "constant"}),
+    ("delay.density", {"delay": {"alpha0": 0.2, "density": ["kind"]}}),
+    ("market", {"market": 5}),
+], ids=["intensity", "density", "market"])
+def test_a_section_that_dispatches_on_kind_must_be_an_object(field, override):
+    with pytest.raises(SchemaError) as err:
+        parse_config(json.dumps(_scenario(**override)))
+    assert err.value.field == field
+
+
 def test_missing_required_field():
     config = _scenario()
     del config["valuation"]
@@ -142,6 +156,40 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, field, override):
     path.write_text(text)
     assert run_scenario(path, tmp_path / "out") == 1
     assert field in capsys.readouterr().err
+
+
+_EXAMPLE = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+
+
+def _number_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _number_paths(value, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+#: A field refused under another field's name: the grid's cell bound names
+#: the step, and alpha0 = 1 contradicts the delay density.
+_NAMED_INSTEAD = {"valuation.T": "grid.step", "delay.alpha0": "delay.density"}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(path=st.sampled_from(sorted(_number_paths(_EXAMPLE))),
+       value=st.floats() | st.integers() | st.sampled_from([10**400, -(10**400)])
+       | st.booleans() | st.none() | st.text(max_size=2))
+def test_one_mutated_number_parses_or_names_its_field(path, value):
+    config = copy.deepcopy(_EXAMPLE)
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        parse_config(json.dumps(config))
+    except SchemaError as exc:
+        field = ".".join(path)
+        # The parser prefixes a top-level key's type error with "<config>.".
+        assert exc.field.removeprefix("<config>.") in (field, _NAMED_INSTEAD.get(field))
 
 
 @pytest.mark.parametrize("literal", ["1e400", "1" * 400], ids=["float", "integer"])

@@ -20,6 +20,7 @@ from claimflow import (
     MartingaleDeflator,
     McConfig,
     McEstimate,
+    PiecewiseConstantIntensity,
     PortfolioState,
     ReserveResult,
     SchemaError,
@@ -405,6 +406,69 @@ def test_oracle_refuses_an_oversized_book_before_allocating(monkeypatch):
     with pytest.raises(SchemaError) as err:
         mc_reserve(_config(n_policies=10**8))
     assert err.value.field == "portfolio.n"
+
+
+_LOG_OU = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+
+
+@pytest.mark.parametrize("field, overrides", [
+    # one block's log-levels: 200,000 cells x 4,096 paths, 819,200,000 values (6.1 GiB)
+    ("grid.step", dict(intensity=_LOG_OU, grid_step=1.0 / 200_000, n_paths=BLOCK_SIZE)),
+    ("grid.step", dict(grid_step=1e-300)),  # 1e300 grid cells
+    ("seed", dict(seed=-1)),  # numpy's seeding refuses a negative seed
+], ids=["log_ou_block", "1e-300", "negative_seed"])
+def test_book_bounds_refuse_a_library_config_before_allocating(monkeypatch, field, overrides):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran the oracle on a book beyond its bounds")
+    monkeypatch.setattr(mc, "_run_blocks", forbidden)
+    with pytest.raises(SchemaError) as err:
+        mc_reserve(_config(**overrides))
+    assert err.value.field == field
+
+
+_LAWS = {
+    ConstantIntensity: dict(mu=1.0),
+    PiecewiseConstantIntensity: dict(breakpoints=(0.5,), rates=(1.0, 2.0)),
+    LogOUIntensity: dict(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
+    ExponentialDelay: dict(rate=2.0),
+    GammaDelay: dict(shape=2.0, rate=2.0),
+    DelayLaw: dict(alpha0=0.2, density=ExponentialDelay(2.0)),
+    MarkLaw: dict(mean=1.0, kind="lognormal", sigma_ln=0.5),
+    DevelopmentLaw: dict(rate=1.0, mark=MarkLaw(mean=0.5)),
+    DeterministicDeflator: dict(level=1.0),
+    MartingaleDeflator: dict(init=1.0, vol=0.2, corr_with_intensity=0.0),
+}
+
+#: (record, attribute, NaN value, out-of-range value) for every bounded field.
+_LAW_BOUNDS = [
+    (ConstantIntensity, "mu", math.nan, -1.0),
+    (PiecewiseConstantIntensity, "breakpoints", (math.nan,), (0.0,)),
+    (PiecewiseConstantIntensity, "rates", (1.0, math.nan), (1.0, -1.0)),
+    (LogOUIntensity, "mean_rev", math.nan, -1.0),
+    (LogOUIntensity, "vol", math.nan, -1.0),
+    (LogOUIntensity, "init", math.nan, 0.0),
+    (ExponentialDelay, "rate", math.nan, 0.0),
+    (GammaDelay, "shape", math.nan, 0.5),
+    (GammaDelay, "rate", math.nan, 0.0),
+    (DelayLaw, "alpha0", math.nan, 1.5),
+    (MarkLaw, "mean", math.nan, 0.0),
+    (MarkLaw, "sigma_ln", math.nan, -1.0),
+    (DevelopmentLaw, "rate", math.nan, -1.0),
+    (DeterministicDeflator, "level", math.nan, 0.0),
+    (MartingaleDeflator, "init", math.nan, 0.0),
+    (MartingaleDeflator, "vol", math.nan, -1.0),
+    (MartingaleDeflator, "corr_with_intensity", math.nan, 1.5),
+]
+
+
+@pytest.mark.parametrize("record, attribute, nan, bad", _LAW_BOUNDS,
+                         ids=[f"{r.__name__}.{a}" for r, a, _, _ in _LAW_BOUNDS])
+def test_each_law_bound_refuses_nan_naming_its_attribute(record, attribute, nan, bad):
+    record(**_LAWS[record])
+    for value in (nan, bad):
+        with pytest.raises(SchemaError) as err:
+            record(**{**_LAWS[record], attribute: value})
+        assert err.value.field == attribute
 
 
 def test_conditional_insufficient_data():

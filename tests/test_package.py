@@ -42,3 +42,43 @@ def test_module_level_imports_are_used():
 def test_unused_import_gate_sees_an_unused_name():
     source = "from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int\n"
     assert _unused_imports(source) == ["field (line 1)"]
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no module
+    of ``sources`` (name -> source) reads, imports or reaches as an attribute."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, node.lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{module}: {name} (line {line})" for module, name, line in defined if name not in used]
+
+
+def test_module_level_private_names_are_used():
+    package = Path(claimflow.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert _dead_private_names(sources) == []
+
+
+def test_dead_name_gate_sees_an_unread_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_SPARE = 4\n\ndef _helper():\n    return _LIMIT\n\nclass _Gone:\n    pass\n",
+        "b.py": "from .a import _helper\n\nvalue = _helper()\n",
+    }
+    assert _dead_private_names(sources) == ["a.py: _SPARE (line 2)", "a.py: _Gone (line 7)"]
