@@ -285,18 +285,61 @@ def _log_ou_accidents(config: McConfig, grid: TimeGrid, rng: np.random.Generator
     return normals, tau0
 
 
+def _accident_times(config: McConfig, grid: TimeGrid, rng: np.random.Generator, n_block: int,
+                    det_hazard: _HazardGuide | None) -> tuple[np.ndarray | None, np.ndarray]:
+    """The intensity normals, if a correlated deflator reads them, and the
+    accident times (paths, policies), inf where a policy has none by T."""
+    if det_hazard is None:
+        return _log_ou_accidents(config, grid, rng, n_block)
+    e = rng.exponential(size=(n_block, config.n_policies))
+    return None, _invert_gamma_rows(det_hazard.gamma, grid.points, e, guide=det_hazard)
+
+
+def _first_reports(config: McConfig, rng: np.random.Generator,
+                   tau1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every policy's first mark, then the first reports in (t, T], row-major:
+    their times, paths and amounts."""
+    x1 = np.asarray(config.first_mark.sample(rng, size=tau1.shape))
+    first = np.flatnonzero((tau1 > config.t) & (tau1 <= config.T))
+    return tau1.take(first), first // config.n_policies, x1.take(first)
+
+
+def _developments(config: McConfig, rng: np.random.Generator,
+                  tau1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Development payments in (t, T]: their times, paths and marks.
+
+    A claim reported at ``tau1 <= T`` pays a Poisson(rate x (T - tau1))
+    number of developments at uniform times in (tau1, T].  The draws are
+    the counts, then the offsets and the marks of every development, kept
+    or not.  No (paths, policies) array outlives the counts.
+    """
+    dev, n = config.development, config.n_policies
+    if not (dev.rate > 0.0 and n > 0):
+        return np.empty(0), np.empty(0, dtype=np.intp), np.empty(0)
+    # A claim never reported (tau1 = inf) has horizon 0.
+    counts = rng.poisson(dev.rate * np.clip(config.T - tau1, 0.0, None)).ravel()
+    claims = np.flatnonzero(counts)
+    cell = np.repeat(claims, counts[claims])  # each development's claim, row-major
+    del counts, claims
+    report = tau1.ravel()[cell]
+    times = (1.0 - rng.random(len(cell))) * np.clip(config.T - report, 0.0, None)
+    times += report
+    keep = times > config.t
+    return times[keep], (cell // n)[keep], np.asarray(dev.mark.sample(rng, size=len(cell)))[keep]
+
+
 def _block_paths(config: McConfig, grid: TimeGrid, block: int,
                  det_hazard: _HazardGuide | None,
                  det_deflator: np.ndarray | float | None) -> tuple[np.ndarray, np.ndarray | None]:
     """Simulate one block; returns (payoffs, reported counts or None).
 
-    Stages: accident times by one inverter (of ``det_hazard``, the guide
-    table of a deterministic hazard, or per path in the log-OU stage),
-    delays, first marks, developments,
-    the block's event list, the deflator at its events, and one
-    ``bincount`` of deflated amounts by path.  The draw order is fixed:
-    intensity normals, accident thresholds, delays
-    (in ``DelayLaw.sample_many``'s layout), first marks, development counts,
+    Stages, each a function whose temporaries die when it returns:
+    accident times by one inverter (of ``det_hazard``, the guide table of a
+    deterministic hazard, or per path in the log-OU stage), delays, first
+    marks, developments, the block's event list, the deflator at its
+    events, and one ``bincount`` of deflated amounts by path.  The draw
+    order is fixed: intensity normals, accident thresholds, delays (in
+    ``DelayLaw.sample_many``'s layout), first marks, development counts,
     offsets and marks, then the deflator: for a martingale deflator
     independent of the intensity one normal per payment event in the
     window, ordered by path (antithetic pair) and then time; for one
@@ -305,50 +348,18 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
     start = block * BLOCK_SIZE
     n_block = min(BLOCK_SIZE, config.n_paths - start)
     rng = substream(config.seed, _STREAM_MC_BLOCK, block)
-    n = config.n_policies
-    t, T = config.t, config.T
-    points = grid.points
-
-    z_mu = None
-    if det_hazard is None:
-        z_mu, tau0 = _log_ou_accidents(config, grid, rng, n_block)
-    else:
-        tau0 = _invert_gamma_rows(det_hazard.gamma, points, rng.exponential(size=(n_block, n)),
-                                  guide=det_hazard)
-
-    tau1 = tau0  # report times, in place of the accident times
-    tau1 += config.delay.sample_many(rng, (n_block, n))
-
-    x1 = np.asarray(config.first_mark.sample(rng, size=(n_block, n)))
-
-    dev = config.development
-    dev_times, dev_marks, dev_rows = np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)
-    if dev.rate > 0.0 and n > 0:
-        horizon = np.clip(T - tau1, 0.0, None)  # 0 for a claim never reported (inf)
-        counts = rng.poisson(dev.rate * horizon)
-        total = int(counts.sum())
-        if total > 0:
-            flat = counts.ravel()
-            cell = np.repeat(np.arange(flat.size), flat)
-            base_tau1 = tau1.ravel()[cell]
-            base_h = horizon.ravel()[cell]
-            offsets = (1.0 - rng.random(total)) * base_h
-            times = base_tau1 + offsets
-            keep = times > t
-            dev_times = times[keep]
-            dev_marks = np.asarray(dev.mark.sample(rng, size=total))[keep]
-            dev_rows = (cell // n)[keep]
-
-    # First reports in the window, row-major, then developments: one event list.
-    first = np.flatnonzero((tau1 > t) & (tau1 <= T))
-    times = np.concatenate((tau1.take(first), dev_times))
-    rows = np.concatenate((first // n, dev_rows))
-    amounts = np.concatenate((x1.take(first), dev_marks))
-    deflator, deflator_at_t = _deflator_values(config, grid, rng, times, rows, z_mu, det_deflator)
-    payoffs = np.bincount(rows, weights=deflator * amounts, minlength=n_block) / deflator_at_t
+    z_mu, tau1 = _accident_times(config, grid, rng, n_block, det_hazard)
+    tau1 += config.delay.sample_many(rng, tau1.shape)  # report times, in place
     reported = None
     if config.conditioning is not None:
-        reported = np.sum(tau1 <= t, axis=1).astype(int)
+        reported = np.sum(tau1 <= config.t, axis=1).astype(int)
+    parts = _first_reports(config, rng, tau1), _developments(config, rng, tau1)
+    del tau1  # from here on a block holds only its payment events
+    # First reports, then developments: one event list.
+    times, rows, amounts = map(np.concatenate, zip(*parts))
+    del parts
+    deflator, deflator_at_t = _deflator_values(config, grid, rng, times, rows, z_mu, det_deflator)
+    payoffs = np.bincount(rows, weights=deflator * amounts, minlength=n_block) / deflator_at_t
     return payoffs, reported
 
 
