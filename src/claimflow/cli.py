@@ -50,6 +50,7 @@ from .intensity import (
     IntensityModel,
     LogOUIntensity,
     PiecewiseConstantIntensity,
+    _OUTER_CHUNK,
     is_deterministic,
     simulate_intensity_path,
 )
@@ -96,10 +97,14 @@ class ScenarioConfig(McConfig):
         if not draws >= 2:
             raise SchemaError("mc.intensity_draws", f"must be >= 2, got {draws}")
         if isinstance(self.intensity, LogOUIntensity):
-            cells = self.grid().n_cells
-            if cells * draws > MAX_PATH_GRID_VALUES:
-                raise SchemaError("mc.intensity_draws", f"{cells} grid cells x {draws} draws exceed "
-                                                        f"{MAX_PATH_GRID_VALUES} values per path array")
+            # One bracket per draw, and one chunk's levels at a time.
+            cells, held = self.grid().n_cells, min(draws, _OUTER_CHUNK)
+            if draws > MAX_PATH_GRID_VALUES:
+                raise SchemaError("mc.intensity_draws", f"{draws} draws exceed {MAX_PATH_GRID_VALUES} "
+                                                        f"values per path array")
+            if cells * held > MAX_PATH_GRID_VALUES:
+                raise SchemaError("mc.intensity_draws", f"{cells} grid cells x {held} draws per chunk "
+                                                        f"exceed {MAX_PATH_GRID_VALUES} values per path array")
 
     @property
     def reported_count(self) -> int:
@@ -110,15 +115,20 @@ class ScenarioConfig(McConfig):
 # Schema validation
 # ---------------------------------------------------------------------------
 
+def _join(where: str, key: str) -> str:
+    """The JSON path of ``key`` in the object at ``where``; a top-level key is bare."""
+    return key if where == "<config>" else f"{where}.{key}"
+
+
 def _check_keys(node: Any, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
     if not isinstance(node, dict):
         raise SchemaError(where, f"expected an object, got {type(node).__name__}")
     for key in node:
         if key not in required and key not in optional:
-            raise SchemaError(f"{where}.{key}", "unknown field")
+            raise SchemaError(_join(where, key), "unknown field")
     for key in required:
         if key not in node:
-            raise SchemaError(f"{where}.{key}", "missing required field")
+            raise SchemaError(_join(where, key), "missing required field")
 
 
 def _is_finite_number(value: Any) -> bool:
@@ -137,10 +147,10 @@ def _field(node: dict, key: str, where: str, default: Any, valid: Callable[[Any]
     """``node[key]``, refused unless ``valid``, or ``default`` if it is absent."""
     if key not in node:
         if default is _MISSING:
-            raise SchemaError(f"{where}.{key}", "missing required field")
+            raise SchemaError(_join(where, key), "missing required field")
         return default
     if not valid(node[key]):
-        raise SchemaError(f"{where}.{key}", f"expected {expected}, got {node[key]!r}")
+        raise SchemaError(_join(where, key), f"expected {expected}, got {node[key]!r}")
     return node[key]
 
 

@@ -248,8 +248,7 @@ def hazard_chunks(grid: TimeGrid, log_levels: np.ndarray
     for bit to the same transforms of the whole path-major array.  No
     rate, increments or hazard array of all the paths ever exists: the
     oracle inverts each chunk's hazard and the stochastic reserve reduces
-    each chunk to its brackets before the next chunk is built.  The
-    levels stay the one (nodes, paths) array.
+    each chunk to its brackets before the next chunk is built.
     """
     n_paths = log_levels.shape[1]
     size = _hazard_chunk_rows(grid)
@@ -257,6 +256,35 @@ def hazard_chunks(grid: TimeGrid, log_levels: np.ndarray
         rows = slice(start, min(start + size, n_paths))
         mu = np.exp(log_levels[:, rows].T)
         yield rows, mu, trapezoid_hazard(grid, mu)
+
+
+#: Paths per chunk of ``draw_hazard_chunks``: the most (nodes, paths)
+#: log-levels the stochastic reserve or a log-OU oracle block holds.
+_OUTER_CHUNK = 1024
+
+
+def draw_hazard_chunks(model: LogOUIntensity, grid: TimeGrid, rng: np.random.Generator, n_paths: int,
+                       normals: np.ndarray | None = None
+                       ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """``hazard_chunks`` of ``n_paths`` fresh log-OU paths, drawn
+    ``_OUTER_CHUNK`` paths at a time.
+
+    Each chunk's levels come from ``draw_log_levels``, and ``rows`` slices
+    all ``n_paths`` paths.  The values, and the generator's state
+    afterwards, equal those of ``log_levels`` of one
+    ``rng.standard_normal((n_paths, n_cells))``, but no (nodes, paths)
+    array larger than one chunk ever exists.  Given those ``normals``, the
+    levels are read from them instead and ``rng`` is not used.
+    """
+    for start in range(0, n_paths, _OUTER_CHUNK):
+        stop = min(start + _OUTER_CHUNK, n_paths)
+        if normals is None:
+            levels = model.draw_log_levels(grid, rng, stop - start)
+        else:
+            levels = model.log_levels(grid, normals[start:stop])
+        for rows, mu, gamma in hazard_chunks(grid, levels):
+            yield slice(start + rows.start, start + rows.stop), mu, gamma
+        del levels  # before the next chunk's levels exist
 
 
 def simulate_intensity_path(model: IntensityModel, grid: TimeGrid, seed: Seed = 0) -> IntensityPath:

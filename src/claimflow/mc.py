@@ -1,25 +1,30 @@
 """Monte Carlo oracle for the reserve: full-scenario brute force.
 
 Each path simulates the intensity, every policy's claim history and the
-deflator.  A block's payments in the valuation window form one event list
-(time, path, amount), first reports then developments; the deflator is
-evaluated at those events and one ``bincount`` sums the deflated amounts
-by path.  A martingale deflator independent of the intensity is sampled
-exactly at the event times, so its cost follows the number of payments
-rather than the grid size.  Accident times come from one inverter,
+deflator.  A block runs in stages, each a function whose temporaries die
+when it returns: accident times, delays, first marks, developments, the
+event list, then the deflator and one ``bincount``.  The block's payments
+in the valuation window form one event list (time, path, amount), first
+reports then developments; the deflator is evaluated at those events and
+one ``bincount`` sums the deflated amounts by path.  A martingale
+deflator independent of the intensity is sampled exactly at the event
+times, so its cost follows the number of payments rather than the grid
+size.  Accident times come from one inverter,
 ``claims._invert_gamma_rows``, whether the hazard is one deterministic
 curve (searched through its guide table, built once per run) or per path.
-Under a log-OU intensity a block draws its normals a few paths at a time
-into its time-major log-levels, the one block-sized array it keeps, then
-builds and inverts its hazards a few cached paths at a time; only a
+Under a log-OU intensity a block draws its accident thresholds, then its
+levels ``_OUTER_CHUNK`` paths at a time (``draw_hazard_chunks``), and
+inverts each hazard chunk a few cached paths at a time as soon as it
+exists, so no array of the block's levels or hazards exists; only a
 deflator correlated with the intensity makes it draw the normals as one
-block-sized array, which the deflator reads.  The inversion is a
+block-sized array, which the deflator reads.  A block's memory thus
+follows its policies and payments, not its grid.  The inversion is a
 bisection made of whole-array numpy passes, which release the GIL, so
-blocks on several threads run side by side.  Paths
-are generated in fixed-size blocks with one RNG substream per block,
-mapped over a thread pool, so the estimate is bitwise identical for any
-thread count, and the draw layout inside a block is fixed by the
-configuration and the seed alone.
+blocks on several threads run side by side.  Paths are generated in
+fixed-size blocks with one RNG substream per block, mapped over a thread
+pool, so the estimate is bitwise identical for any thread count, and the
+draw layout inside a block is fixed by the configuration and the seed
+alone.
 
 ``McConfig`` is the one record of a book (the CLI's ``ScenarioConfig`` is
 an ``McConfig`` plus four CLI fields).  Its constructor refuses each
@@ -49,7 +54,14 @@ import numpy as np
 from .claims import DelayLaw, DevelopmentLaw, MarkLaw, _HazardGuide, _hazard_guide, _invert_gamma_rows
 from .errors import ConfigurationError, InsufficientDataError, SchemaError
 from .grids import DEFAULT_STEP, TimeGrid
-from .intensity import IntensityModel, LogOUIntensity, hazard_chunks, is_deterministic, simulate_intensity_path
+from .intensity import (
+    _OUTER_CHUNK,
+    IntensityModel,
+    LogOUIntensity,
+    draw_hazard_chunks,
+    is_deterministic,
+    simulate_intensity_path,
+)
 from .market import DeterministicDeflator, MarketModel, MartingaleDeflator, constant_level
 from .pricing import ReserveResult
 from ._rng import substream
@@ -63,10 +75,11 @@ _STREAM_MC_BLOCK = 0xB10C
 Z_THRESHOLD = 3.0
 
 #: Most values (128 MiB of float64) in one per-path array: policies x paths
-#: per Monte Carlo block for the oracle, and under a log-OU intensity also
-#: cells x paths per block (the block's log-levels, and its normals under a
-#: correlated deflator) and cells x intensity draws for the stochastic
-#: reserve.
+#: per Monte Carlo block for the oracle.  Under a log-OU intensity also
+#: cells x the paths whose levels are held at once (``_OUTER_CHUNK`` of a
+#: block, or the whole block's normals under a correlated deflator), and
+#: for the stochastic reserve its draws (one bracket each) and cells x the
+#: draws of one chunk.
 MAX_PATH_GRID_VALUES = 1 << 24
 
 #: Most grid cells a book may ask for: an hourly grid over about 60 years.
@@ -80,6 +93,11 @@ MAX_GRID_CELLS = 1 << 19
 #: oracle's standard error below paths x payments^2 x 1e272: finite for
 #: up to 1e36 paths x payments^2, beyond any book the other bounds admit.
 MAX_MARK_MEAN = 1e100
+
+
+def _correlated(market: MarketModel) -> bool:
+    """Whether a martingale deflator shares the intensity's grid noise."""
+    return isinstance(market, MartingaleDeflator) and market.corr_with_intensity != 0.0
 
 
 @dataclass(frozen=True)
@@ -113,10 +131,13 @@ class McConfig:
         if cells > MAX_GRID_CELLS:
             raise SchemaError("grid.step", f"valuation.T / grid.step = {ratio:.6g} grid cells "
                                            f"exceeds the limit of {MAX_GRID_CELLS}")
-        rows = min(BLOCK_SIZE, self.n_paths)
-        if isinstance(self.intensity, LogOUIntensity) and cells * rows > MAX_PATH_GRID_VALUES:
-            raise SchemaError("grid.step", f"{cells} grid cells x {rows} Monte Carlo paths per block "
-                                           f"exceed {MAX_PATH_GRID_VALUES} values per path array")
+        if isinstance(self.intensity, LogOUIntensity):
+            rows = min(BLOCK_SIZE, self.n_paths)
+            if not _correlated(market):
+                rows = min(rows, _OUTER_CHUNK)
+            if cells * rows > MAX_PATH_GRID_VALUES:
+                raise SchemaError("grid.step", f"{cells} grid cells x {rows} Monte Carlo paths held at once "
+                                               f"exceed {MAX_PATH_GRID_VALUES} values per path array")
         for field, mean in (("first_mark.mean", self.first_mark.mean),
                             ("development.mark_mean", self.development.mark_mean)):
             if not mean <= MAX_MARK_MEAN:
@@ -125,8 +146,7 @@ class McConfig:
             raise SchemaError("portfolio.n", f"must be >= 0, got {n}")
         if self.n_paths < 100:
             raise SchemaError("mc.n_paths", f"must be >= 100, got {self.n_paths}")
-        if (isinstance(market, MartingaleDeflator) and market.corr_with_intensity != 0.0
-                and is_deterministic(self.intensity)):
+        if _correlated(market) and is_deterministic(self.intensity):
             raise SchemaError("market.corr_with_intensity",
                               "must be 0 unless the intensity is a stochastic log_ou")
         if k is not None and not 0 <= k <= n:
@@ -257,42 +277,28 @@ def _deflator_values(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
     return _interp_on_paths(times, rows, grid, paths), at_t
 
 
-def _log_ou_accidents(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
-                      n_block: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """A block's intensity normals, if a correlated deflator reads them, and
-    its accident times (paths, policies) under a log-OU intensity.
-
-    Draws the intensity normals, then the accident thresholds.  The normals
-    go a few paths at a time straight into the time-major levels
-    (``draw_log_levels``), unless a correlated deflator needs them as one
-    array.  Each ``hazard_chunks`` chunk is inverted as soon as it exists
-    and its thresholds are overwritten by their accident times.  So the
-    levels are the one block-sized array; neither a (paths, nodes) hazard
-    nor, without a correlated deflator, a block of normals ever exists.
-    """
-    model = config.intensity
-    assert isinstance(model, LogOUIntensity)
-    market = config.market
-    normals = None
-    if isinstance(market, MartingaleDeflator) and market.corr_with_intensity != 0.0:
-        normals = rng.standard_normal((n_block, grid.n_cells))
-        levels = model.log_levels(grid, normals)
-    else:
-        levels = model.draw_log_levels(grid, rng, n_block)
-    tau0 = rng.exponential(size=(n_block, config.n_policies))
-    for rows, _, gamma in hazard_chunks(grid, levels):
-        tau0[rows] = _invert_gamma_rows(gamma, grid.points, tau0[rows])
-    return normals, tau0
-
-
 def _accident_times(config: McConfig, grid: TimeGrid, rng: np.random.Generator, n_block: int,
                     det_hazard: _HazardGuide | None) -> tuple[np.ndarray | None, np.ndarray]:
     """The intensity normals, if a correlated deflator reads them, and the
-    accident times (paths, policies), inf where a policy has none by T."""
-    if det_hazard is None:
-        return _log_ou_accidents(config, grid, rng, n_block)
-    e = rng.exponential(size=(n_block, config.n_policies))
-    return None, _invert_gamma_rows(det_hazard.gamma, grid.points, e, guide=det_hazard)
+    accident times (paths, policies), inf where a policy has none by T.
+
+    Draws the accident thresholds, then under a log-OU intensity its
+    normals: a few paths at a time straight into the levels
+    (``draw_hazard_chunks``), unless a correlated deflator needs them as
+    one array.  Each hazard chunk is inverted as soon as it exists and its
+    thresholds are overwritten by their accident times.  So neither the
+    block's levels nor its hazards, nor without a correlated deflator its
+    normals, ever exist as one array.
+    """
+    tau = rng.exponential(size=(n_block, config.n_policies))
+    if det_hazard is not None:
+        return None, _invert_gamma_rows(det_hazard.gamma, grid.points, tau, guide=det_hazard)
+    normals = None
+    if _correlated(config.market):
+        normals = rng.standard_normal((n_block, grid.n_cells))
+    for rows, _, gamma in draw_hazard_chunks(config.intensity, grid, rng, n_block, normals):
+        tau[rows] = _invert_gamma_rows(gamma, grid.points, tau[rows])
+    return normals, tau
 
 
 def _first_reports(config: McConfig, rng: np.random.Generator,
@@ -338,7 +344,8 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
     deterministic hazard, or per path in the log-OU stage), delays, first
     marks, developments, the block's event list, the deflator at its
     events, and one ``bincount`` of deflated amounts by path.  The draw
-    order is fixed: intensity normals, accident thresholds, delays (in
+    order is fixed: accident thresholds, then under a log-OU intensity its
+    normals (paths, cells) path by path, delays (in
     ``DelayLaw.sample_many``'s layout), first marks, development counts,
     offsets and marks, then the deflator: for a martingale deflator
     independent of the intensity one normal per payment event in the

@@ -51,6 +51,7 @@ from .claims import DelayLaw, DevelopmentLaw, MarkLaw, PortfolioState
 from .errors import (
     ConfigurationError,
     DegenerateStateError,
+    SchemaError,
     UnsupportedRegimeError,
 )
 from .grids import TimeGrid
@@ -58,7 +59,8 @@ from .intensity import (
     IntensityModel,
     IntensityPath,
     LogOUIntensity,
-    hazard_chunks,
+    _OUTER_CHUNK,
+    draw_hazard_chunks,
     is_deterministic,
     simulate_intensity_path,
     trapezoid_hazard,
@@ -68,10 +70,6 @@ from ._rng import Seed, substream
 
 # Guard for conditional denominators; below this the state is degenerate.
 _MIN_SURVIVING_MASS = 1e-12
-
-# Intensity paths per chunk of the stochastic reserve's outer average; its
-# working memory is a few chunk x cells arrays, whatever the draw count.
-_OUTER_CHUNK = 1024
 
 def expected_development(dev: DevelopmentLaw, t: float) -> float:
     """Expected cumulative development paid within ``t`` years of the report.
@@ -418,11 +416,10 @@ def reserve(
     model is supported at t = 0 only, where the outer average over
     intensity paths is estimated from ``intensity_draws`` fresh draws and
     its standard error lands in the diagnostics.  The draws come from one
-    generator ``_OUTER_CHUNK`` paths at a time, the normals a few paths at
-    a time straight into the levels (``draw_log_levels``), and each chunk
-    is reduced to its payout brackets before the next is drawn, so memory
-    stays at a few chunk x cells arrays and the result equals a one-pass
-    average bit for bit.  The first chunk's paths are also bracketed on
+    generator through ``draw_hazard_chunks``, and each chunk is reduced to
+    its payout brackets before the next is drawn, so memory stays at one
+    bracket per draw and a few ``_OUTER_CHUNK`` x cells arrays, and the
+    result equals a one-pass average bit for bit.  The first chunk's paths are also bracketed on
     the half-step grid (the rate interpolated linearly at the midpoints,
     as in ``_refined``), a few paths at a time; their mean gap gives the
     Richardson ``unreported_error_estimate`` and ``error_estimate_draws``
@@ -500,8 +497,8 @@ def reserve(
     if reported != 0:
         raise ConfigurationError("no claim can already be reported at time zero")
     assert isinstance(intensity_model, LogOUIntensity)
-    if intensity_draws < 2:
-        raise ConfigurationError("need at least 2 intensity draws")
+    if not intensity_draws >= 2:
+        raise SchemaError("intensity_draws", f"must be >= 2, got {intensity_draws}")
     i_T = grid.node_index(T, what="horizon")
     c = _unreported_integrand_weights(grid, i_T, first_mark, dev)
     q = _bracket_functional(c, delay, grid)
@@ -511,17 +508,14 @@ def reserve(
     rng = substream(seed, 0x1A7E)
     brackets = np.empty(intensity_draws)
     gap = 0.0  # sum of bracket - half-step bracket over the first chunk
-    for start in range(0, intensity_draws, _OUTER_CHUNK):
-        rows = min(_OUTER_CHUNK, intensity_draws - start)
-        levels = intensity_model.draw_log_levels(grid, rng, rows)
-        for part, mu, gamma in hazard_chunks(grid, levels):
-            chunk = _brackets(mu, gamma, q, c, delay.alpha0)
-            brackets[start + part.start : start + part.stop] = chunk
-            if start == 0:
-                mu_fine = _half_step_rates(mu)
-                fine = _brackets(mu_fine, trapezoid_hazard(fine_grid, mu_fine), q_fine, c_fine,
-                                 delay.alpha0)
-                gap += float(np.sum(chunk - fine))
+    for rows, mu, gamma in draw_hazard_chunks(intensity_model, grid, rng, intensity_draws):
+        chunk = _brackets(mu, gamma, q, c, delay.alpha0)
+        brackets[rows] = chunk
+        if rows.start < _OUTER_CHUNK:
+            mu_fine = _half_step_rates(mu)
+            fine = _brackets(mu_fine, trapezoid_hazard(fine_grid, mu_fine), q_fine, c_fine,
+                             delay.alpha0)
+            gap += float(np.sum(chunk - fine))
     mean_bracket = float(np.mean(brackets))
     se_bracket = float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))
     unreported = n * mean_bracket

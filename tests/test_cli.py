@@ -106,7 +106,7 @@ def test_missing_required_field():
     del config["valuation"]
     with pytest.raises(SchemaError) as err:
         parse_config(json.dumps(config))
-    assert err.value.field == "<config>.valuation"
+    assert err.value.field == "valuation"
 
 
 def test_schema_version_checked():
@@ -188,8 +188,7 @@ def test_one_mutated_number_parses_or_names_its_field(path, value):
         parse_config(json.dumps(config))
     except SchemaError as exc:
         field = ".".join(path)
-        # The parser prefixes a top-level key's type error with "<config>.".
-        assert exc.field.removeprefix("<config>.") in (field, _NAMED_INSTEAD.get(field))
+        assert exc.field in (field, _NAMED_INSTEAD.get(field))
 
 
 @pytest.mark.parametrize("literal", ["1e400", "1" * 400], ids=["float", "integer"])
@@ -201,21 +200,31 @@ def test_numbers_beyond_float_range_rejected(literal):
 
 
 _LOG_OU = {"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": 0.0, "vol": 0.5, "init": 1.0}
+_CORRELATED = {"kind": "martingale", "init": 1.0, "vol": 0.2, "corr_with_intensity": 0.5}
+#: Most grid cells of a log-OU book whose levels are held 1,024 paths at a time.
+_CHUNK_CELLS = MAX_PATH_GRID_VALUES // 1024
 
 OVERSIZED = [
     ("grid.step", dict(grid={"step": 1e-300})),
     ("grid.step", dict(grid={"step": 10.0 / (MAX_GRID_CELLS + 1)}, valuation={"T": 10.0})),
     ("grid.step", dict(grid={"step": 1e-300}, valuation={"T": 1e300})),
-    # 8,760 cells x 4,096 oracle paths per block
-    ("grid.step", dict(grid={"step": 1.0 / 8760}, intensity=_LOG_OU, mc={"n_paths": 10_000})),
-    # 365 cells x 50,000 intensity draws
-    ("mc.intensity_draws", dict(grid={"step": 1.0 / 365}, intensity=_LOG_OU,
-                                mc={"n_paths": 2000, "intensity_draws": 50_000})),
+    # 8,760 cells x 4,096 oracle paths per block of normals a correlated deflator reads
+    ("grid.step", dict(grid={"step": 1.0 / 8760}, intensity=_LOG_OU, market=_CORRELATED,
+                       mc={"n_paths": 10_000})),
+    # 16,385 cells x 1,024 oracle paths of levels per chunk
+    ("grid.step", dict(grid={"step": 1.0 / (_CHUNK_CELLS + 1)}, intensity=_LOG_OU, mc={"n_paths": 10_000})),
+    # 16,385 cells x 1,024 intensity draws of levels per chunk (the oracle's 100 paths fit)
+    ("mc.intensity_draws", dict(grid={"step": 1.0 / (_CHUNK_CELLS + 1)}, intensity=_LOG_OU,
+                                mc={"n_paths": 100, "intensity_draws": 1024})),
+    # one bracket per draw
+    ("mc.intensity_draws", dict(intensity=_LOG_OU, mc={"n_paths": 2000,
+                                                       "intensity_draws": MAX_PATH_GRID_VALUES + 1})),
 ]
 
 
 @pytest.mark.parametrize("field,override", OVERSIZED,
-                         ids=["1e-300", "one-past-limit", "overflowing-ratio", "oracle-block", "draws"])
+                         ids=["1e-300", "one-past-limit", "overflowing-ratio", "oracle-block", "oracle-chunk",
+                              "draws", "draws-alone"])
 def test_oversized_grids_rejected_before_allocation(tmp_path, capsys, field, override):
     text = json.dumps(_scenario(**override))
     with pytest.raises(SchemaError) as err:
@@ -231,10 +240,18 @@ def test_grid_limits_admit_fine_grids():
     hourly = parse_config(json.dumps(_scenario(grid={"step": 1.0 / 8760}, valuation={"T": 10.0})))
     assert round(hourly.T / hourly.grid_step) == 87_600
     parse_config(json.dumps(_scenario(grid={"step": 10.0 / MAX_GRID_CELLS}, valuation={"T": 10.0})))
-    # the log-OU budget exactly: 4,096 cells x 4,096 paths and x 4,096 draws
-    cells = MAX_PATH_GRID_VALUES // 4096
-    parse_config(json.dumps(_scenario(grid={"step": 1.0 / cells}, intensity=_LOG_OU,
-                                      mc={"n_paths": 10_000, "intensity_draws": 4096})))
+    # The log-OU budget exactly: 16,384 cells x 1,024 paths and draws per
+    # chunk, at any path and draw count; 4,096 cells x 4,096 paths per block
+    # under a correlated deflator; 2^24 draws.
+    parse_config(json.dumps(_scenario(grid={"step": 1.0 / _CHUNK_CELLS}, intensity=_LOG_OU,
+                                      mc={"n_paths": 10_000, "intensity_draws": 8192})))
+    parse_config(json.dumps(_scenario(grid={"step": 1.0 / 4096}, intensity=_LOG_OU, market=_CORRELATED,
+                                      mc={"n_paths": 10_000})))
+    parse_config(json.dumps(_scenario(intensity=_LOG_OU, mc={"n_paths": 2000,
+                                                              "intensity_draws": MAX_PATH_GRID_VALUES})))
+    # A daily log-OU book over 4,097 days at the default 8,192 draws.
+    parse_config(json.dumps(_scenario(grid={"step": 1.0 / 365}, intensity=_LOG_OU,
+                                      valuation={"T": 4097 / 365}, mc={"n_paths": 10_000})))
 
 
 # Runs the ``python -m claimflow`` entry point in a fresh interpreter and prints,

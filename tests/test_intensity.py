@@ -16,7 +16,13 @@ from claimflow import (
     simulate_intensity_path,
 )
 from claimflow.grids import DEFAULT_STEP
-from claimflow.intensity import _hazard_chunk_rows, hazard_chunks, trapezoid_hazard
+from claimflow.intensity import (
+    _OUTER_CHUNK,
+    _hazard_chunk_rows,
+    draw_hazard_chunks,
+    hazard_chunks,
+    trapezoid_hazard,
+)
 
 
 def _path(model, t_end=2.0, step=DEFAULT_STEP, seed=0):
@@ -178,6 +184,36 @@ def test_drawn_levels_equal_one_normals_draw(model, rows):
     expected = model.log_levels(grid, one.standard_normal((n_paths, grid.n_cells)))
     assert _same_bits(model.draw_log_levels(grid, streamed, n_paths), expected)
     assert streamed.random() == one.random()
+
+
+@pytest.mark.parametrize("n_paths", [1, _OUTER_CHUNK - 1, _OUTER_CHUNK, 2 * _OUTER_CHUNK + 95])
+@pytest.mark.parametrize("source", ["drawn", "normals"])
+def test_drawn_hazard_chunks_equal_one_normals_draw(n_paths, source):
+    # Levels drawn 1,024 paths at a time, or read from the normals a
+    # correlated deflator keeps, give the rate and hazard of one (paths,
+    # cells) draw bit for bit, in chunks that never straddle 1,024 paths,
+    # and leave the generator where that one draw leaves it.
+    model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+    grid = TimeGrid.regular(1.0)
+    assert _OUTER_CHUNK % _hazard_chunk_rows(grid) != 0
+    one = np.random.default_rng(5)
+    normals = one.standard_normal((n_paths, grid.n_cells))
+    mu = np.exp(model.log_levels(grid, normals).T)
+    gamma = trapezoid_hazard(grid, mu)
+    streamed = np.random.default_rng(5)
+    chunks = (draw_hazard_chunks(model, grid, streamed, n_paths) if source == "drawn"
+              else draw_hazard_chunks(model, grid, streamed, n_paths, normals=normals))
+    seen = np.zeros(n_paths, dtype=int)
+    for part, mu_part, gamma_part in chunks:
+        assert part.start // _OUTER_CHUNK == (part.stop - 1) // _OUTER_CHUNK
+        assert _same_bits(mu_part, mu[part])
+        assert _same_bits(gamma_part, gamma[part])
+        seen[part] += 1
+    assert np.all(seen == 1)
+    if source == "drawn":
+        assert streamed.random() == one.random()
+    else:
+        assert streamed.random() == np.random.default_rng(5).random()
 
 
 def test_trapezoid_order_on_smooth_rate():

@@ -1,6 +1,8 @@
 """Monte Carlo oracle: estimates, buckets, comparison contract."""
 import math
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +33,10 @@ from claimflow import (
     reserve,
 )
 from claimflow import mc
+from claimflow.cli import parse_config
 from claimflow.claims import _BISECT_CHUNK, _invert_gamma_rows
-from claimflow.intensity import _hazard_chunk_rows, trapezoid_hazard
-from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _brownian_at_events, _log_ou_accidents
+from claimflow.intensity import _OUTER_CHUNK, _hazard_chunk_rows, trapezoid_hazard
+from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _accident_times, _brownian_at_events
 
 
 def _config(**overrides):
@@ -192,12 +195,12 @@ def _pinned_configs():
 
 
 @pytest.mark.parametrize("name, mean, std_error", [
-    ("log_ou_n64", "0x1.35bad63f18387p+5", "0x1.013627eab9ca4p-3"),
+    ("log_ou_n64", "0x1.35a2c192ab4b1p+5", "0x1.02e034b7f74abp-3"),
     ("constant_level", "0x1.d58d477b0da6dp+1", "0x1.27b2ef2ac6f73p-5"),
     ("flat_martingale", "0x1.5b2225995eff0p+2", "0x1.1b6473a4817f7p-4"),
     ("conditional", "0x1.ef2609c2b4066p-1", "0x1.14bbf3a6cb236p-5"),
-    ("log_ou_correlated", "0x1.1fb104f95516dp+2", "0x1.53a144e19e940p-5"),
-    ("log_ou_correlated_antithetic", "0x1.199bc3621aa9fp+2", "0x1.42e1a936451ccp-5"),
+    ("log_ou_correlated", "0x1.1ecf82145eb69p+2", "0x1.53f621a6d9b95p-5"),
+    ("log_ou_correlated_antithetic", "0x1.1966917078636p+2", "0x1.420b181bacf72p-5"),
 ])
 def test_oracle_numbers_are_pinned(name, mean, std_error):
     # The draw layout and the arithmetic of a block, bit for bit: a log-OU
@@ -205,7 +208,8 @@ def test_oracle_numbers_are_pinned(name, mean, std_error):
     # deterministic and a zero-volatility martingale deflator, the three
     # delay layouts (alpha0 in (0, 1), 0 and 1), a conditional run, and a
     # deflator correlated with a log-OU intensity, plain and antithetic,
-    # whose block draws the intensity normals as one array.
+    # whose block draws the intensity normals as one array.  A log-OU block
+    # draws its accident thresholds before its intensity normals.
     # Thread invariance cannot see a change in these numbers; this can.
     config = _pinned_configs()[name]
     estimate = mc_reserve(config)
@@ -273,46 +277,64 @@ def _sample_brownian(times_per_row, n_rows, seed=4, antithetic=False):
     return w.reshape(n_rows, k)
 
 
+def _block_peak(config):
+    """tracemalloc peak of one oracle run on one thread, in bytes."""
+    tracemalloc.start()
+    try:
+        mc_reserve(config, threads=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_log_ou_block_peak_memory():
-    # One 4,096-path block of the stochastic_validate book at n = 64.  The
-    # block's normals go straight into the time-major levels and each
-    # hazard chunk is inverted as it is built, so the levels are its one
-    # (nodes, paths) array and the peak stays below two of them.  Drawing
-    # the normals as one array beside the levels peaked at 2.1 of them.
+    # One 4,096-path block of the stochastic_validate book at n = 64.  Its
+    # levels are drawn 1,024 paths at a time, each hazard chunk is inverted
+    # as it is built, and each stage's arrays die with the stage, so the
+    # peak stays below one (nodes, paths) levels array of the block: 9.2
+    # MiB against 11.4.  Whole-block levels peaked at 14.7 MiB, and before
+    # the stages were split at 19.6.
     config = _config(
         n_policies=64, intensity=LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
         development=DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="exponential")),
         n_paths=BLOCK_SIZE, seed=3)
-    tracemalloc.start()
-    try:
-        mc_reserve(config, threads=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * BLOCK_SIZE * len(config.grid().points) * 8
+    assert _block_peak(config) < BLOCK_SIZE * len(config.grid().points) * 8
+
+
+def test_deterministic_block_peak_memory():
+    # One 4,096-path block of configs/example.json.  Its event-time deflator
+    # sets the peak, so the stages before it must have freed their
+    # (paths, policies) arrays and development temporaries: 5.8 MiB, where
+    # the unsplit block peaked at 9.3 MiB.
+    example = parse_config((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+    assert _block_peak(replace(example, n_paths=BLOCK_SIZE)) < 7 * 2**20
 
 
 @pytest.mark.parametrize("correlated", [False, True], ids=["independent", "correlated"])
 def test_streamed_accident_times_match_whole_block_inversion(correlated):
-    # The log-OU stage against its one-array reference: the block's normals
-    # in one draw, the (paths, nodes) hazard of all its paths, then one
-    # inversion.  Path counts straddle the chunk size, and about a third of
-    # the thresholds lie above their row's Gamma_T and map to inf.
+    # The log-OU stage against its one-array reference: the accident
+    # thresholds, then the block's normals in one draw, the (paths, nodes)
+    # hazard of all its paths, then one inversion.  Path counts straddle
+    # the hazard chunk and the 1,024-path levels chunk, and about a third
+    # of the thresholds lie above their row's Gamma_T and map to inf.
     market = (MartingaleDeflator(init=1.0, vol=0.2, corr_with_intensity=0.5) if correlated
               else DeterministicDeflator(1.0))
     model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
     config = _config(n_policies=9, intensity=model, market=market)
     grid = config.grid()
     chunk = _hazard_chunk_rows(grid)
-    for n_block in (chunk - 1, 2 * chunk + 7):
+    assert _OUTER_CHUNK % chunk != 0
+    for n_block in (chunk - 1, _OUTER_CHUNK + chunk + 7):
         rng = np.random.default_rng(n_block)
+        e = rng.exponential(size=(n_block, config.n_policies))
         normals = rng.standard_normal((n_block, grid.n_cells))
         gamma = trapezoid_hazard(grid, np.exp(model.log_levels(grid, normals).T))
-        e = rng.exponential(size=(n_block, config.n_policies))
         expected = _invert_gamma_rows(gamma, grid.points, e)
         assert 0.1 < np.mean(np.isinf(expected)) < 0.9
-        z_mu, tau0 = _log_ou_accidents(config, grid, np.random.default_rng(n_block), n_block)
+        streamed = np.random.default_rng(n_block)
+        z_mu, tau0 = _accident_times(config, grid, streamed, n_block, None)
         assert np.array_equal(tau0, expected)
+        assert streamed.random() == rng.random()
         if correlated:
             assert np.array_equal(z_mu, normals)
         else:
@@ -412,7 +434,7 @@ _LOG_OU = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0
 
 
 @pytest.mark.parametrize("field, overrides", [
-    # one block's log-levels: 200,000 cells x 4,096 paths, 819,200,000 values (6.1 GiB)
+    # one chunk's log-levels: 200,000 cells x 1,024 paths, 204,800,000 values (1.5 GiB)
     ("grid.step", dict(intensity=_LOG_OU, grid_step=1.0 / 200_000, n_paths=BLOCK_SIZE)),
     ("grid.step", dict(grid_step=1e-300)),  # 1e300 grid cells
     ("seed", dict(seed=-1)),  # numpy's seeding refuses a negative seed

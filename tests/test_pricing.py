@@ -24,6 +24,7 @@ from claimflow import (
     MartingaleDeflator,
     PiecewiseConstantIntensity,
     PortfolioState,
+    SchemaError,
     TimeGrid,
     UnsupportedRegimeError,
     expected_development,
@@ -37,9 +38,8 @@ from claimflow import (
 )
 from claimflow import pricing
 from claimflow.cli import parse_config
-from claimflow.intensity import trapezoid_hazard
+from claimflow.intensity import _OUTER_CHUNK, trapezoid_hazard
 from claimflow.pricing import (
-    _OUTER_CHUNK,
     _bracket_functional,
     _cell_masses,
     _fft_convolve,
@@ -586,6 +586,15 @@ def test_stochastic_reserve_reproducible_and_reports_error():
     assert a.total == b.total
     assert a.diagnostics["outer_std_error"] > 0.0
     assert a.diagnostics["intensity_draws"] == 512
+
+
+def test_stochastic_reserve_names_its_draws_bound():
+    delay, fm, dev = _book()
+    model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+    state = PortfolioState.from_counts(0.0, 4, 0)
+    with pytest.raises(SchemaError) as err:
+        reserve(state, model, delay, fm, dev, 1.0, intensity_draws=1)
+    assert err.value.field == "intensity_draws"
 
 
 def _unchunked_stochastic_reserve(model, delay, fm, dev, T, grid, draws, seed, n):
