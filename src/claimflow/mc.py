@@ -2,25 +2,24 @@
 
 Each path simulates the intensity, every policy's claim history and the
 deflator.  A block runs in stages, each a function whose temporaries die
-when it returns: accident times, delays, first marks, developments, the
-event list, then the deflator and one ``bincount``.  The block's payments
-in the valuation window form one event list (time, path, amount), first
-reports then developments; the deflator is evaluated at those events and
-one ``bincount`` sums the deflated amounts by path.  A martingale
-deflator independent of the intensity is sampled exactly at the event
-times, so its cost follows the number of payments rather than the grid
-size.  Accident times come from one inverter,
-``claims._invert_gamma_rows``, whether the hazard is one deterministic
-curve (searched through its guide table, built once per run) or per path.
-Under a log-OU intensity a block draws its accident thresholds, then its
-levels ``_OUTER_CHUNK`` paths at a time (``draw_hazard_chunks``), and
-inverts each hazard chunk a few cached paths at a time as soon as it
-exists, so no array of the block's levels or hazards exists; only a
-deflator correlated with the intensity makes it draw the normals as one
-block-sized array, which the deflator reads.  A block's memory thus
-follows its policies and payments, not its grid.  The inversion is a
-bisection made of whole-array numpy passes, which release the GIL, so
-blocks on several threads run side by side.  Paths are generated in
+when it returns: accident times, delays, first marks, developments, one
+event list (time, path, amount) of its payments in the valuation window,
+first reports then developments, the deflator at those events, and one
+``bincount`` of the deflated amounts by path.  A martingale deflator
+independent of the intensity is sampled exactly at the event times, so
+its cost follows the number of payments rather than the grid size.
+Accident times come from one inverter, ``claims._invert_gamma_rows``,
+whether the hazard is one deterministic curve (searched through its
+guide table, built once per run) or per path.  Under a log-OU intensity
+a block draws its accident thresholds, then its levels ``_OUTER_CHUNK``
+paths at a time (``draw_hazard_chunks``), and inverts each hazard chunk
+a few cached paths at a time as soon as it exists, so no array of the
+block's levels or hazards exists; only a deflator correlated with the
+intensity makes it draw the normals as one block-sized array, which the
+deflator reads.  A block's memory thus follows its policies and
+payments, not its grid.  The inversion is a bisection made of
+whole-array numpy passes, which release the GIL, so blocks on several
+threads run side by side.  Paths are generated in
 fixed-size blocks with one RNG substream per block, mapped over a thread
 pool, so the estimate is bitwise identical for any thread count, and the
 draw layout inside a block is fixed by the configuration and the seed
@@ -327,11 +326,13 @@ def _developments(config: McConfig, rng: np.random.Generator,
     claims = np.flatnonzero(counts)
     cell = np.repeat(claims, counts[claims])  # each development's claim, row-major
     del counts, claims
-    report = tau1.ravel()[cell]
-    times = (1.0 - rng.random(len(cell))) * np.clip(config.T - report, 0.0, None)
-    times += report
+    # Only a claim with a positive horizon T - tau1 has developments.
+    times = config.T - tau1.ravel()[cell]
+    times *= 1.0 - rng.random(len(cell))
+    times += tau1.ravel()[cell]
     keep = times > config.t
-    return times[keep], (cell // n)[keep], np.asarray(dev.mark.sample(rng, size=len(cell)))[keep]
+    times, rows = times[keep], cell[keep] // n
+    return times, rows, np.asarray(dev.mark.sample(rng, size=len(cell)))[keep]
 
 
 def _block_paths(config: McConfig, grid: TimeGrid, block: int,

@@ -419,11 +419,12 @@ def reserve(
     generator through ``draw_hazard_chunks``, and each chunk is reduced to
     its payout brackets before the next is drawn, so memory stays at one
     bracket per draw and a few ``_OUTER_CHUNK`` x cells arrays, and the
-    result equals a one-pass average bit for bit.  The first chunk's paths are also bracketed on
-    the half-step grid (the rate interpolated linearly at the midpoints,
-    as in ``_refined``), a few paths at a time; their mean gap gives the
-    Richardson ``unreported_error_estimate`` and ``error_estimate_draws``
-    counts them.  Other regimes raise UnsupportedRegimeError; the Monte
+    result equals a one-pass average bit for bit.  The first
+    ``_OUTER_CHUNK`` paths are also bracketed on the half-step grid (the
+    rate interpolated linearly at the midpoints, as in ``_refined``), a
+    few paths at a time; their mean gap gives the Richardson
+    ``unreported_error_estimate`` and ``error_estimate_draws`` counts
+    them.  Other regimes raise UnsupportedRegimeError; the Monte
     Carlo oracle prices all of them but a stochastic model at t > 0.
     """
     t = state.as_of
@@ -507,7 +508,7 @@ def reserve(
     q_fine = _bracket_functional(c_fine, delay, fine_grid)
     rng = substream(seed, 0x1A7E)
     brackets = np.empty(intensity_draws)
-    gap = 0.0  # sum of bracket - half-step bracket over the first chunk
+    gap = 0.0  # sum of bracket - half-step bracket over the first _OUTER_CHUNK paths
     for rows, mu, gamma in draw_hazard_chunks(intensity_model, grid, rng, intensity_draws):
         chunk = _brackets(mu, gamma, q, c, delay.alpha0)
         brackets[rows] = chunk

@@ -291,9 +291,8 @@ def test_log_ou_block_peak_memory():
     # One 4,096-path block of the stochastic_validate book at n = 64.  Its
     # levels are drawn 1,024 paths at a time, each hazard chunk is inverted
     # as it is built, and each stage's arrays die with the stage, so the
-    # peak stays below one (nodes, paths) levels array of the block: 9.2
-    # MiB against 11.4.  Whole-block levels peaked at 14.7 MiB, and before
-    # the stages were split at 19.6.
+    # peak (9.2 MiB) stays below one (nodes, paths) levels array of the
+    # block (11.4 MiB).
     config = _config(
         n_policies=64, intensity=LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
         development=DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="exponential")),
@@ -303,9 +302,8 @@ def test_log_ou_block_peak_memory():
 
 def test_deterministic_block_peak_memory():
     # One 4,096-path block of configs/example.json.  Its event-time deflator
-    # sets the peak, so the stages before it must have freed their
-    # (paths, policies) arrays and development temporaries: 5.8 MiB, where
-    # the unsplit block peaked at 9.3 MiB.
+    # sets the peak (5.8 MiB) only if the stages before it have freed their
+    # (paths, policies) arrays and development temporaries.
     example = parse_config((Path(__file__).parents[1] / "configs" / "example.json").read_text())
     assert _block_peak(replace(example, n_paths=BLOCK_SIZE)) < 7 * 2**20
 
