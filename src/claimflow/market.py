@@ -88,6 +88,11 @@ def constant_level(model: MarketModel) -> float | None:
     return float(model.level) if model.is_constant else None
 
 
+def correlated_with_intensity(model: MarketModel) -> bool:
+    """True for a martingale deflator that shares the intensity's grid noise."""
+    return isinstance(model, MartingaleDeflator) and model.corr_with_intensity != 0.0
+
+
 def collapses_to_spot(model: MarketModel) -> bool:
     """True when the conditional expectation of any future deflator value
     equals the current one, the property the closed-form reserve relies on."""

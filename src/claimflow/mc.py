@@ -54,14 +54,20 @@ from .claims import DelayLaw, DevelopmentLaw, MarkLaw, _HazardGuide, _hazard_gui
 from .errors import ConfigurationError, InsufficientDataError, SchemaError
 from .grids import DEFAULT_STEP, TimeGrid
 from .intensity import (
-    _OUTER_CHUNK,
     IntensityModel,
     LogOUIntensity,
+    _OUTER_CHUNK,
     draw_hazard_chunks,
     is_deterministic,
     simulate_intensity_path,
 )
-from .market import DeterministicDeflator, MarketModel, MartingaleDeflator, constant_level
+from .market import (
+    DeterministicDeflator,
+    MarketModel,
+    MartingaleDeflator,
+    constant_level,
+    correlated_with_intensity,
+)
 from .pricing import ReserveResult
 from ._rng import substream
 
@@ -92,11 +98,6 @@ MAX_GRID_CELLS = 1 << 19
 #: oracle's standard error below paths x payments^2 x 1e272: finite for
 #: up to 1e36 paths x payments^2, beyond any book the other bounds admit.
 MAX_MARK_MEAN = 1e100
-
-
-def _correlated(market: MarketModel) -> bool:
-    """Whether a martingale deflator shares the intensity's grid noise."""
-    return isinstance(market, MartingaleDeflator) and market.corr_with_intensity != 0.0
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ class McConfig:
                                            f"exceeds the limit of {MAX_GRID_CELLS}")
         if isinstance(self.intensity, LogOUIntensity):
             rows = min(BLOCK_SIZE, self.n_paths)
-            if not _correlated(market):
+            if not correlated_with_intensity(market):
                 rows = min(rows, _OUTER_CHUNK)
             if cells * rows > MAX_PATH_GRID_VALUES:
                 raise SchemaError("grid.step", f"{cells} grid cells x {rows} Monte Carlo paths held at once "
@@ -145,7 +146,7 @@ class McConfig:
             raise SchemaError("portfolio.n", f"must be >= 0, got {n}")
         if self.n_paths < 100:
             raise SchemaError("mc.n_paths", f"must be >= 100, got {self.n_paths}")
-        if _correlated(market) and is_deterministic(self.intensity):
+        if correlated_with_intensity(market) and is_deterministic(self.intensity):
             raise SchemaError("market.corr_with_intensity",
                               "must be 0 unless the intensity is a stochastic log_ou")
         if k is not None and not 0 <= k <= n:
@@ -293,7 +294,7 @@ def _accident_times(config: McConfig, grid: TimeGrid, rng: np.random.Generator, 
     if det_hazard is not None:
         return None, _invert_gamma_rows(det_hazard.gamma, grid.points, tau, guide=det_hazard)
     normals = None
-    if _correlated(config.market):
+    if correlated_with_intensity(config.market):
         normals = rng.standard_normal((n_block, grid.n_cells))
     for rows, _, gamma in draw_hazard_chunks(config.intensity, grid, rng, n_block, normals):
         tau[rows] = _invert_gamma_rows(gamma, grid.points, tau[rows])

@@ -65,7 +65,7 @@ from .intensity import (
     simulate_intensity_path,
     trapezoid_hazard,
 )
-from .market import MarketModel, MartingaleDeflator, collapses_to_spot
+from .market import MarketModel, collapses_to_spot, correlated_with_intensity
 from ._rng import Seed, substream
 
 # Guard for conditional denominators; below this the state is degenerate.
@@ -433,7 +433,7 @@ def reserve(
     if t > T:
         raise ConfigurationError(f"valuation time {t} exceeds horizon {T}")
     if market is not None:
-        if isinstance(market, MartingaleDeflator) and market.corr_with_intensity != 0.0:
+        if correlated_with_intensity(market):
             raise UnsupportedRegimeError(
                 "deflator correlated with the intensity: the conditional expectation "
                 "does not factorize; use the Monte Carlo oracle (mc_reserve / --mc-only)")
