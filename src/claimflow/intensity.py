@@ -130,24 +130,6 @@ class LogOUIntensity:
         np.multiply(normals.T, self.step_params(grid.step)[1], out=x[1:])
         return self._recur(grid, x)
 
-    def draw_log_levels(self, grid: TimeGrid, rng: np.random.Generator, n_paths: int) -> np.ndarray:
-        """``log_levels(grid, rng.standard_normal((n_paths, n_cells)))`` without
-        the normals array.
-
-        The normals are drawn a few paths at a time (``hazard_chunks``' rows)
-        straight into the levels buffer.  Consecutive row-chunk draws equal
-        one whole draw bit for bit, so the levels and the generator's state
-        afterwards are those of the one-array call.
-        """
-        innov = self.step_params(grid.step)[1]
-        x = np.empty((grid.n_cells + 1, n_paths))
-        size = _hazard_chunk_rows(grid)
-        for start in range(0, n_paths, size):
-            rows = slice(start, min(start + size, n_paths))
-            z = rng.standard_normal((rows.stop - rows.start, grid.n_cells))
-            np.multiply(z.T, innov, out=x[1:, rows])
-        return self._recur(grid, x)
-
     def _recur(self, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
         """Run the recursion in place on ``x``, whose rows 1.. hold ``innov * z``."""
         decay = self.step_params(grid.step)[0]
@@ -228,34 +210,14 @@ def trapezoid_hazard(grid: TimeGrid, mu: np.ndarray) -> np.ndarray:
     return gamma
 
 
-#: Values (256 KiB of float64) per chunk of ``hazard_chunks``: a chunk's
-#: rate, increments and hazard stay in one core's cache.
+#: Values (256 KiB of float64) per part of ``draw_hazard_chunks``: a
+#: part's normals, rate, increments and hazard stay in one core's cache.
 _HAZARD_CHUNK_VALUES = 1 << 15
 
 
 def _hazard_chunk_rows(grid: TimeGrid) -> int:
-    """Paths per chunk of ``hazard_chunks`` on ``grid``."""
+    """Paths per part of ``draw_hazard_chunks`` on ``grid``."""
     return max(1, _HAZARD_CHUNK_VALUES // len(grid.points))
-
-
-def hazard_chunks(grid: TimeGrid, log_levels: np.ndarray
-                  ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Rate and hazard of time-major log-level paths, a few paths at a time.
-
-    ``log_levels`` is ``LogOUIntensity.log_levels`` output, (nodes, paths).
-    Yields ``(rows, mu, gamma)``: a slice of the paths and their (rows,
-    nodes) ``exp`` of the levels and its ``trapezoid_hazard``, equal bit
-    for bit to the same transforms of the whole path-major array.  No
-    rate, increments or hazard array of all the paths ever exists: the
-    oracle inverts each chunk's hazard and the stochastic reserve reduces
-    each chunk to its brackets before the next chunk is built.
-    """
-    n_paths = log_levels.shape[1]
-    size = _hazard_chunk_rows(grid)
-    for start in range(0, n_paths, size):
-        rows = slice(start, min(start + size, n_paths))
-        mu = np.exp(log_levels[:, rows].T)
-        yield rows, mu, trapezoid_hazard(grid, mu)
 
 
 #: Paths per chunk of ``draw_hazard_chunks``: the most (nodes, paths)
@@ -266,24 +228,34 @@ _OUTER_CHUNK = 1024
 def draw_hazard_chunks(model: LogOUIntensity, grid: TimeGrid, rng: np.random.Generator, n_paths: int,
                        normals: np.ndarray | None = None
                        ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """``hazard_chunks`` of ``n_paths`` fresh log-OU paths, drawn
-    ``_OUTER_CHUNK`` paths at a time.
+    """Rate and hazard of ``n_paths`` fresh log-OU paths, a few paths at a time.
 
-    Each chunk's levels come from ``draw_log_levels``, and ``rows`` slices
-    all ``n_paths`` paths.  The values, and the generator's state
-    afterwards, equal those of ``log_levels`` of one
-    ``rng.standard_normal((n_paths, n_cells))``, but no (nodes, paths)
-    array larger than one chunk ever exists.  Given those ``normals``, the
-    levels are read from them instead and ``rng`` is not used.
+    Yields ``(rows, mu, gamma)``: a slice of the ``n_paths`` paths, their
+    (rows, nodes) rate and its ``trapezoid_hazard``.  The paths are built
+    ``_OUTER_CHUNK`` at a time in one (nodes, paths) levels buffer, whose
+    ``_hazard_chunk_rows`` parts are each filled with ``innov * z`` for
+    ``z = rng.standard_normal((rows, n_cells))``, or ``z`` read from
+    ``normals`` when those are given (``rng`` is then not used).  One
+    ``_recur`` turns the buffer into levels, and each part's rate and
+    hazard are yielded before the next chunk's buffer exists.  Row-chunk
+    draws equal one whole draw bit for bit, so the values, and the
+    generator's state afterwards, equal those of ``log_levels`` of one
+    ``rng.standard_normal((n_paths, n_cells))``.
     """
+    innov = model.step_params(grid.step)[1]
+    size = _hazard_chunk_rows(grid)
     for start in range(0, n_paths, _OUTER_CHUNK):
-        stop = min(start + _OUTER_CHUNK, n_paths)
-        if normals is None:
-            levels = model.draw_log_levels(grid, rng, stop - start)
-        else:
-            levels = model.log_levels(grid, normals[start:stop])
-        for rows, mu, gamma in hazard_chunks(grid, levels):
-            yield slice(start + rows.start, start + rows.stop), mu, gamma
+        width = min(_OUTER_CHUNK, n_paths - start)
+        levels = np.empty((grid.n_cells + 1, width))
+        parts = [slice(r, min(r + size, width)) for r in range(0, width, size)]
+        for part in parts:
+            z = (rng.standard_normal((part.stop - part.start, grid.n_cells)) if normals is None
+                 else normals[start + part.start:start + part.stop])
+            np.multiply(z.T, innov, out=levels[1:, part])
+        model._recur(grid, levels)
+        for part in parts:
+            mu = np.exp(levels[:, part].T)
+            yield slice(start + part.start, start + part.stop), mu, trapezoid_hazard(grid, mu)
         del levels  # before the next chunk's levels exist
 
 

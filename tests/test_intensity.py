@@ -20,9 +20,11 @@ from claimflow.intensity import (
     _OUTER_CHUNK,
     _hazard_chunk_rows,
     draw_hazard_chunks,
-    hazard_chunks,
     trapezoid_hazard,
 )
+
+#: Paths per part of ``draw_hazard_chunks`` on the yearly daily grid (89).
+_CHUNK = _hazard_chunk_rows(TimeGrid.regular(1.0))
 
 
 def _path(model, t_end=2.0, step=DEFAULT_STEP, seed=0):
@@ -140,80 +142,59 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("model", [
+_MODELS = [
     LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
     LogOUIntensity(mean_rev=0.0, long_run_log_level=-0.7, vol=0.5, init=2.5),
-], ids=["mean-reverting", "driftless"])
+]
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=["mean-reverting", "driftless"])
 @pytest.mark.parametrize("rows", ["1", "chunk-1", "chunk", "chunk+1", "5000"])
 def test_hazard_chunks_match_path_major_reference(model, rows):
+    # Both builders of whole log-level arrays equal the path-major
+    # recursion bit for bit; test_drawn_hazard_chunks_equal_one_normals_draw
+    # checks the streamed rate and hazard against the same reference.
     grid = TimeGrid.regular(1.0)
-    chunk = _hazard_chunk_rows(grid)
-    assert 1 < chunk < 5000
-    n_paths = {"1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1, "5000": 5000}[rows]
+    assert 1 < _CHUNK < 5000
+    n_paths = {"1": 1, "chunk-1": _CHUNK - 1, "chunk": _CHUNK, "chunk+1": _CHUNK + 1, "5000": 5000}[rows]
     normals = np.random.default_rng(n_paths).standard_normal((n_paths, grid.n_cells))
     x = _path_major_log_levels(model, grid, normals)
-    mu = np.exp(x)
-    gamma = trapezoid_hazard(grid, mu)
 
     assert _same_bits(model.log_level_paths(grid, normals), x)
-    levels = model.log_levels(grid, normals)
-    assert _same_bits(levels, np.ascontiguousarray(x.T))
-    seen = np.zeros(n_paths, dtype=int)
-    for part, mu_part, gamma_part in hazard_chunks(grid, levels):
-        assert part.stop - part.start <= chunk
-        assert _same_bits(mu_part, mu[part])
-        assert _same_bits(gamma_part, gamma[part])
-        seen[part] += 1
-    assert np.all(seen == 1)
+    assert _same_bits(model.log_levels(grid, normals), np.ascontiguousarray(x.T))
 
 
-@pytest.mark.parametrize("model", [
-    LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
-    LogOUIntensity(mean_rev=0.0, long_run_log_level=-0.7, vol=0.5, init=2.5),
-], ids=["mean-reverting", "driftless"])
-@pytest.mark.parametrize("rows", ["1", "chunk-1", "chunk", "2chunk", "2chunk+5"])
-def test_drawn_levels_equal_one_normals_draw(model, rows):
-    # Normals drawn a few paths at a time into the levels equal one
-    # (paths, cells) draw fed to log_levels, bit for bit, and leave the
-    # generator where the one draw leaves it.
-    grid = TimeGrid.regular(1.0)
-    chunk = _hazard_chunk_rows(grid)
-    n_paths = {"1": 1, "chunk-1": chunk - 1, "chunk": chunk, "2chunk": 2 * chunk,
-               "2chunk+5": 2 * chunk + 5}[rows]
-    one, streamed = np.random.default_rng(5), np.random.default_rng(5)
-    expected = model.log_levels(grid, one.standard_normal((n_paths, grid.n_cells)))
-    assert _same_bits(model.draw_log_levels(grid, streamed, n_paths), expected)
-    assert streamed.random() == one.random()
-
-
-@pytest.mark.parametrize("n_paths", [1, _OUTER_CHUNK - 1, _OUTER_CHUNK, 2 * _OUTER_CHUNK + 95])
+@pytest.mark.parametrize("n_paths", [1, _CHUNK - 1, _CHUNK, 2 * _CHUNK, 2 * _CHUNK + 5, _OUTER_CHUNK - 1,
+                                     _OUTER_CHUNK, 2 * _OUTER_CHUNK + 95, 5000])
 @pytest.mark.parametrize("source", ["drawn", "normals"])
 def test_drawn_hazard_chunks_equal_one_normals_draw(n_paths, source):
-    # Levels drawn 1,024 paths at a time, or read from the normals a
-    # correlated deflator keeps, give the rate and hazard of one (paths,
-    # cells) draw bit for bit, in chunks that never straddle 1,024 paths,
-    # and leave the generator where that one draw leaves it.
-    model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+    # Levels drawn a few paths at a time, or read from the normals a
+    # correlated deflator keeps, give the path-major rate and hazard of one
+    # (paths, cells) draw bit for bit, in parts of at most _CHUNK paths that
+    # never straddle 1,024 paths, and leave the generator where that one
+    # draw leaves it.
     grid = TimeGrid.regular(1.0)
-    assert _OUTER_CHUNK % _hazard_chunk_rows(grid) != 0
-    one = np.random.default_rng(5)
-    normals = one.standard_normal((n_paths, grid.n_cells))
-    mu = np.exp(model.log_levels(grid, normals).T)
-    gamma = trapezoid_hazard(grid, mu)
-    streamed = np.random.default_rng(5)
-    chunks = (draw_hazard_chunks(model, grid, streamed, n_paths) if source == "drawn"
-              else draw_hazard_chunks(model, grid, streamed, n_paths, normals=normals))
-    seen = np.zeros(n_paths, dtype=int)
-    for part, mu_part, gamma_part in chunks:
-        assert part.start // _OUTER_CHUNK == (part.stop - 1) // _OUTER_CHUNK
-        assert _same_bits(mu_part, mu[part])
-        assert _same_bits(gamma_part, gamma[part])
-        seen[part] += 1
-    assert np.all(seen == 1)
-    if source == "drawn":
-        assert streamed.random() == one.random()
-    else:
-        assert streamed.random() == np.random.default_rng(5).random()
+    assert _OUTER_CHUNK % _CHUNK != 0
+    for model in _MODELS:
+        one = np.random.default_rng(5)
+        normals = one.standard_normal((n_paths, grid.n_cells))
+        mu = np.exp(_path_major_log_levels(model, grid, normals))
+        gamma = trapezoid_hazard(grid, mu)
+        streamed = np.random.default_rng(5)
+        chunks = (draw_hazard_chunks(model, grid, streamed, n_paths) if source == "drawn"
+                  else draw_hazard_chunks(model, grid, streamed, n_paths, normals=normals))
+        seen = np.zeros(n_paths, dtype=int)
+        for part, mu_part, gamma_part in chunks:
+            assert part.stop - part.start <= _CHUNK
+            assert part.start // _OUTER_CHUNK == (part.stop - 1) // _OUTER_CHUNK
+            assert _same_bits(mu_part, mu[part])
+            assert _same_bits(gamma_part, gamma[part])
+            seen[part] += 1
+        assert np.all(seen == 1)
+        if source == "drawn":
+            assert streamed.random() == one.random()
+        else:
+            assert streamed.random() == np.random.default_rng(5).random()
 
 
 def test_trapezoid_order_on_smooth_rate():
