@@ -26,7 +26,8 @@ Exit codes: 0 success, 1 config error naming the field (also a regime that
 no requested leg can price, or a failed comparison whose quadrature error
 estimate exceeds the oracle's standard error: ``grid.step``), 2 failed
 analytic-vs-MC comparison under ``--validate``, 3 scenario outside the
-closed-form regime (``--mc-only``).
+closed-form regime (``--mc-only``).  An unreadable config or unwritable
+output also exits 1.
 """
 
 from __future__ import annotations
@@ -105,6 +106,11 @@ class ScenarioConfig(McConfig):
             if cells * held > MAX_PATH_GRID_VALUES:
                 raise SchemaError("mc.intensity_draws", f"{cells} grid cells x {held} draws per chunk "
                                                         f"exceed {MAX_PATH_GRID_VALUES} values per path array")
+        for key, name in (("output.report", self.report_name), ("output.curve", self.curve_name)):
+            if name in ("", ".", "..") or Path(name).name != name:
+                raise SchemaError(key, f"must be a plain file name, got {name!r}")
+        if self.curve_name == self.report_name:
+            raise SchemaError("output.curve", f"must differ from output.report, got {self.curve_name!r}")
 
     @property
     def reported_count(self) -> int:
@@ -468,11 +474,15 @@ def run_scenario(
             "threshold": Z_THRESHOLD,
         }
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / cfg.report_name
     curve_path_file = out_dir / cfg.curve_name
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_curve(curve_path_file, grid, curve)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_curve(curve_path_file, grid, curve)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
     elapsed = time.perf_counter() - started
     print(f"wrote {report_path} and {curve_path_file}")

@@ -426,6 +426,8 @@ def check_oracle_bounds(config: McConfig) -> None:
                           f"x T = {config.T:g} expect {dev_events:.6g} development events per "
                           f"block, over {MAX_PATH_GRID_VALUES} values per path array")
     if config.t > 0.0 and constant_level(config.market) is None:
+        if isinstance(config.market, DeterministicDeflator):
+            raise SchemaError("market.level", "must be constant for the Monte Carlo oracle at valuation.t > 0")
         raise SchemaError("market.vol", "must be 0 for the Monte Carlo oracle at valuation.t > 0")
 
 

@@ -407,7 +407,8 @@ def reserve(
 ) -> ReserveResult:
     """Closed-quadrature reserve of the remaining payments in (t, T].
 
-    ``state`` fixes the valuation time t and the reported count R.  The
+    ``state`` fixes the valuation time t and the reported count R, which
+    is 0 at t = 0 (else ConfigurationError).  The
     deflator cancels out of the result in the supported regime, so
     ``market`` is used for validation only: it must be a martingale
     deflator uncorrelated with the intensity, or a constant deterministic
@@ -432,6 +433,8 @@ def reserve(
     reported = state.reported_count
     if t > T:
         raise ConfigurationError(f"valuation time {t} exceeds horizon {T}")
+    if t == 0.0 and reported != 0:
+        raise ConfigurationError("no claim can already be reported at time zero")
     if market is not None:
         if correlated_with_intensity(market):
             raise UnsupportedRegimeError(
@@ -495,8 +498,6 @@ def reserve(
         raise UnsupportedRegimeError(
             "stochastic intensity is priced at t = 0 only: neither the closed form "
             "nor the Monte Carlo oracle conditions on a partial intensity history")
-    if reported != 0:
-        raise ConfigurationError("no claim can already be reported at time zero")
     assert isinstance(intensity_model, LogOUIntensity)
     if not intensity_draws >= 2:
         raise SchemaError("intensity_draws", f"must be >= 2, got {intensity_draws}")

@@ -570,6 +570,34 @@ def test_run_missing_file_exits_one(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("output, field", [
+    ({"report": "nested/report.json"}, "output.report"),
+    ({"report": ""}, "output.report"),
+    ({"report": ".."}, "output.report"),
+    ({"curve": "."}, "output.curve"),
+    ({"curve": "/tmp/curve.csv"}, "output.curve"),
+    ({"report": "out.txt", "curve": "out.txt"}, "output.curve"),
+], ids=["nested", "empty", "parent", "dot", "absolute", "equal"])
+def test_output_names_must_be_plain_distinct_file_names(tmp_path, capsys, output, field):
+    config = _scenario(output=output)
+    with pytest.raises(SchemaError) as err:
+        parse_config(json.dumps(config))
+    assert err.value.field == field
+    assert run_scenario(_write(tmp_path, config), tmp_path / "out", analytic_only=True) == 1
+    assert f"config error at {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    path = _write(tmp_path, _scenario())
+    (tmp_path / "file").write_text("")
+    assert run_scenario(path, tmp_path / "file", analytic_only=True) == 1
+    assert "cannot write output" in capsys.readouterr().err
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    assert run_scenario(path, tmp_path / "out", analytic_only=True) == 1
+    assert "cannot write output" in capsys.readouterr().err
+
+
 def test_conditional_scenario_round_trip(tmp_path):
     config = _scenario(
         portfolio={"n": 2, "reported_count": 1},

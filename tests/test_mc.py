@@ -416,6 +416,10 @@ def test_conditional_regime_validation():
     with pytest.raises(SchemaError) as err:
         mc_reserve(moving)
     assert err.value.field == "market.vol"
+    curve = _config(t=0.5, conditioning=1, market=DeterministicDeflator(level=lambda u: 1.0 + u))
+    with pytest.raises(SchemaError) as err:
+        mc_reserve(curve)
+    assert err.value.field == "market.level"
 
 
 def test_oracle_refuses_an_oversized_book_before_allocating(monkeypatch):

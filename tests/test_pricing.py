@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from claimflow import (
+    ConfigurationError,
     GridRangeError,
     ConstantIntensity,
     DegenerateStateError,
@@ -438,7 +439,8 @@ _GAMMA_DELAY = DelayLaw(alpha0=0.1, density=GammaDelay(shape=2.0, rate=3.0))
 
 def _ladder_values(path, delay, t):
     _, fm, dev = _book()
-    res = reserve(PortfolioState.from_counts(t, 40, 3), path, delay, fm, dev, 2.0)
+    # No claim is reported yet at t = 0.
+    res = reserve(PortfolioState.from_counts(t, 40, 3 if t > 0.0 else 0), path, delay, fm, dev, 2.0)
     return res.total.hex(), res.diagnostics["unreported_error_estimate"].hex()
 
 
@@ -595,6 +597,16 @@ def test_stochastic_reserve_names_its_draws_bound():
     with pytest.raises(SchemaError) as err:
         reserve(state, model, delay, fm, dev, 1.0, intensity_draws=1)
     assert err.value.field == "intensity_draws"
+
+
+@pytest.mark.parametrize("intensity", [
+    _unit_path(),
+    LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
+], ids=["deterministic", "stochastic"])
+def test_reserve_refuses_reported_claims_at_time_zero(intensity):
+    delay, fm, dev = _book()
+    with pytest.raises(ConfigurationError, match="reported at time zero"):
+        reserve(PortfolioState.from_counts(0.0, 5, 3), intensity, delay, fm, dev, 2.0)
 
 
 def _unchunked_stochastic_reserve(model, delay, fm, dev, T, grid, draws, seed, n):
