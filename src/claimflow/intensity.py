@@ -252,6 +252,7 @@ def draw_hazard_chunks(model: LogOUIntensity, grid: TimeGrid, rng: np.random.Gen
             z = (rng.standard_normal((part.stop - part.start, grid.n_cells)) if normals is None
                  else normals[start + part.start:start + part.stop])
             np.multiply(z.T, innov, out=levels[1:, part])
+        del z  # no part's normals outlive the fill
         model._recur(grid, levels)
         for part in parts:
             mu = np.exp(levels[:, part].T)
