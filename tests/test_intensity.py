@@ -164,8 +164,27 @@ def test_hazard_chunks_match_path_major_reference(model, rows):
     assert _same_bits(model.log_levels(grid, normals), np.ascontiguousarray(x.T))
 
 
-@pytest.mark.parametrize("n_paths", [1, _CHUNK - 1, _CHUNK, 2 * _CHUNK, 2 * _CHUNK + 5, _OUTER_CHUNK - 1,
-                                     _OUTER_CHUNK, 2 * _OUTER_CHUNK + 95, 5000])
+@pytest.mark.parametrize("model", _MODELS, ids=["mean-reverting", "driftless"])
+@pytest.mark.parametrize("rows", ["1", "chunk-1", "chunk", "2chunk", "2chunk+5"])
+def test_drawn_levels_equal_one_normals_draw(model, rows):
+    # Normals drawn a few paths at a time into the levels give the rate of
+    # one (paths, cells) draw fed to log_levels, bit for bit, in parts of at
+    # most _CHUNK paths, and leave the generator where the one draw leaves it.
+    grid = TimeGrid.regular(1.0)
+    n_paths = {"1": 1, "chunk-1": _CHUNK - 1, "chunk": _CHUNK, "2chunk": 2 * _CHUNK,
+               "2chunk+5": 2 * _CHUNK + 5}[rows]
+    one, streamed = np.random.default_rng(5), np.random.default_rng(5)
+    mu = np.exp(model.log_levels(grid, one.standard_normal((n_paths, grid.n_cells))).T)
+    seen = np.zeros(n_paths, dtype=int)
+    for part, mu_part, _ in draw_hazard_chunks(model, grid, streamed, n_paths):
+        assert part.stop - part.start <= _CHUNK
+        assert _same_bits(mu_part, mu[part])
+        seen[part] += 1
+    assert np.all(seen == 1)
+    assert streamed.random() == one.random()
+
+
+@pytest.mark.parametrize("n_paths", [1, _OUTER_CHUNK - 1, _OUTER_CHUNK, 2 * _OUTER_CHUNK + 95, 5000])
 @pytest.mark.parametrize("source", ["drawn", "normals"])
 def test_drawn_hazard_chunks_equal_one_normals_draw(n_paths, source):
     # Levels drawn a few paths at a time, or read from the normals a
