@@ -57,7 +57,17 @@ class ExponentialDelay:
 
 @dataclass(frozen=True)
 class GammaDelay:
-    """Gamma reporting delay; shape >= 1 keeps the density bounded at zero."""
+    """Gamma reporting delay; shape >= 1 keeps the density bounded at zero.
+
+    The cdf is the regularized lower incomplete gamma P(shape, rate * x)
+    (see ``_lower_gamma``) and the pdf is rate * y^(shape-1) e^-y / Gamma(shape)
+    at y = rate * x, both in numpy from one weight y^a e^-y / Gamma(a)
+    (``_log_gamma_weight``).  At shape 1 both are the exponential delay's, bit
+    for bit.  For shapes 1 to 100 the cdf is within 4e-15 absolute of
+    ``scipy.stats.gamma`` (whose own error near x = shape reaches 3e-15)
+    and the pdf within scipy's rounding of its log-density; the tests
+    state both bounds.
+    """
 
     shape: float
     rate: float
@@ -68,30 +78,195 @@ class GammaDelay:
         if not self.rate > 0.0:
             raise SchemaError("rate", f"must be > 0, got {self.rate}")
 
-    # cdf and pdf repeat the operations of scipy.stats.gamma(shape, scale=1/rate)
-    # in the same order, so the values are bit-identical to it without building
-    # a frozen distribution per call.  scipy.special is imported on the first
-    # evaluation, not with the package: its import costs about 0.25 s and
-    # 25 MB, and a book without a gamma delay never imports scipy at all.
-
     def cdf(self, x):
-        from scipy import special
-
         x = np.asarray(x, dtype=float)
-        y = np.maximum(x, 0.0) / (1.0 / self.rate)
-        return np.where(x >= 0.0, special.gammainc(self.shape, y), 0.0)
+        y = self.rate * np.maximum(x, 0.0)
+        if self.shape == 1.0:
+            return np.where(x >= 0.0, -np.expm1(-y), 0.0)
+        out = np.where(y == np.inf, 1.0, 0.0)
+        inside = (y > 0.0) & (y < np.inf)
+        out[inside] = _lower_gamma(self.shape, y[inside])
+        return out
 
     def pdf(self, x):
-        from scipy import special
-
         x = np.asarray(x, dtype=float)
-        scale = 1.0 / self.rate
-        y = np.maximum(x, 0.0) / scale
-        log_pdf = special.xlogy(self.shape - 1.0, y) - y - special.gammaln(self.shape)
-        return np.where(x >= 0.0, np.exp(log_pdf) / scale, 0.0)
+        y = self.rate * np.maximum(x, 0.0)
+        if self.shape == 1.0:
+            return np.where(x >= 0.0, self.rate * np.exp(-y), 0.0)
+        out = np.zeros_like(y)
+        inside = (y > 0.0) & (y < np.inf)
+        y = y[inside]
+        out[inside] = self.rate * np.exp(_log_gamma_weight(self.shape, y) - np.log(y))
+        return out
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
+
+
+# ---------------------------------------------------------------------------
+# Regularized lower incomplete gamma P(a, x) for a >= 1 and 0 < x < inf
+# ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+_FPMIN = float(np.finfo(float).tiny) / _EPS
+#: Stirling series of log Gamma(a) - (a - 1/2) log a + a - log(2 pi) / 2 in
+#: powers of 1/a^2, B_2k / (2k (2k - 1)); at a >= 10 the next term is < 3e-17.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+#: Beyond this shape the series and the continued fraction, which take about
+#: 10 sqrt(a) steps near x = a (and stall once a + 1 == a), give way to a
+#: fixed-size quadrature.
+_SERIES_MAX_SHAPE = 1e6
+_GAUSS_POINTS = 32
+
+
+def _atanh_tail(q):
+    """sum_{j >= 0} q^j / (2j + 3) for 0 <= q <= 1/9, to rounding."""
+    total = 0.0
+    for j in range(19, -1, -1):
+        total = total * q + 1.0 / (2 * j + 3)
+    return total
+
+
+def _log_gamma_scale(a: float) -> float:
+    """log(a^a e^-a / Gamma(a)) = log(a / (2 pi)) / 2 - r(a), r Stirling's remainder.
+
+    r(a) - r(a + 1) = (a + 1/2) log(1 + 1/a) - 1 = sum_j z^(2j+2) / (2j + 3)
+    with z = 1 / (2a + 1), a sum of positive terms, carries a up to 10, where
+    ``_STIRLING`` gives r to rounding.  Unlike a log a - a - lgamma(a), no
+    term is of size a log a, so the result is accurate to a few ulps of 1.
+    """
+    rest = 0.0
+    b = a
+    while b < 10.0:
+        q = (2.0 * b + 1.0) ** -2
+        rest += q * _atanh_tail(q)
+        b += 1.0
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * b ** -2 + c
+    return 0.5 * math.log(a / (2.0 * math.pi)) - (rest + series / b)
+
+
+def _rlog(x: np.ndarray, a: float) -> np.ndarray:
+    """u - 1 - log(u) >= 0 at u = x / a, to full relative precision near u = 1.
+
+    For w = u - 1 in (-1/2, 1), r = w / (2 + w) has |r| < 1/3, and
+    w = 2r / (1 - r), log(u) = 2 atanh(r) give 2r^2 / (1 - r) minus a
+    series in r^3, with no cancellation (DiDonato and Morris, ACM TOMS 12
+    (1986) 377, evaluate their rlog1 the same way).
+    """
+    w = (x - a) / a
+    out = np.empty_like(w)
+    near = (w > -0.5) & (w < 1.0)
+    r = w[near] / (2.0 + w[near])
+    q = r * r
+    out[near] = 2.0 * q / (1.0 - r) - 2.0 * r * q * _atanh_tail(q)
+    u = x[~near] / a
+    with np.errstate(divide="ignore"):  # u underflows to 0 only where x^a does
+        out[~near] = (u - 1.0) - np.log(u)
+    return out
+
+
+def _log_gamma_weight(a: float, x: np.ndarray) -> np.ndarray:
+    """log(x^a e^-x / Gamma(a)) as log(a^a e^-a / Gamma(a)) - a rlog(x / a).
+
+    Written this way the log is small where the weight is not, so its
+    rounding stays near machine epsilon for every shape; the direct
+    a log x - x - log Gamma(a) loses digits in proportion to a log a.
+    """
+    return _log_gamma_scale(a) - a * _rlog(x, a)
+
+
+def _lower_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """P(a, x) for a >= 1 and a 1-D array 0 < x < inf.
+
+    Press et al., Numerical Recipes, 3rd ed., section 6.2: the series for
+    x < a + 1 and the continued fraction for Q = 1 - P otherwise, each
+    stopped when a term no longer moves the result, on a shrinking set of
+    unconverged entries; for a > ``_SERIES_MAX_SHAPE``, quadrature.
+    """
+    if a > _SERIES_MAX_SHAPE:
+        return _lower_gamma_quadrature(a, x)
+    out = np.empty_like(x)
+    low = x < a + 1.0
+    weight = np.exp(_log_gamma_weight(a, x))
+    out[low] = weight[low] * _lower_gamma_series(a, x[low])
+    out[~low] = 1.0 - weight[~low] * _upper_gamma_fraction(a, x[~low])
+    return out
+
+
+def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
+    """sum_{n >= 0} x^n / (a (a + 1) ... (a + n)) for x < a + 1.
+
+    The term ratio x / (a + n) is below 1 and falls, so every entry stops.
+    """
+    out = np.empty_like(x)
+    live = np.arange(len(x))
+    term = np.full(len(x), 1.0 / a)
+    total = term.copy()
+    n = 0
+    while len(live):
+        n += 1
+        term *= x / (a + n)
+        total += term
+        live, (x, term, total) = _finish(out, live, term < total * _EPS, total, x, term, total)
+    return out
+
+
+def _upper_gamma_fraction(a: float, x: np.ndarray) -> np.ndarray:
+    """Q(a, x) Gamma(a) e^x / x^a for x >= a + 1, by the modified Lentz method."""
+    out = np.empty_like(x)
+    live = np.arange(len(x))
+    b = x + 1.0 - a
+    c = np.full(len(x), 1.0 / _FPMIN)
+    d = 1.0 / b
+    h = d.copy()
+    i = 0
+    while len(live):
+        i += 1
+        an = -i * (i - a)
+        b = b + 2.0
+        d = an * d + b
+        d[np.abs(d) < _FPMIN] = _FPMIN
+        c = b + an / c
+        c[np.abs(c) < _FPMIN] = _FPMIN
+        d = 1.0 / d
+        step = d * c
+        h *= step
+        live, (b, c, d, h) = _finish(out, live, np.abs(step - 1.0) <= _EPS, h, b, c, d, h)
+    return out
+
+
+def _finish(out, live, done, value, *state):
+    """Store ``value`` where ``done`` into ``out`` at ``live``, and drop
+    those entries from ``live`` and each array of ``state``."""
+    out[live[done]] = value[done]
+    keep = ~done
+    return live[keep], [array[keep] for array in state]
+
+
+def _lower_gamma_quadrature(a: float, x: np.ndarray) -> np.ndarray:
+    """P(a, x) for large a: Gauss-Legendre quadrature of t^(a-1) e^-t / Gamma(a).
+
+    Numerical Recipes' gammpapprox with 32 points, not 18, and the lower
+    limit 9, not 7.5, standard deviations below the mode: the integral runs
+    from x to a far point on the side of x away from the mode, so it is
+    Q above the mode and P below it.  At a = 1e6 it is within 3e-14 of
+    the series and fraction, under P's own change across one ulp of x
+    there (5e-14); both grow like sqrt(a).
+    """
+    from numpy.polynomial.legendre import leggauss  # only such shapes need it
+
+    nodes, weights = leggauss(_GAUSS_POINTS)
+    a1 = a - 1.0
+    sd = math.sqrt(a1)
+    upper = x > a1
+    far = np.where(upper, np.maximum(a1 + 11.5 * sd, x + 6.0 * sd),
+                   np.maximum(0.0, np.minimum(a1 - 9.0 * sd, x - 5.0 * sd)))
+    t = x[:, None] + (far - x)[:, None] * (0.5 * (nodes + 1.0))
+    part = (np.exp(_log_gamma_weight(a1, t)) / a1) @ (0.5 * weights) * (far - x)
+    return np.where(upper, 1.0 - part, -part)
 
 
 DelayDensity = Union[ExponentialDelay, GammaDelay]

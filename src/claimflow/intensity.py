@@ -163,7 +163,8 @@ class IntensityPath:
     by identity (two paths on one grid may carry different rates).  That
     lets ``pricing`` memoize, per instance, arrays that depend on the path
     and a delay law but not on the valuation time (the refined half-step
-    path and the node density), and ``claims`` the hazard's guide table;
+    path, the cdf kernel and the node density), and ``claims`` the
+    hazard's guide table;
     the memo lives as long as the path.
     """
 

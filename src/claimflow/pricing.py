@@ -28,15 +28,30 @@ Simpson average of the smooth factor.  This is exact (up to rounding) when
 the factor is constant, so zero-delay reporting reproduces 1 - exp(-Gamma)
 to machine precision, and second-order accurate otherwise.
 
+At grid nodes that rule is a discrete convolution: with the cell masses
+m_k = exp(-Gamma_k) - exp(-Gamma_{k+1}) and K_j, the Simpson average of G
+over the lags [j h, (j + 1) h], p(t_i) = sum_{k<i} m_k K_{i-1-k}.  One
+Simpson rule is summed two ways: ``reporting_curve`` takes all nodes at
+once by FFT, and ``reporting_cdf`` takes one node as a dot product.  Off
+the nodes ``reporting_cdf`` evaluates G at t - s itself; at a node that
+sum and the dot product differ by rounding only, because t_i - s_k and
+(i - k) h round differently.
+
 Arrays that depend on a path and a delay law but not on the valuation time
-are built once per path: the node density p', its two suffix sums and the
-half-step refined path of the Richardson estimate live in the path's
-private memo (see ``IntensityPath``).  The payout is linear in u, so the
-unreported integral over the whole cells of [t, T] reads those sums at the
-window's ends.  Re-valuing one book at many dates on one path therefore
-runs no whole-grid convolution and no whole-window sum after the first
-date.  Integrating the payout by parts against the reporting cdf would
-memoize the suffix sums of the grid cdf in place of the density's.
+are built once per path: the cell masses and cdf kernel, the node density
+p', its two suffix sums and the half-step refined path of the Richardson
+estimate live in the path's private memo (see ``IntensityPath``).  The
+payout is linear in u, so the unreported integral over the whole cells of
+[t, T] reads those sums at the window's ends.  Re-valuing one book at many
+node dates on one path therefore runs no delay-law evaluation, no
+whole-grid convolution and no whole-window sum after the first date.
+Integrating the payout by parts against the reporting cdf would memoize
+the suffix sums of the grid cdf in place of the density's.
+
+A gamma delay's G is the regularized incomplete gamma function, computed
+in numpy (``claims.GammaDelay``; no scipy import).  For shapes 1 to 100
+it is within 4e-15 absolute of ``scipy.stats.gamma``, most of which is
+scipy's own error near x = shape.
 """
 
 from __future__ import annotations
@@ -117,9 +132,23 @@ def _stieltjes(path: IntensityPath, t: float, factor) -> float:
 
 
 def reporting_cdf(path: IntensityPath, delay: DelayLaw, t: float) -> float:
-    """P(first report by t) along the given path; bounded by 1 - exp(-Gamma_t)."""
-    path.grid.require_inside(t)
-    return _stieltjes(path, t, lambda s: delay.cdf(t - s))
+    """P(first report by t) along the given path; bounded by 1 - exp(-Gamma_t).
+
+    At a grid node t_i (``t`` equal to ``grid.points[i]``, bit for bit) the
+    Simpson rule of ``_stieltjes`` is sum_{k<i} masses[k] * K[i-1-k], one
+    dot product of the path's memoized cell masses and cdf kernel, with no
+    delay-law call once they are built.  Any other ``t`` runs
+    ``_stieltjes``, a t one ulp off a node included.
+    """
+    grid = path.grid
+    grid.require_inside(t)
+    i = min(int(round((t - grid.t0) / grid.step)), grid.n_cells)
+    if grid.points[i] != t:
+        return _stieltjes(path, t, lambda s: delay.cdf(t - s))
+    if i == 0:
+        return 0.0
+    masses, kernel = _cdf_kernel(path, delay)
+    return float(np.dot(masses[:i], kernel[i - 1 :: -1]))
 
 
 def reporting_density(path: IntensityPath, delay: DelayLaw, t: float) -> float:
@@ -193,6 +222,39 @@ class ReportingCurve:
         return np.maximum((1.0 - self.survival) - self.cdf, 0.0)
 
 
+class _CdfKernel(NamedTuple):
+    """One path's memo entry for one delay law's cdf; both arrays are read-only."""
+
+    masses: np.ndarray  # exp(-Gamma_k) - exp(-Gamma_{k+1}) per cell
+    kernel: np.ndarray  # Simpson average of G over a lag of j cells, j = 1..n_cells
+
+
+def _memoized(path: IntensityPath, key, build):
+    """The path's memo entry under ``key``, a tuple of arrays that ``build``
+    makes on first use and that is read-only from then on.
+
+    The memo lives on the path (see ``IntensityPath``) and keys by value;
+    threads that fill an entry at once compute the same bits.
+    """
+    entry = path._memo.get(key)
+    if entry is None:
+        entry = build()
+        for array in entry:
+            array.flags.writeable = False
+        path._memo[key] = entry
+    return entry
+
+
+def _cdf_kernel(path: IntensityPath, delay: DelayLaw) -> _CdfKernel:
+    """Cell masses and cdf kernel, built once per path and delay law.
+
+    The pointwise on-node p(t) and ``reporting_curve``'s FFT read the same
+    entry.
+    """
+    return _memoized(path, ("cdf", delay), lambda: _CdfKernel(
+        _cell_masses(np.exp(-path.gamma)), _kernel_arrays(delay.cdf, path.grid)))
+
+
 class _NodeDensity(NamedTuple):
     """One path's memo entry for one delay law; every array is read-only.
 
@@ -213,36 +275,30 @@ def _tail_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _node_density(path: IntensityPath, delay: DelayLaw) -> _NodeDensity:
-    """p' on every grid node and its tail sums, built once per path and delay law.
+    """p' on every grid node and its tail sums, built once per path and delay law."""
 
-    The memo entry lives on the path (see ``IntensityPath``), keyed by the
-    delay law's value; threads that fill it at once compute the same bits.
-    """
-    key = ("density", delay)
-    entry = path._memo.get(key)
-    if entry is None:
+    def build() -> _NodeDensity:
         grid = path.grid
         surv = np.exp(-path.gamma)
         density = delay.alpha0 * surv * path.mu
         if delay.density is not None:
             density = density + _convolve_masses(_cell_masses(surv), _kernel_arrays(delay.pdf, grid))
-        entry = _NodeDensity(density, _tail_sums(density),
-                             _tail_sums((grid.t_end - grid.points) * density))
-        for array in entry:
-            array.flags.writeable = False
-        path._memo[key] = entry
-    return entry
+        return _NodeDensity(density, _tail_sums(density),
+                            _tail_sums((grid.t_end - grid.points) * density))
+
+    return _memoized(path, ("density", delay), build)
 
 
 def reporting_curve(path: IntensityPath, delay: DelayLaw) -> ReportingCurve:
     """Evaluate the reporting law on the whole grid in one pass.
 
-    The density is the path's memoized node density, shared and read-only.
+    The cdf convolves the path's memoized cell masses and cdf kernel, the
+    arrays the on-node ``reporting_cdf`` dots; the density is the memoized
+    node density, shared and read-only.
     """
-    surv = np.exp(-path.gamma)
-    cdf = _convolve_masses(_cell_masses(surv), _kernel_arrays(delay.cdf, path.grid))
+    cdf = _convolve_masses(*_cdf_kernel(path, delay))
     return ReportingCurve(grid=path.grid, cdf=cdf, density=_node_density(path, delay).density,
-                          survival=surv)
+                          survival=np.exp(-path.gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def test_stieltjes_shares_node_evaluations():
 def test_pointwise_reporting_law_matches_three_call_stieltjes(delay):
     # One factor call gives the bits of separate calls: on nodes, one ulp
     # below a node (where the last cell's right end lies past t) and off
-    # the nodes.
+    # the nodes.  Off the nodes that sum is reporting_cdf's value.
     path = simulate_intensity_path(_SEASONAL, TimeGrid.regular(2.0, step=1.0 / 730.0))
     points = path.grid.points
     dates = [0.0, 2.0, 0.5, 1.0 / 3.0]
@@ -228,11 +228,64 @@ def test_pointwise_reporting_law_matches_three_call_stieltjes(delay):
         dates += [node, float(np.nextafter(node, 0.0)), node - path.grid.step / 3.0]
     for t in dates:
         cdf = _three_call_stieltjes(path, t, lambda s: delay.cdf(t - s))
-        assert reporting_cdf(path, delay, t) == cdf
+        assert pricing._stieltjes(path, t, lambda s: delay.cdf(t - s)) == cdf
+        if not np.any(points == t):
+            assert reporting_cdf(path, delay, t) == cdf
         if delay.density is not None:
             atom = delay.alpha0 * path.survival(t) * path.rate(t)
             density = atom + _three_call_stieltjes(path, t, lambda u: delay.pdf(t - u))
             assert reporting_density(path, delay, t) == density
+
+
+def test_on_node_reporting_cdf_is_the_stieltjes_rule_as_one_dot():
+    # Every node of a 3-hour grid.  Where t_i / step rounds to i, _stieltjes
+    # sums the same whole cells and the two differ only where t_i - s_k
+    # and (i - k) h round differently.  Where it rounds below i, _stieltjes
+    # takes cell i - 1 as a partial one with frac just below 1, and that
+    # cell's mass exp(-Gamma_{i-1}) - exp(-Gamma(t)) rounds on its own: at
+    # most an ulp of the survival times the cell's weight, below G(h).
+    grid = TimeGrid.regular(0.5, step=1.0 / (365.0 * 8.0))
+    path = simulate_intensity_path(_SEASONAL, grid)
+    delay = DelayLaw(alpha0=0.1, density=GammaDelay(shape=2.3, rate=3.5))
+    floor = np.finfo(float).eps * float(delay.cdf(grid.step))
+    assert reporting_cdf(path, delay, 0.0) == 0.0
+    for t in grid.points[1:]:
+        t = float(t)
+        pointwise = pricing._stieltjes(path, t, lambda s: delay.cdf(t - s))
+        whole_cells = grid.locate(t)[1] in (0.0, 1.0)
+        tol = 1e-15 * pointwise + (0.0 if whole_cells else floor)
+        assert abs(reporting_cdf(path, delay, t) - pointwise) <= tol
+    # One ulp off a node runs _stieltjes itself.
+    for i in (1, 56, 175 * 8, grid.n_cells):
+        for t in (float(np.nextafter(grid.points[i], 0.0)), float(np.nextafter(grid.points[i], 1.0))):
+            if t <= grid.t_end:
+                assert reporting_cdf(path, delay, t) == pricing._stieltjes(
+                    path, t, lambda s: delay.cdf(t - s))
+
+
+def test_warm_on_node_valuations_call_no_delay_cdf(monkeypatch):
+    # One memo fill per path and delay law (the kernel's node and midpoint
+    # evaluations); warm on-node p(t), reserve and reporting_curve then call
+    # the delay cdf no more.
+    calls = []
+    cdf = DelayLaw.cdf
+    monkeypatch.setattr(DelayLaw, "cdf", lambda self, x: calls.append(np.size(x)) or cdf(self, x))
+    grid = TimeGrid.regular(2.0, step=1.0 / (365.0 * 8.0))
+    path = simulate_intensity_path(_SEASONAL, grid)
+    _, fm, dev = _book()
+    n = grid.n_cells
+    reporting_cdf(path, _GAMMA_DELAY, float(grid.points[56]))
+    assert calls == [n + 1, n]
+    for week in range(1, 53):
+        t = float(grid.points[56 * week])
+        reporting_cdf(path, _GAMMA_DELAY, t)
+        reserve(PortfolioState.from_counts(t, 40, 3), path, _GAMMA_DELAY, fm, dev, 2.0)
+    reporting_curve(path, _GAMMA_DELAY)
+    # An equal law built anew reads the same entry; another law fills its own.
+    reporting_cdf(path, DelayLaw(alpha0=0.1, density=GammaDelay(shape=2.0, rate=3.0)), 1.0)
+    assert calls == [n + 1, n]
+    reporting_cdf(path, _exp_delay(), 1.0)
+    assert calls == [n + 1, n, n + 1, n]
 
 
 def test_reporting_law_nonnegative_after_reporting_dies_out():
