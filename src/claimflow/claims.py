@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import ConfigurationError, SchemaError
 from .intensity import IntensityPath
-from ._rng import Seed, coerce_rng, rekeyable_generator, rekeyed
+from ._rng import Seed, coerce_rng, policy_streams
 
-# Substream purposes; part of the reproducibility contract.
+# Stream purposes (key word 1's high half); part of the reproducibility contract.
 STREAM_ACCIDENT = 0
 STREAM_DELAY = 1
 STREAM_FIRST_MARK = 2
@@ -40,8 +40,8 @@ class ExponentialDelay:
     rate: float
 
     def __post_init__(self) -> None:
-        if not self.rate > 0.0:
-            raise SchemaError("rate", f"must be > 0, got {self.rate}")
+        if not 0.0 < self.rate < math.inf:
+            raise SchemaError("rate", f"must be finite and > 0, got {self.rate}")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -59,6 +59,8 @@ class ExponentialDelay:
 class GammaDelay:
     """Gamma reporting delay; shape >= 1 keeps the density bounded at zero.
 
+    ``shape`` lies in [1, 2**53] and ``rate`` is finite and > 0.
+
     The cdf is the regularized lower incomplete gamma P(shape, rate * x)
     (see ``_lower_gamma``) and the pdf is rate * y^(shape-1) e^-y / Gamma(shape)
     at y = rate * x, both in numpy from one weight y^a e^-y / Gamma(a)
@@ -73,10 +75,11 @@ class GammaDelay:
     rate: float
 
     def __post_init__(self) -> None:
-        if not self.shape >= 1.0:
-            raise SchemaError("shape", f"must be >= 1, got {self.shape}")
-        if not self.rate > 0.0:
-            raise SchemaError("rate", f"must be > 0, got {self.rate}")
+        # Past 2**53 shape + 1 == shape; P(shape, shape) read 2.3 at 1e34.
+        if not 1.0 <= self.shape <= 2.0 ** 53:
+            raise SchemaError("shape", f"must be in [1, 2**53], got {self.shape}")
+        if not 0.0 < self.rate < math.inf:
+            raise SchemaError("rate", f"must be finite and > 0, got {self.rate}")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -519,18 +522,30 @@ def invert_hazard(path: IntensityPath, threshold: float) -> float:
 
 
 def sample_accident_time(path: IntensityPath, seed: Seed) -> float:
-    """Inverse-hazard draw: conditional on the path, P(tau > t) = exp(-Gamma_t)."""
+    """Inverse-hazard draw: conditional on the path, P(tau > t) = exp(-Gamma_t).
+
+    With ``seed = policy_stream(s, STREAM_ACCIDENT, i)`` this is policy
+    ``i``'s accident time in ``simulate_portfolio(..., seed=s)``; the other
+    samplers match it the same way through their own purposes.
+    """
     rng = coerce_rng(seed)
     return invert_hazard(path, rng.exponential())
 
 
 def sample_delay(law: DelayLaw, seed: Seed) -> float:
-    """One report lag: zero with probability alpha0, else a density draw."""
+    """One report lag: zero with probability alpha0, else a density draw.
+
+    ``policy_stream(s, STREAM_DELAY, i)`` as the seed gives policy ``i``'s lag.
+    """
     return law.sample(coerce_rng(seed))
 
 
 def sample_development(law: DevelopmentLaw, horizon: float, seed: Seed) -> tuple[tuple[float, float], ...]:
-    """Compound Poisson events on (0, horizon]: sorted (offset, mark) pairs."""
+    """Compound Poisson events on (0, horizon]: sorted (offset, mark) pairs.
+
+    ``policy_stream(s, STREAM_DEVELOPMENT, i)`` as the seed, with the
+    horizon less policy ``i``'s report time, gives its developments.
+    """
     if horizon < 0.0:
         raise ConfigurationError(f"development horizon must be >= 0, got {horizon}")
     rng = coerce_rng(seed)
@@ -697,23 +712,22 @@ def simulate_portfolio(
 ) -> list[ClaimRecord]:
     """Simulate ``n`` policies sharing one intensity path.
 
-    Accident times are conditionally i.i.d. given the path; delays, first
-    marks and developments come from substreams keyed by (purpose, policy),
-    so each ingredient can be perturbed without touching any other.
-    Developments are simulated on (0, horizon - report_time] and a claim
-    reported after the horizon simply has none.
+    Accident times are conditionally i.i.d. given the path; every draw
+    comes from a Philox stream keyed by (seed, purpose, policy), so each
+    ingredient can be perturbed without touching any other.  Developments
+    are simulated on (0, horizon - report_time] and a claim reported after
+    the horizon simply has none.
 
-    Each policy draws exactly what ``substream(seed, purpose, i)`` would:
-    one generator per call is put into each derived state in turn, and a
-    purpose whose law draws nothing derives no states.
+    Policy ``i`` draws exactly what ``policy_stream(seed, purpose, i)``
+    would, so the ``sample_*`` functions reproduce it one ingredient at a
+    time.  Each purpose whose law draws re-keys one generator from policy
+    to policy; a purpose whose law draws nothing builds none.
     """
     if n < 1:
         raise ConfigurationError(f"portfolio size must be >= 1, got {n}")
     intensity.grid.require_inside(horizon)
-    rng = rekeyable_generator()
 
-    streams = rekeyed(rng, seed, STREAM_ACCIDENT, indices=range(n))
-    thresholds = np.array([g.exponential() for g in streams])
+    thresholds = np.array([g.exponential() for g in policy_streams(seed, STREAM_ACCIDENT, range(n))])
     accidents = _invert_gamma_rows(intensity.gamma, intensity.grid.points, thresholds,
                                    guide=_path_guide(intensity)).tolist()
     occurred = [i for i, a in enumerate(accidents) if a != math.inf]
@@ -721,17 +735,16 @@ def simulate_portfolio(
     if delay.alpha0 == 1.0:
         delays = [0.0] * len(occurred)
     else:
-        delays = [delay.sample(g) for g in rekeyed(rng, seed, STREAM_DELAY, indices=occurred)]
+        delays = [delay.sample(g) for g in policy_streams(seed, STREAM_DELAY, occurred)]
     reports = [accidents[i] + theta for i, theta in zip(occurred, delays)]
     if first_mark.kind == "deterministic":
         marks = [first_mark.mean] * len(occurred)
     else:
-        streams = rekeyed(rng, seed, STREAM_FIRST_MARK, indices=occurred)
-        marks = [float(first_mark.sample(g)) for g in streams]
+        marks = [float(first_mark.sample(g)) for g in policy_streams(seed, STREAM_FIRST_MARK, occurred)]
     devs: list[tuple[tuple[float, float], ...]] = [()] * len(occurred)
     if dev.rate > 0.0:
         developing = [k for k, report in enumerate(reports) if report < horizon]
-        streams = rekeyed(rng, seed, STREAM_DEVELOPMENT, indices=[occurred[k] for k in developing])
+        streams = policy_streams(seed, STREAM_DEVELOPMENT, [occurred[k] for k in developing])
         for k, g in zip(developing, streams):
             devs[k] = _draw_developments(dev, horizon - reports[k], g)
 

@@ -50,10 +50,17 @@ class TimeGrid:
             raise GridRangeError(f"time {t} outside grid [{self.t0}, {self.t_end}]")
 
     def locate(self, t: float) -> tuple[int, float]:
-        """Cell index and fractional position of ``t``; ``t`` must be in range."""
+        """Cell index and fractional position of ``t``; ``t`` must be in range.
+
+        A ``t`` equal to node ``i`` is at the start of cell ``i``, also where
+        ``t / step`` rounds below ``i``; the end node ends the last cell.
+        """
         self.require_inside(t)
-        idx = int((t - self.t0) / self.step)
-        idx = min(max(idx, 0), self.n_cells - 1)
+        if t == self.t_end:
+            return self.n_cells - 1, 1.0
+        idx = min(max(int((t - self.t0) / self.step), 0), self.n_cells - 1)
+        if self.points[idx + 1] <= t:
+            idx += 1
         frac = (t - self.points[idx]) / self.step
         return idx, float(min(max(frac, 0.0), 1.0))
 

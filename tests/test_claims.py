@@ -18,6 +18,7 @@ from claimflow import (
     MarkLaw,
     PiecewiseConstantIntensity,
     PortfolioState,
+    SchemaError,
     TimeGrid,
     invert_hazard,
     observed_state,
@@ -42,7 +43,7 @@ from claimflow.claims import (
     _path_guide,
 )
 from claimflow.intensity import trapezoid_hazard
-from claimflow._rng import substream
+from claimflow._rng import policy_stream
 
 
 def _unit_path(t_end=2.0):
@@ -245,6 +246,19 @@ def test_delay_law_validation():
         GammaDelay(shape=0.5, rate=1.0)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda v: ExponentialDelay(rate=v), "rate"),
+    (lambda v: GammaDelay(shape=2.0, rate=v), "rate"),
+    (lambda v: GammaDelay(shape=v, rate=1.0), "shape"),
+], ids=["exponential-rate", "gamma-rate", "gamma-shape"])
+def test_delay_densities_refuse_non_finite_parameters(make, field):
+    # Accepted, an infinite rate read pdf(0) = NaN and an infinite shape cdf NaN.
+    for value in (math.inf, math.nan):
+        with pytest.raises(SchemaError) as err:
+            make(value)
+        assert err.value.field == field
+
+
 def test_delay_cdf_is_proper():
     law = DelayLaw(alpha0=0.25, density=GammaDelay(shape=2.0, rate=3.0))
     xs = np.linspace(0.0, 20.0, 200)
@@ -338,9 +352,14 @@ def test_gamma_delay_large_shapes():
     x = np.linspace(shape - 12e3, shape + 12e3, 4001)
     np.testing.assert_allclose(_lower_gamma_quadrature(shape, x), _lower_gamma(shape, x),
                                rtol=0.0, atol=1e-13)
-    # Past 2^53 shape + 1 == shape; the quadrature still ends.
-    cdf = GammaDelay(shape=1e300, rate=1.0).cdf(np.array([0.0, 1e299, 1e300, 1e301, np.inf]))
-    assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= 0.0)
+    # The largest shape taken, 2^53, still reads P(a, a) to its change across
+    # one ulp of x there (about 8e-9); past it the law is refused.
+    shape = 2.0 ** 53
+    assert GammaDelay(shape=shape, rate=1.0).cdf(shape) == pytest.approx(
+        0.5 + 1.0 / (3.0 * math.sqrt(2.0 * math.pi * shape)), abs=1e-9)
+    for bad in (np.nextafter(shape, np.inf), 1e300):
+        with pytest.raises(SchemaError, match="shape"):
+            GammaDelay(shape=bad, rate=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -441,26 +460,26 @@ def test_accident_substream_matches_direct_sampler():
     delay, fm, dev = _laws()
     claims = simulate_portfolio(5, path, delay, fm, dev, horizon=2.0, seed=77)
     for i, claim in enumerate(claims):
-        direct = sample_accident_time(path, substream(77, STREAM_ACCIDENT, i))
+        direct = sample_accident_time(path, policy_stream(77, STREAM_ACCIDENT, i))
         assert claim.accident_time == direct or (math.isinf(claim.accident_time) and math.isinf(direct))
 
 
 def _reference_portfolio(n, intensity, delay, first_mark, dev, horizon, seed):
-    """Policy by policy, one fresh keyed generator per (purpose, policy): the
-    draw layout that simulate_portfolio reproduces bit for bit."""
+    """Policy by policy, one fresh Philox generator per (purpose, policy):
+    the draw layout that simulate_portfolio reproduces bit for bit."""
     records = []
     for i in range(n):
-        accident = sample_accident_time(intensity, substream(seed, STREAM_ACCIDENT, i))
+        accident = sample_accident_time(intensity, policy_stream(seed, STREAM_ACCIDENT, i))
         if math.isinf(accident):
             records.append(ClaimRecord(accident_time=math.inf))
             continue
-        theta = 0.0 if delay.alpha0 == 1.0 else delay.sample(substream(seed, STREAM_DELAY, i))
+        theta = 0.0 if delay.alpha0 == 1.0 else delay.sample(policy_stream(seed, STREAM_DELAY, i))
         report = accident + theta
         mark = (first_mark.mean if first_mark.kind == "deterministic"
-                else float(first_mark.sample(substream(seed, STREAM_FIRST_MARK, i))))
+                else float(first_mark.sample(policy_stream(seed, STREAM_FIRST_MARK, i))))
         devs = ()
         if dev.rate > 0.0 and report < horizon:
-            devs = sample_development(dev, horizon - report, substream(seed, STREAM_DEVELOPMENT, i))
+            devs = sample_development(dev, horizon - report, policy_stream(seed, STREAM_DEVELOPMENT, i))
         records.append(ClaimRecord(accident_time=accident, delay=theta, report_time=report,
                                    first_mark=mark, developments=devs))
     return records
@@ -490,6 +509,28 @@ def test_portfolio_matches_per_policy_reference(delay, first_mark, dev_rate):
         for seed, horizon in ((17, 2.0), (np.random.SeedSequence(777, spawn_key=(n,)), 1.5)):
             got = simulate_portfolio(n, path, delay, first_mark, dev, horizon, seed)
             assert got == _reference_portfolio(n, path, delay, first_mark, dev, horizon, seed)
+
+
+def test_portfolio_numbers_are_pinned():
+    # The per-policy Philox layout, bit for bit: a change to the keying, the
+    # purposes or any law's draw order moves these on purpose.
+    path = _unit_path()
+    delay = DelayLaw(alpha0=0.2, density=GammaDelay(shape=2.3, rate=3.0))
+    fm = MarkLaw(mean=1.0, kind="lognormal", sigma_ln=0.8)
+    dev = DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="lognormal", sigma_ln=0.5))
+    claims = simulate_portfolio(5, path, delay, fm, dev, horizon=2.0, seed=11)
+    got = [(c.accident_time.hex(), c.report_time.hex(), c.first_mark.hex(),
+            [(o.hex(), x.hex()) for o, x in c.developments]) for c in claims]
+    assert got == [
+        ("0x1.1fec1404968b2p+0", "0x1.d251fb9dc9774p+0", "0x1.57a8006448c34p-2", []),
+        ("0x1.38977c88f157ep-1", "0x1.781f1375193dap+0", "0x1.94d0c3969f5b0p+0", []),
+        ("0x1.cbede6cd25e8dp-1", "0x1.21347bea4cdefp+1", "0x1.c997574c723fap-2", []),
+        ("0x1.31da81b1b6db4p-4", "0x1.7af7e37c1b08ap-1", "0x1.642c60b1f7677p-2",
+         [("0x1.0bbc5719d8906p+0", "0x1.5434a1718d63ep-1"),
+          ("0x1.37814f20cd6c0p+0", "0x1.3bbe7862fdd98p-2")]),
+        ("0x1.de7b90ea266a1p-4", "0x1.ab4bef390bfeap+0", "0x1.c4364d4870dbfp-2",
+         [("0x1.0c535056afc2cp-2", "0x1.264ae912f8eccp-1")]),
+    ]
 
 
 def test_claim_record_validation():

@@ -50,6 +50,18 @@ def test_locate_cells():
     assert idx == 3 and frac == pytest.approx(1.0)
 
 
+def test_locate_puts_every_node_on_a_cell_boundary():
+    # On this grid t_i / step rounds below i at 344 of 5,841 nodes; each
+    # node still starts its own cell, and the end node ends the last one.
+    grid = TimeGrid.regular(2.0, step=1.0 / (365.0 * 8.0))
+    n = grid.n_cells
+    assert [grid.locate(float(t)) for t in grid.points] == [(i, 0.0) for i in range(n)] + [(n - 1, 1.0)]
+    # A date just below a node, where t / step rounds up to it, stays at
+    # that node: the valuation-ladder reference encodes it (ROADMAP item 1).
+    assert grid.points[1400] - 175.0 / 365.0 == 2.0 ** -54
+    assert grid.locate(175.0 / 365.0) == (1400, 0.0)
+
+
 def test_node_index_accepts_nodes_only():
     grid = TimeGrid.regular(2.0)
     assert grid.node_index(1.0) == 365

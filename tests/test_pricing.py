@@ -238,23 +238,18 @@ def test_pointwise_reporting_law_matches_three_call_stieltjes(delay):
 
 
 def test_on_node_reporting_cdf_is_the_stieltjes_rule_as_one_dot():
-    # Every node of a 3-hour grid.  Where t_i / step rounds to i, _stieltjes
-    # sums the same whole cells and the two differ only where t_i - s_k
-    # and (i - k) h round differently.  Where it rounds below i, _stieltjes
-    # takes cell i - 1 as a partial one with frac just below 1, and that
-    # cell's mass exp(-Gamma_{i-1}) - exp(-Gamma(t)) rounds on its own: at
-    # most an ulp of the survival times the cell's weight, below G(h).
+    # Every node of a 3-hour grid: _stieltjes sums the same whole cells,
+    # including where t_i / step rounds below i, and the two differ only
+    # where t_i - s_k and (i - k) h round differently.
     grid = TimeGrid.regular(0.5, step=1.0 / (365.0 * 8.0))
     path = simulate_intensity_path(_SEASONAL, grid)
     delay = DelayLaw(alpha0=0.1, density=GammaDelay(shape=2.3, rate=3.5))
-    floor = np.finfo(float).eps * float(delay.cdf(grid.step))
     assert reporting_cdf(path, delay, 0.0) == 0.0
     for t in grid.points[1:]:
         t = float(t)
         pointwise = pricing._stieltjes(path, t, lambda s: delay.cdf(t - s))
-        whole_cells = grid.locate(t)[1] in (0.0, 1.0)
-        tol = 1e-15 * pointwise + (0.0 if whole_cells else floor)
-        assert abs(reporting_cdf(path, delay, t) - pointwise) <= tol
+        assert grid.locate(t)[1] in (0.0, 1.0)
+        assert abs(reporting_cdf(path, delay, t) - pointwise) <= 1e-15 * pointwise
     # One ulp off a node runs _stieltjes itself.
     for i in (1, 56, 175 * 8, grid.n_cells):
         for t in (float(np.nextafter(grid.points[i], 0.0)), float(np.nextafter(grid.points[i], 1.0))):
