@@ -349,12 +349,12 @@ class MarkLaw:
     sigma_ln: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.mean > 0.0:
-            raise SchemaError("mean", f"must be > 0, got {self.mean}")
+        if not 0.0 < self.mean < math.inf:
+            raise SchemaError("mean", f"must be finite and > 0, got {self.mean}")
         if self.kind not in MARK_KINDS:
             raise SchemaError("kind", f"must be one of {MARK_KINDS}, got {self.kind!r}")
-        if not self.sigma_ln >= 0.0:
-            raise SchemaError("sigma_ln", f"must be >= 0, got {self.sigma_ln}")
+        if not 0.0 <= self.sigma_ln < math.inf:
+            raise SchemaError("sigma_ln", f"must be finite and >= 0, got {self.sigma_ln}")
 
     def sample(self, rng: np.random.Generator, size=None):
         if self.kind == "deterministic":
@@ -381,8 +381,8 @@ class DevelopmentLaw:
     mark: MarkLaw
 
     def __post_init__(self) -> None:
-        if not self.rate >= 0.0:
-            raise SchemaError("rate", f"must be >= 0, got {self.rate}")
+        if not 0.0 <= self.rate < math.inf:
+            raise SchemaError("rate", f"must be finite and >= 0, got {self.rate}")
 
     @property
     def mark_mean(self) -> float:

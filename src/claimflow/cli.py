@@ -51,7 +51,6 @@ from .intensity import (
     IntensityModel,
     LogOUIntensity,
     PiecewiseConstantIntensity,
-    _OUTER_CHUNK,
     is_deterministic,
     simulate_intensity_path,
 )
@@ -97,15 +96,10 @@ class ScenarioConfig(McConfig):
         draws = self.intensity_draws
         if not draws >= 2:
             raise SchemaError("mc.intensity_draws", f"must be >= 2, got {draws}")
-        if isinstance(self.intensity, LogOUIntensity):
-            # One bracket per draw, and one chunk's levels at a time.
-            cells, held = self.grid().n_cells, min(draws, _OUTER_CHUNK)
-            if draws > MAX_PATH_GRID_VALUES:
-                raise SchemaError("mc.intensity_draws", f"{draws} draws exceed {MAX_PATH_GRID_VALUES} "
-                                                        f"values per path array")
-            if cells * held > MAX_PATH_GRID_VALUES:
-                raise SchemaError("mc.intensity_draws", f"{cells} grid cells x {held} draws per chunk "
-                                                        f"exceed {MAX_PATH_GRID_VALUES} values per path array")
+        # One bracket per draw; the levels are built a cache-sized part at a time.
+        if isinstance(self.intensity, LogOUIntensity) and draws > MAX_PATH_GRID_VALUES:
+            raise SchemaError("mc.intensity_draws", f"{draws} draws exceed {MAX_PATH_GRID_VALUES} "
+                                                    f"values per path array")
         for key, name in (("output.report", self.report_name), ("output.curve", self.curve_name)):
             if name in ("", ".", "..") or Path(name).name != name:
                 raise SchemaError(key, f"must be a plain file name, got {name!r}")

@@ -11,10 +11,14 @@ had no accident by t.  Three models are provided:
       dx_t = a * (b - x_t) dt + sigma dW_t,
 
   simulated with the exact Gaussian transition so mu > 0 pathwise.
+
+``LogOUIntensity.log_level_paths`` builds log-OU levels path-major;
+``draw_hazard_chunks`` streams them a cache-sized part of paths at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -32,8 +36,8 @@ class ConstantIntensity:
     mu: float
 
     def __post_init__(self) -> None:
-        if not self.mu >= 0.0:
-            raise SchemaError("mu", f"must be >= 0, got {self.mu}")
+        if not 0.0 <= self.mu < math.inf:
+            raise SchemaError("mu", f"must be finite and >= 0, got {self.mu}")
 
     def values(self, grid: TimeGrid, rng: np.random.Generator | None = None) -> np.ndarray:
         return np.full(len(grid.points), float(self.mu))
@@ -59,10 +63,10 @@ class PiecewiseConstantIntensity:
             raise SchemaError("rates", "need exactly one more rate than breakpoints")
         if not all(b2 > b1 for b1, b2 in zip(bp, bp[1:])):
             raise SchemaError("breakpoints", f"must be strictly increasing, got {list(bp)}")
-        if bp and not bp[0] > 0.0:
-            raise SchemaError("breakpoints", f"must be > 0, got {list(bp)}")
-        if not all(r >= 0.0 for r in ra):
-            raise SchemaError("rates", f"must be >= 0, got {list(ra)}")
+        if not all(0.0 < b < math.inf for b in bp):
+            raise SchemaError("breakpoints", f"must be finite and > 0, got {list(bp)}")
+        if not all(0.0 <= r < math.inf for r in ra):
+            raise SchemaError("rates", f"must be finite and >= 0, got {list(ra)}")
 
     def rate_at(self, t: np.ndarray | float) -> np.ndarray:
         idx = np.searchsorted(np.asarray(self.breakpoints), t, side="right")
@@ -70,6 +74,11 @@ class PiecewiseConstantIntensity:
 
     def values(self, grid: TimeGrid, rng: np.random.Generator | None = None) -> np.ndarray:
         return np.asarray(self.rate_at(grid.points), dtype=float)
+
+
+#: Most e-folds of decay in one block of ``LogOUIntensity.log_level_paths``:
+#: exp(_SPAN) = sqrt(float max), so exp(+-rate k) and scaled levels stay normal.
+_SPAN = math.log(np.finfo(float).max) / 2
 
 
 @dataclass(frozen=True)
@@ -85,12 +94,14 @@ class LogOUIntensity:
     init: float
 
     def __post_init__(self) -> None:
-        if not self.mean_rev >= 0.0:
-            raise SchemaError("mean_rev", f"must be >= 0, got {self.mean_rev}")
-        if not self.vol >= 0.0:
-            raise SchemaError("vol", f"must be >= 0, got {self.vol}")
-        if not self.init > 0.0:
-            raise SchemaError("init", f"must be > 0, got {self.init}")
+        if not 0.0 <= self.mean_rev < math.inf:
+            raise SchemaError("mean_rev", f"must be finite and >= 0, got {self.mean_rev}")
+        if not math.isfinite(self.long_run_log_level):
+            raise SchemaError("long_run_log_level", f"must be finite, got {self.long_run_log_level}")
+        if not 0.0 <= self.vol < math.inf:
+            raise SchemaError("vol", f"must be finite and >= 0, got {self.vol}")
+        if not 0.0 < self.init < math.inf:
+            raise SchemaError("init", f"must be finite and > 0, got {self.init}")
 
     def step_params(self, dt: float) -> tuple[float, float]:
         """Exact one-step transition: decay factor and innovation std dev."""
@@ -107,41 +118,38 @@ class LogOUIntensity:
             normals = np.zeros((1, grid.n_cells))
         else:
             normals = rng.standard_normal((1, grid.n_cells))
-        return np.exp(self.log_levels(grid, normals)[:, 0])
+        return np.exp(self.log_level_paths(grid, normals)[0])
 
     def log_level_paths(self, grid: TimeGrid, normals: np.ndarray) -> np.ndarray:
         """Exact-transition log-level paths from an array of N(0,1) draws.
 
         ``normals`` has shape (paths, n_cells); the result has one more
-        column.  It is the path-major copy of ``log_levels``.
+        column.  In y = x - b, y[k+1] = d y[k] + w[k] with d = exp(-rate),
+        rate = mean_rev * step, w = innov * z, so y[k] = d^k (y[0] +
+        sum_{j<k} d^-(j+1) w[j]): a scaled cumulative sum along each path
+        (Blelloch 1990, sec. 1.4), run in blocks of at most ``_SPAN``
+        e-folds, each starting from the last level before it.  Past
+        ``_SPAN`` e-folds per step the level is b + w to rounding.
         """
-        return np.ascontiguousarray(self.log_levels(grid, normals).T)
-
-    def log_levels(self, grid: TimeGrid, normals: np.ndarray) -> np.ndarray:
-        """The same recursion time-major: shape (n_cells + 1, paths).
-
-        Row k holds x at node k on every path, so each step is a few passes
-        over one contiguous row.  The step repeats ``b + (x - b) * decay +
-        innov * z`` operation by operation (IEEE addition commutes), so the
-        values equal a path-major recursion bit for bit.
-        """
+        innov = self.step_params(grid.step)[1]
         n_paths, n_cells = normals.shape
-        x = np.empty((n_cells + 1, n_paths))
-        np.multiply(normals.T, self.step_params(grid.step)[1], out=x[1:])
-        return self._recur(grid, x)
-
-    def _recur(self, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
-        """Run the recursion in place on ``x``, whose rows 1.. hold ``innov * z``."""
-        decay = self.step_params(grid.step)[0]
-        x[0] = np.log(self.init)
         b = self.long_run_log_level
-        step = np.empty(x.shape[1])
-        for k in range(len(x) - 1):
-            np.subtract(x[k], b, out=step)
-            step *= decay
-            step += b
-            x[k + 1] += step
-        return x
+        y = np.empty((n_paths, n_cells + 1))
+        y[:, 0] = np.log(self.init) - b
+        np.multiply(normals, innov, out=y[:, 1:])
+        rate = self.mean_rev * grid.step
+        width = n_cells if rate * n_cells <= _SPAN else int(_SPAN / rate)
+        if width:
+            k = np.arange(width + 1)
+            up, down = np.exp(rate * k), np.exp(-rate * k)
+            for start in range(0, n_cells, width):
+                block = y[:, start:start + width + 1]
+                block *= up[:block.shape[1]]
+                np.cumsum(block, axis=1, out=block)
+                block *= down[:block.shape[1]]
+        y += b
+        y[:, 0] = np.log(self.init)
+        return y
 
 
 IntensityModel = Union[ConstantIntensity, PiecewiseConstantIntensity, LogOUIntensity]
@@ -221,44 +229,26 @@ def _hazard_chunk_rows(grid: TimeGrid) -> int:
     return max(1, _HAZARD_CHUNK_VALUES // len(grid.points))
 
 
-#: Paths per chunk of ``draw_hazard_chunks``: the most (nodes, paths)
-#: log-levels the stochastic reserve or a log-OU oracle block holds.
-_OUTER_CHUNK = 1024
-
-
 def draw_hazard_chunks(model: LogOUIntensity, grid: TimeGrid, rng: np.random.Generator, n_paths: int,
                        normals: np.ndarray | None = None
                        ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """Rate and hazard of ``n_paths`` fresh log-OU paths, a few paths at a time.
 
-    Yields ``(rows, mu, gamma)``: a slice of the ``n_paths`` paths, their
-    (rows, nodes) rate and its ``trapezoid_hazard``.  The paths are built
-    ``_OUTER_CHUNK`` at a time in one (nodes, paths) levels buffer, whose
-    ``_hazard_chunk_rows`` parts are each filled with ``innov * z`` for
-    ``z = rng.standard_normal((rows, n_cells))``, or ``z`` read from
-    ``normals`` when those are given (``rng`` is then not used).  One
-    ``_recur`` turns the buffer into levels, and each part's rate and
-    hazard are yielded before the next chunk's buffer exists.  Row-chunk
-    draws equal one whole draw bit for bit, so the values, and the
-    generator's state afterwards, equal those of ``log_levels`` of one
-    ``rng.standard_normal((n_paths, n_cells))``.
+    Yields ``(rows, mu, gamma)`` for each ``_hazard_chunk_rows`` part in
+    order: a slice of the paths, their (rows, nodes) rate and its
+    ``trapezoid_hazard``, the rate built from ``rng.standard_normal((rows,
+    n_cells))`` or, when given, ``normals[rows]`` (``rng`` unused).  Row
+    parts of a draw equal one whole draw and each path depends on its own
+    normals only, so the values and the generator's final state equal
+    those of one whole draw fed to ``log_level_paths``, bit for bit.
     """
-    innov = model.step_params(grid.step)[1]
     size = _hazard_chunk_rows(grid)
-    for start in range(0, n_paths, _OUTER_CHUNK):
-        width = min(_OUTER_CHUNK, n_paths - start)
-        levels = np.empty((grid.n_cells + 1, width))
-        parts = [slice(r, min(r + size, width)) for r in range(0, width, size)]
-        for part in parts:
-            z = (rng.standard_normal((part.stop - part.start, grid.n_cells)) if normals is None
-                 else normals[start + part.start:start + part.stop])
-            np.multiply(z.T, innov, out=levels[1:, part])
-        del z  # no part's normals outlive the fill
-        model._recur(grid, levels)
-        for part in parts:
-            mu = np.exp(levels[:, part].T)
-            yield slice(start + part.start, start + part.stop), mu, trapezoid_hazard(grid, mu)
-        del levels  # before the next chunk's levels exist
+    for start in range(0, n_paths, size):
+        rows = slice(start, min(start + size, n_paths))
+        mu = model.log_level_paths(grid, rng.standard_normal((rows.stop - start, grid.n_cells))
+                                   if normals is None else normals[rows])
+        np.exp(mu, out=mu)
+        yield rows, mu, trapezoid_hazard(grid, mu)
 
 
 def simulate_intensity_path(model: IntensityModel, grid: TimeGrid, seed: Seed = 0) -> IntensityPath:

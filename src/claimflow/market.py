@@ -10,6 +10,7 @@ driftless geometric Brownian one, which is a martingale by construction.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
@@ -29,8 +30,8 @@ class DeterministicDeflator:
     level: Union[float, Callable[[float], float]] = 1.0
 
     def __post_init__(self) -> None:
-        if not callable(self.level) and not self.level > 0.0:
-            raise SchemaError("level", f"must be > 0, got {self.level}")
+        if not callable(self.level) and not 0.0 < self.level < math.inf:
+            raise SchemaError("level", f"must be finite and > 0, got {self.level}")
 
     @property
     def is_constant(self) -> bool:
@@ -60,10 +61,10 @@ class MartingaleDeflator:
     corr_with_intensity: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.init > 0.0:
-            raise SchemaError("init", f"must be > 0, got {self.init}")
-        if not self.vol >= 0.0:
-            raise SchemaError("vol", f"must be >= 0, got {self.vol}")
+        if not 0.0 < self.init < math.inf:
+            raise SchemaError("init", f"must be finite and > 0, got {self.init}")
+        if not 0.0 <= self.vol < math.inf:
+            raise SchemaError("vol", f"must be finite and >= 0, got {self.vol}")
         if not -1.0 <= self.corr_with_intensity <= 1.0:
             raise SchemaError("corr_with_intensity", f"must be in [-1, 1], got {self.corr_with_intensity}")
 

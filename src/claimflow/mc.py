@@ -11,10 +11,10 @@ its cost follows the number of payments rather than the grid size.
 Accident times come from one inverter, ``claims._invert_gamma_rows``,
 whether the hazard is one deterministic curve (searched through its
 guide table, built once per run) or per path.  Under a log-OU intensity
-a block draws its accident thresholds, then its levels ``_OUTER_CHUNK``
-paths at a time (``draw_hazard_chunks``), and inverts each hazard chunk
-a few cached paths at a time as soon as it exists, so no array of the
-block's levels or hazards exists; only a deflator correlated with the
+a block draws its accident thresholds, then its levels a few cached
+paths at a time (``draw_hazard_chunks``), and inverts each part's hazard
+as soon as it exists, so no array of the block's levels or hazards
+exists; only a deflator correlated with the
 intensity makes it draw the normals as one block-sized array, which the
 deflator reads.  A block's memory thus follows its policies and
 payments, not its grid.  The inversion is a bisection made of
@@ -56,7 +56,6 @@ from .grids import DEFAULT_STEP, TimeGrid
 from .intensity import (
     IntensityModel,
     LogOUIntensity,
-    _OUTER_CHUNK,
     draw_hazard_chunks,
     is_deterministic,
     simulate_intensity_path,
@@ -80,11 +79,10 @@ _STREAM_MC_BLOCK = 0xB10C
 Z_THRESHOLD = 3.0
 
 #: Most values (128 MiB of float64) in one per-path array: policies x paths
-#: per Monte Carlo block for the oracle.  Under a log-OU intensity also
-#: cells x the paths whose levels are held at once (``_OUTER_CHUNK`` of a
-#: block, or the whole block's normals under a correlated deflator), and
-#: for the stochastic reserve its draws (one bracket each) and cells x the
-#: draws of one chunk.
+#: per Monte Carlo block for the oracle.  Under a log-OU intensity with a
+#: correlated deflator also cells x paths of the block's normals, and for
+#: the stochastic reserve its draws (one bracket each).  Other log-OU
+#: levels are built a cache-sized part of paths at a time.
 MAX_PATH_GRID_VALUES = 1 << 24
 
 #: Most grid cells a book may ask for: an hourly grid over about 60 years.
@@ -131,12 +129,10 @@ class McConfig:
         if cells > MAX_GRID_CELLS:
             raise SchemaError("grid.step", f"valuation.T / grid.step = {ratio:.6g} grid cells "
                                            f"exceeds the limit of {MAX_GRID_CELLS}")
-        if isinstance(self.intensity, LogOUIntensity):
+        if isinstance(self.intensity, LogOUIntensity) and correlated_with_intensity(market):
             rows = min(BLOCK_SIZE, self.n_paths)
-            if not correlated_with_intensity(market):
-                rows = min(rows, _OUTER_CHUNK)
             if cells * rows > MAX_PATH_GRID_VALUES:
-                raise SchemaError("grid.step", f"{cells} grid cells x {rows} Monte Carlo paths held at once "
+                raise SchemaError("grid.step", f"{cells} grid cells x {rows} Monte Carlo paths of normals "
                                                f"exceed {MAX_PATH_GRID_VALUES} values per path array")
         for field, mean in (("first_mark.mean", self.first_mark.mean),
                             ("development.mark_mean", self.development.mark_mean)):

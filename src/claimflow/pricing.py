@@ -74,7 +74,6 @@ from .intensity import (
     IntensityModel,
     IntensityPath,
     LogOUIntensity,
-    _OUTER_CHUNK,
     draw_hazard_chunks,
     is_deterministic,
     simulate_intensity_path,
@@ -85,6 +84,9 @@ from ._rng import Seed, substream
 
 # Guard for conditional denominators; below this the state is degenerate.
 _MIN_SURVIVING_MASS = 1e-12
+
+#: Stochastic-reserve draws also bracketed on the half-step grid (Richardson).
+_ESTIMATE_DRAWS = 1024
 
 def expected_development(dev: DevelopmentLaw, t: float) -> float:
     """Expected cumulative development paid within ``t`` years of the report.
@@ -473,13 +475,13 @@ def reserve(
     model is supported at t = 0 only, where the outer average over
     intensity paths is estimated from ``intensity_draws`` fresh draws and
     its standard error lands in the diagnostics.  The draws come from one
-    generator through ``draw_hazard_chunks``, and each chunk is reduced to
-    its payout brackets before the next is drawn, so memory stays at one
-    bracket per draw and a few ``_OUTER_CHUNK`` x cells arrays, and the
+    generator through ``draw_hazard_chunks``, and each part of a few paths
+    is reduced to its payout brackets before the next is drawn, so memory
+    stays at one bracket per draw and a few cache-sized arrays, and the
     result equals a one-pass average bit for bit.  The first
-    ``_OUTER_CHUNK`` paths are also bracketed on the half-step grid (the
-    rate interpolated linearly at the midpoints, as in ``_refined``), a
-    few paths at a time; their mean gap gives the Richardson
+    ``_ESTIMATE_DRAWS`` (1,024) paths are also bracketed on the half-step
+    grid (the rate interpolated linearly at the midpoints, as in
+    ``_refined``), a part at a time; their mean gap gives the Richardson
     ``unreported_error_estimate`` and ``error_estimate_draws`` counts
     them.  Other regimes raise UnsupportedRegimeError; the Monte
     Carlo oracle prices all of them but a stochastic model at t > 0.
@@ -565,23 +567,24 @@ def reserve(
     q_fine = _bracket_functional(c_fine, delay, fine_grid)
     rng = substream(seed, 0x1A7E)
     brackets = np.empty(intensity_draws)
-    gap = 0.0  # sum of bracket - half-step bracket over the first _OUTER_CHUNK paths
+    gap = 0.0  # sum of bracket - half-step bracket over the first _ESTIMATE_DRAWS paths
     for rows, mu, gamma in draw_hazard_chunks(intensity_model, grid, rng, intensity_draws):
         chunk = _brackets(mu, gamma, q, c, delay.alpha0)
         brackets[rows] = chunk
-        if rows.start < _OUTER_CHUNK:
-            mu_fine = _half_step_rates(mu)
+        if rows.start < _ESTIMATE_DRAWS:
+            k = min(rows.stop, _ESTIMATE_DRAWS) - rows.start
+            mu_fine = _half_step_rates(mu[:k])
             fine = _brackets(mu_fine, trapezoid_hazard(fine_grid, mu_fine), q_fine, c_fine,
                              delay.alpha0)
-            gap += float(np.sum(chunk - fine))
+            gap += float(np.sum(chunk[:k] - fine))
     mean_bracket = float(np.mean(brackets))
     se_bracket = float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))
     unreported = n * mean_bracket
     diagnostics["intensity_draws"] = int(intensity_draws)
     diagnostics["outer_std_error"] = n * se_bracket
     # Richardson estimate, as in the deterministic branch, from the mean
-    # half-step gap of the first chunk's paths.
-    estimate_draws = min(_OUTER_CHUNK, intensity_draws)
+    # half-step gap of the first _ESTIMATE_DRAWS paths.
+    estimate_draws = min(_ESTIMATE_DRAWS, intensity_draws)
     diagnostics["error_estimate_draws"] = estimate_draws
     diagnostics["unreported_error_estimate"] = n * (4.0 / 3.0) * abs(gap / estimate_draws)
     total = reported_component + unreported

@@ -17,7 +17,7 @@ from claimflow import (
 )
 from claimflow.grids import DEFAULT_STEP
 from claimflow.intensity import (
-    _OUTER_CHUNK,
+    _SPAN,
     _hazard_chunk_rows,
     draw_hazard_chunks,
     trapezoid_hazard,
@@ -127,7 +127,7 @@ def test_log_ou_parameter_validation():
 
 
 def _path_major_log_levels(model, grid, normals):
-    """The path-major recursion the time-major builder replaced: the reference."""
+    """The sequential path-major recursion, step by step: the reference."""
     decay, innov = model.step_params(grid.step)
     n_paths, n_cells = normals.shape
     x = np.empty((n_paths, n_cells + 1))
@@ -136,6 +136,18 @@ def _path_major_log_levels(model, grid, normals):
     for k in range(n_cells):
         x[:, k + 1] = b + (x[:, k] - b) * decay + innov * normals[:, k]
     return x
+
+
+def _assert_rounding_close(x, reference):
+    # The scan and the recursion round differently.  Each level is a sum
+    # of at most n_cells scaled steps, so the two differ by at most
+    # n_cells * eps times the largest level, to first order (Higham 2002,
+    # Accuracy and Stability of Numerical Algorithms, sec. 4.2).  On the
+    # log scale this is the relative difference of the rates.
+    assert x.shape == reference.shape
+    assert np.array_equal(x[:, 0], reference[:, 0])
+    tolerance = reference.shape[1] * np.finfo(float).eps * (1.0 + np.max(np.abs(reference)))
+    assert np.max(np.abs(x - reference)) <= tolerance
 
 
 def _same_bits(a, b):
@@ -151,30 +163,60 @@ _MODELS = [
 @pytest.mark.parametrize("model", _MODELS, ids=["mean-reverting", "driftless"])
 @pytest.mark.parametrize("rows", ["1", "chunk-1", "chunk", "chunk+1", "5000"])
 def test_hazard_chunks_match_path_major_reference(model, rows):
-    # Both builders of whole log-level arrays equal the path-major
-    # recursion bit for bit; test_drawn_hazard_chunks_equal_one_normals_draw
-    # checks the streamed rate and hazard against the same reference.
+    # The scan gives the sequential recursion's levels to rounding;
+    # test_drawn_hazard_chunks_equal_one_normals_draw checks the streamed
+    # rate and hazard against one call of the scan bit for bit.
     grid = TimeGrid.regular(1.0)
     assert 1 < _CHUNK < 5000
     n_paths = {"1": 1, "chunk-1": _CHUNK - 1, "chunk": _CHUNK, "chunk+1": _CHUNK + 1, "5000": 5000}[rows]
     normals = np.random.default_rng(n_paths).standard_normal((n_paths, grid.n_cells))
-    x = _path_major_log_levels(model, grid, normals)
+    _assert_rounding_close(model.log_level_paths(grid, normals), _path_major_log_levels(model, grid, normals))
 
-    assert _same_bits(model.log_level_paths(grid, normals), x)
-    assert _same_bits(model.log_levels(grid, normals), np.ascontiguousarray(x.T))
+
+_SCAN_CASES = {
+    # 2,740 e-folds over the year: the scan runs in blocks of 129 steps.
+    "multi-block": LogOUIntensity(mean_rev=1000.0, long_run_log_level=0.3, vol=0.5, init=1.7),
+    # 2,740 e-folds per step: no step carries the previous level.
+    "width-0": LogOUIntensity(mean_rev=1e6, long_run_log_level=0.3, vol=0.5, init=1.7),
+    # 548 e-folds per step, where the decay factor is still a normal float.
+    "width-0-normal-decay": LogOUIntensity(mean_rev=2e5, long_run_log_level=0.3, vol=0.5, init=1.7),
+    "driftless": LogOUIntensity(mean_rev=0.0, long_run_log_level=0.3, vol=0.5, init=1.7),
+    "vol-0": LogOUIntensity(mean_rev=2.0, long_run_log_level=0.7, vol=0.0, init=0.2),
+    "vol-0-multi-block": LogOUIntensity(mean_rev=1000.0, long_run_log_level=0.7, vol=0.0, init=0.2),
+}
+
+
+@pytest.mark.parametrize("case", list(_SCAN_CASES))
+def test_scan_matches_sequential_recursion(case):
+    # Every branch of the scan against the recursion, with numpy warnings
+    # raised as errors (pytest's filterwarnings): no scale factor or scaled
+    # level overflows or underflows.
+    model = _SCAN_CASES[case]
+    grid = TimeGrid.regular(1.0)
+    rate = model.mean_rev * grid.step
+    width = {"multi-block": 129, "width-0": 0, "width-0-normal-decay": 0}.get(case)
+    if width is not None:
+        assert (rate * grid.n_cells > _SPAN) and int(_SPAN / rate) == width
+    normals = np.random.default_rng(3).standard_normal((300, grid.n_cells))
+    x = model.log_level_paths(grid, normals)
+    _assert_rounding_close(x, _path_major_log_levels(model, grid, normals))
+    if width == 0:
+        innov = model.step_params(grid.step)[1]
+        assert np.array_equal(x[:, 1:], innov * normals + model.long_run_log_level)
 
 
 @pytest.mark.parametrize("model", _MODELS, ids=["mean-reverting", "driftless"])
 @pytest.mark.parametrize("rows", ["1", "chunk-1", "chunk", "2chunk", "2chunk+5"])
 def test_drawn_levels_equal_one_normals_draw(model, rows):
     # Normals drawn a few paths at a time into the levels give the rate of
-    # one (paths, cells) draw fed to log_levels, bit for bit, in parts of at
-    # most _CHUNK paths, and leave the generator where the one draw leaves it.
+    # one (paths, cells) draw fed to log_level_paths, bit for bit, in parts
+    # of at most _CHUNK paths, and leave the generator where the one draw
+    # leaves it.
     grid = TimeGrid.regular(1.0)
     n_paths = {"1": 1, "chunk-1": _CHUNK - 1, "chunk": _CHUNK, "2chunk": 2 * _CHUNK,
                "2chunk+5": 2 * _CHUNK + 5}[rows]
     one, streamed = np.random.default_rng(5), np.random.default_rng(5)
-    mu = np.exp(model.log_levels(grid, one.standard_normal((n_paths, grid.n_cells))).T)
+    mu = np.exp(model.log_level_paths(grid, one.standard_normal((n_paths, grid.n_cells))))
     seen = np.zeros(n_paths, dtype=int)
     for part, mu_part, _ in draw_hazard_chunks(model, grid, streamed, n_paths):
         assert part.stop - part.start <= _CHUNK
@@ -184,32 +226,30 @@ def test_drawn_levels_equal_one_normals_draw(model, rows):
     assert streamed.random() == one.random()
 
 
-@pytest.mark.parametrize("n_paths", [1, _OUTER_CHUNK - 1, _OUTER_CHUNK, 2 * _OUTER_CHUNK + 95, 5000])
+@pytest.mark.parametrize("n_paths", [1, 1023, 1024, 2143, 5000])
 @pytest.mark.parametrize("source", ["drawn", "normals"])
 def test_drawn_hazard_chunks_equal_one_normals_draw(n_paths, source):
     # Levels drawn a few paths at a time, or read from the normals a
-    # correlated deflator keeps, give the path-major rate and hazard of one
-    # (paths, cells) draw bit for bit, in parts of at most _CHUNK paths that
-    # never straddle 1,024 paths, and leave the generator where that one
-    # draw leaves it.
+    # correlated deflator keeps, give the rate and hazard of one
+    # log_level_paths call on one (paths, cells) draw bit for bit, in
+    # consecutive parts of at most _CHUNK paths, and leave the generator
+    # where that one draw leaves it.
     grid = TimeGrid.regular(1.0)
-    assert _OUTER_CHUNK % _CHUNK != 0
     for model in _MODELS:
         one = np.random.default_rng(5)
         normals = one.standard_normal((n_paths, grid.n_cells))
-        mu = np.exp(_path_major_log_levels(model, grid, normals))
+        mu = np.exp(model.log_level_paths(grid, normals))
         gamma = trapezoid_hazard(grid, mu)
         streamed = np.random.default_rng(5)
         chunks = (draw_hazard_chunks(model, grid, streamed, n_paths) if source == "drawn"
                   else draw_hazard_chunks(model, grid, streamed, n_paths, normals=normals))
-        seen = np.zeros(n_paths, dtype=int)
+        end = 0
         for part, mu_part, gamma_part in chunks:
-            assert part.stop - part.start <= _CHUNK
-            assert part.start // _OUTER_CHUNK == (part.stop - 1) // _OUTER_CHUNK
+            assert part.start == end and 0 < part.stop - part.start <= _CHUNK
             assert _same_bits(mu_part, mu[part])
             assert _same_bits(gamma_part, gamma[part])
-            seen[part] += 1
-        assert np.all(seen == 1)
+            end = part.stop
+        assert end == n_paths
         if source == "drawn":
             assert streamed.random() == one.random()
         else:

@@ -35,7 +35,7 @@ from claimflow import (
 from claimflow import mc
 from claimflow.cli import parse_config
 from claimflow.claims import _BISECT_CHUNK, _invert_gamma_rows
-from claimflow.intensity import _OUTER_CHUNK, _hazard_chunk_rows, trapezoid_hazard
+from claimflow.intensity import _hazard_chunk_rows, trapezoid_hazard
 from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _accident_times, _brownian_at_events
 
 
@@ -289,15 +289,32 @@ def _block_peak(config):
 
 def test_log_ou_block_peak_memory():
     # One 4,096-path block of the stochastic_validate book at n = 64.  Its
-    # levels are drawn 1,024 paths at a time, each hazard chunk is inverted
-    # as it is built, and each stage's arrays die with the stage, so the
-    # peak (9.2 MiB) stays below one (nodes, paths) levels array of the
-    # block (11.4 MiB).
+    # levels are built a cache-sized part at a time, each part's hazard is
+    # inverted as it is built, and each stage's arrays die with the stage,
+    # so the peak (9.2 MiB) stays below one (nodes, paths) levels array of
+    # the block (11.4 MiB).
     config = _config(
         n_policies=64, intensity=LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
         development=DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="exponential")),
         n_paths=BLOCK_SIZE, seed=3)
     assert _block_peak(config) < BLOCK_SIZE * len(config.grid().points) * 8
+
+
+def test_log_ou_accident_stage_memory_does_not_follow_the_grid():
+    # 100 paths on 20,000 cells: one (nodes, paths) levels array would take
+    # 16 MB.  The stage holds one part's normals, levels and hazard (a
+    # quarter of a MiB at most) besides its accident times.
+    config = _config(intensity=LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
+                     grid_step=1.0 / 20_000, n_paths=100)
+    grid = config.grid()
+    assert grid.n_cells == 20_000
+    tracemalloc.start()
+    try:
+        _accident_times(config, grid, np.random.default_rng(0), config.n_paths, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_deterministic_block_peak_memory():
@@ -313,20 +330,19 @@ def test_streamed_accident_times_match_whole_block_inversion(correlated):
     # The log-OU stage against its one-array reference: the accident
     # thresholds, then the block's normals in one draw, the (paths, nodes)
     # hazard of all its paths, then one inversion.  Path counts straddle
-    # the hazard chunk and the 1,024-path levels chunk, and about a third
-    # of the thresholds lie above their row's Gamma_T and map to inf.
+    # the hazard part, and about a third of the thresholds lie above their
+    # row's Gamma_T and map to inf.
     market = (MartingaleDeflator(init=1.0, vol=0.2, corr_with_intensity=0.5) if correlated
               else DeterministicDeflator(1.0))
     model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
     config = _config(n_policies=9, intensity=model, market=market)
     grid = config.grid()
     chunk = _hazard_chunk_rows(grid)
-    assert _OUTER_CHUNK % chunk != 0
-    for n_block in (chunk - 1, _OUTER_CHUNK + chunk + 7):
+    for n_block in (chunk - 1, 1_120):
         rng = np.random.default_rng(n_block)
         e = rng.exponential(size=(n_block, config.n_policies))
         normals = rng.standard_normal((n_block, grid.n_cells))
-        gamma = trapezoid_hazard(grid, np.exp(model.log_levels(grid, normals).T))
+        gamma = trapezoid_hazard(grid, np.exp(model.log_level_paths(grid, normals)))
         expected = _invert_gamma_rows(gamma, grid.points, e)
         assert 0.1 < np.mean(np.isinf(expected)) < 0.9
         streamed = np.random.default_rng(n_block)
@@ -436,8 +452,9 @@ _LOG_OU = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0
 
 
 @pytest.mark.parametrize("field, overrides", [
-    # one chunk's log-levels: 200,000 cells x 1,024 paths, 204,800,000 values (1.5 GiB)
-    ("grid.step", dict(intensity=_LOG_OU, grid_step=1.0 / 200_000, n_paths=BLOCK_SIZE)),
+    # a block's correlated normals: 200,000 cells x 4,096 paths, 819,200,000 values (6.1 GiB)
+    ("grid.step", dict(intensity=_LOG_OU, grid_step=1.0 / 200_000, n_paths=BLOCK_SIZE,
+                       market=MartingaleDeflator(init=1.0, vol=0.2, corr_with_intensity=0.5))),
     ("grid.step", dict(grid_step=1e-300)),  # 1e300 grid cells
     ("seed", dict(seed=-1)),  # numpy's seeding refuses a negative seed
 ], ids=["log_ou_block", "1e-300", "negative_seed"])
@@ -492,6 +509,41 @@ def test_each_law_bound_refuses_nan_naming_its_attribute(record, attribute, nan,
     for value in (nan, bad):
         with pytest.raises(SchemaError) as err:
             record(**{**_LAWS[record], attribute: value})
+        assert err.value.field == attribute
+
+
+#: (record, attribute, how a number becomes the attribute's value) for
+#: every numeric field of a law record.
+_LAW_NUMBERS = [
+    (ConstantIntensity, "mu", float),
+    (PiecewiseConstantIntensity, "breakpoints", lambda v: (v,)),
+    (PiecewiseConstantIntensity, "rates", lambda v: (1.0, v)),
+    (LogOUIntensity, "mean_rev", float),
+    (LogOUIntensity, "long_run_log_level", float),
+    (LogOUIntensity, "vol", float),
+    (LogOUIntensity, "init", float),
+    (ExponentialDelay, "rate", float),
+    (GammaDelay, "shape", float),
+    (GammaDelay, "rate", float),
+    (DelayLaw, "alpha0", float),
+    (MarkLaw, "mean", float),
+    (MarkLaw, "sigma_ln", float),
+    (DevelopmentLaw, "rate", float),
+    (DeterministicDeflator, "level", float),
+    (MartingaleDeflator, "init", float),
+    (MartingaleDeflator, "vol", float),
+    (MartingaleDeflator, "corr_with_intensity", float),
+]
+
+
+@pytest.mark.parametrize("record, attribute, value_of", _LAW_NUMBERS,
+                         ids=[f"{r.__name__}.{a}" for r, a, _ in _LAW_NUMBERS])
+def test_each_law_field_refuses_non_finite_numbers(record, attribute, value_of):
+    # An infinite rate or level would price silently, or fail far from its
+    # cause in reserve's check that the total is the sum of its components.
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SchemaError) as err:
+            record(**{**_LAWS[record], attribute: value_of(value)})
         assert err.value.field == attribute
 
 

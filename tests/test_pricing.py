@@ -39,8 +39,9 @@ from claimflow import (
 )
 from claimflow import pricing
 from claimflow.cli import parse_config
-from claimflow.intensity import _OUTER_CHUNK, trapezoid_hazard
+from claimflow.intensity import trapezoid_hazard
 from claimflow.pricing import (
+    _ESTIMATE_DRAWS,
     _bracket_functional,
     _cell_masses,
     _fft_convolve,
@@ -673,9 +674,9 @@ def _unchunked_stochastic_reserve(model, delay, fm, dev, T, grid, draws, seed, n
 
 @pytest.mark.parametrize("alpha0", [0.0, 0.2])
 def test_stochastic_reserve_chunks_match_one_pass(alpha0):
-    # Draw counts around whole chunks: the chunked outer average must equal
-    # the one-pass formula bit for bit.
-    assert _OUTER_CHUNK == 1024
+    # Draw counts around the error estimate's 1,024 draws: the streamed
+    # outer average must equal the one-pass formula bit for bit.
+    assert _ESTIMATE_DRAWS == 1024
     model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
     delay = DelayLaw(alpha0=alpha0, density=ExponentialDelay(2.0))
     fm = MarkLaw(mean=1.0, kind="exponential")
@@ -691,17 +692,17 @@ def test_stochastic_reserve_chunks_match_one_pass(alpha0):
 
 @pytest.mark.parametrize("draws", [2, 1023, 1024, 2049])
 def test_stochastic_error_estimate_matches_one_pass_half_step(draws):
-    # The Richardson estimate reads the first chunk's paths (the first
-    # min(draws, 1024) draws) on the half-step grid: the same levels, the
-    # rate linearly interpolated at the midpoints, and the fine grid's own
-    # payout weights.  Chunked, it matches that one-pass computation.
+    # The Richardson estimate reads the first min(draws, 1024) draws on the
+    # half-step grid: the same levels, the rate linearly interpolated at the
+    # midpoints, and the fine grid's own payout weights.  Streamed, it
+    # matches that one-pass computation.
     model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
     delay, fm, dev = DelayLaw(alpha0=0.2, density=ExponentialDelay(2.0)), MarkLaw(mean=1.0), _book()[2]
     grid = TimeGrid.regular(1.0, step=1 / 52)
     fine_grid = TimeGrid.regular(1.0, step=1 / 104)
     state = PortfolioState.from_counts(0.0, 64, 0)
     result = reserve(state, model, delay, fm, dev, 1.0, grid=grid, intensity_draws=draws, seed=3)
-    k = min(draws, _OUTER_CHUNK)
+    k = min(draws, _ESTIMATE_DRAWS)
     mu = np.exp(model.log_level_paths(grid, substream(3, 0x1A7E).standard_normal((k, grid.n_cells))))
     mu_fine = np.empty((k, fine_grid.n_cells + 1))
     mu_fine[:, 0::2] = mu
@@ -751,7 +752,7 @@ _CONDITIONAL_SCENARIO = {
     ((Path(__file__).resolve().parents[1] / "configs" / "example.json").read_text(),
      "unreported_error_estimate", "0x1.65f41a19488cdp+3", "0x1.0a3f588aaaaaap-17"),
     (json.dumps(_STOCHASTIC_SCENARIO),
-     "outer_std_error", "0x1.369995e5d2390p+5", "0x1.437cb97d07aa9p-5"),
+     "outer_std_error", "0x1.369995e5d2390p+5", "0x1.437cb97d07a9dp-5"),
     (json.dumps(_CONDITIONAL_SCENARIO),
      "unreported_error_estimate", "0x1.7539062074594p+2", "0x1.49dd513b1fa86p-20"),
 ], ids=["example", "log_ou_n64", "piecewise_t0.7"])
@@ -778,7 +779,7 @@ def test_stochastic_reserve_memory_does_not_grow_with_draws():
         tracemalloc.start()
         try:
             reserve(state, model, delay, fm, dev, 1.0, grid=grid,
-                    intensity_draws=chunks * _OUTER_CHUNK, seed=1)
+                    intensity_draws=chunks * 1024, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
