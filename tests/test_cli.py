@@ -232,14 +232,6 @@ def test_grid_limits_admit_fine_grids():
     hourly = parse_config(json.dumps(_scenario(grid={"step": 1.0 / 8760}, valuation={"T": 10.0})))
     assert round(hourly.T / hourly.grid_step) == 87_600
     parse_config(json.dumps(_scenario(grid={"step": 10.0 / MAX_GRID_CELLS}, valuation={"T": 10.0})))
-    # Log-OU levels are built a cache-sized part of paths at a time, so no
-    # bound counts them: 16,385 cells x 1,024 oracle paths or draws exceed
-    # 2^24 values and still parse.
-    assert 16_385 * 1024 > MAX_PATH_GRID_VALUES
-    parse_config(json.dumps(_scenario(grid={"step": 1.0 / 16_385}, intensity=_LOG_OU,
-                                      mc={"n_paths": 10_000, "intensity_draws": 8192})))
-    parse_config(json.dumps(_scenario(grid={"step": 1.0 / 16_385}, intensity=_LOG_OU,
-                                      mc={"n_paths": 100, "intensity_draws": 1024})))
     # The log-OU budgets exactly: 4,096 cells x 4,096 paths per block under
     # a correlated deflator; 2^24 draws.
     parse_config(json.dumps(_scenario(grid={"step": 1.0 / 4096}, intensity=_LOG_OU, market=_CORRELATED,
@@ -249,6 +241,17 @@ def test_grid_limits_admit_fine_grids():
     # A daily log-OU book over 4,097 days at the default 8,192 draws.
     parse_config(json.dumps(_scenario(grid={"step": 1.0 / 365}, intensity=_LOG_OU,
                                       valuation={"T": 4097 / 365}, mc={"n_paths": 10_000})))
+
+
+# Log-OU levels are built a cache-sized part of paths at a time, so no bound
+# counts them: 16,385 cells x 1,024 oracle paths or draws exceed 2^24 values
+# and still parse.
+@pytest.mark.parametrize("mc", [{"n_paths": 10_000, "intensity_draws": 8192},
+                                {"n_paths": 100, "intensity_draws": 1024}], ids=["oracle-chunk", "draws"])
+def test_log_ou_levels_admit_any_cells_by_paths(mc):
+    assert 16_385 * 1024 > MAX_PATH_GRID_VALUES
+    config = parse_config(json.dumps(_scenario(grid={"step": 1.0 / 16_385}, intensity=_LOG_OU, mc=mc)))
+    assert round(config.T / config.grid_step) == 16_385
 
 
 # Runs the ``python -m claimflow`` entry point in a fresh interpreter and prints,
