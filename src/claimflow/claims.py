@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -508,7 +508,9 @@ def invert_hazard(path: IntensityPath, threshold: float) -> float:
     """First time the cumulative hazard reaches ``threshold``, or inf.
 
     Linear interpolation between grid nodes; this is the exact inverse of
-    the law implied by the discretized hazard.
+    the law implied by the discretized hazard.  It is the scalar reference
+    of ``simulate_portfolio``'s accident times, which invert the same grid
+    hazard.
     """
     gamma = path.gamma
     if threshold > gamma[-1]:
@@ -570,81 +572,25 @@ def _draw_developments(law: DevelopmentLaw, horizon: float, rng: np.random.Gener
 _BISECT_CHUNK = 1 << 13
 
 
-class _HazardGuide(NamedTuple):
-    """Guide table of one hazard for indexed search (Chen & Asau 1974;
-    Devroye 1986, ch. III).
-
-    A threshold ``x`` falls in bucket ``_bucket(x, scale, len(base) - 1)``.
-    Bucketing is monotone, so every node of a lower bucket lies below ``x``
-    and every node of a higher bucket above it: the lower bound of ``x``
-    lies in ``[base[b], base[b] + width]``.  ``base`` is clipped to
-    ``nodes - width``, so a search from it reads only nodes that exist.
-    """
-
-    gamma: np.ndarray
-    scale: float
-    base: np.ndarray
-    width: int
-
-
-def _bucket(x: np.ndarray, scale: float, top: int) -> np.ndarray:
-    return np.fmin(x * scale, top).astype(np.intp)
-
-
-def _hazard_guide(gamma: np.ndarray) -> _HazardGuide:
-    """Guide table of ``gamma`` over ``nodes - 1`` equal buckets of [0, Gamma_T].
-
-    A bucket's ``base`` is its first node (one ``searchsorted`` of the
-    nodes' buckets) and ``width`` the most nodes in one bucket.  A zero-rate
-    stretch puts many nodes in one bucket and widens every search toward
-    the bisection's cost, as does an all-zero hazard or one that overflows
-    to inf, whose every finite threshold falls in bucket 0.
-    """
-    nodes = len(gamma)
-    top = max(nodes - 2, 0)
-    total = float(gamma[-1])
-    scale = (top + 1) / total if 0.0 < total < math.inf else 0.0
-    with np.errstate(invalid="ignore"):  # fmin sends an infinite node's inf * 0 to the top
-        first = np.searchsorted(_bucket(gamma, scale, top), np.arange(top + 2))
-    width = int(np.diff(first).max())
-    base = np.minimum(first[:-1], nodes - width)
-    base.flags.writeable = False
-    return _HazardGuide(gamma, scale, base, width)
-
-
-def _path_guide(path: IntensityPath) -> _HazardGuide:
-    """The guide table of ``path.gamma``, built once per path (see ``IntensityPath``)."""
-    guide = path._memo.get("guide")
-    if guide is None:
-        guide = path._memo["guide"] = _hazard_guide(path.gamma)
-    return guide
-
-
-def _invert_gamma_rows(gamma: np.ndarray, points: np.ndarray, e: np.ndarray,
-                       guide: _HazardGuide | None = None) -> np.ndarray:
+def _invert_gamma_rows(gamma: np.ndarray, points: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Vectorized first-crossing times of hazards, inf if never.
 
-    ``gamma`` is either one hazard of shape (nodes,) shared by thresholds
-    ``e`` of any shape, or per-row hazards (paths, nodes) with ``e`` of
-    shape (paths, policies); hazards start at 0 and are nondecreasing along
-    the nodes.  The search is a branchless bisection (a lower bound, like
-    ``searchsorted(side="left")``), so each halving step is a few
-    whole-array passes that release the GIL, at any book size.  One hazard
-    is searched through its guide table (``guide``, or one built here from
-    ``gamma``): a threshold's bucket gives the start, and the bisection
-    takes ``ceil(log2(width))`` steps, a few on a hazard without long
-    zero-rate stretches.  Per-row hazards take ``ceil(log2(nodes))`` steps
-    and are searched only for the thresholds at or below the row's total
-    hazard; the others never cross and stay inf.  Agrees element by
+    ``gamma`` is either one hazard at knot times ``points``, shared by
+    thresholds ``e`` of any shape, or per-row hazards (paths, nodes) on the
+    grid nodes ``points`` with ``e`` of shape (paths, policies); hazards
+    start at 0 and are nondecreasing, and are linear between their points.
+    One hazard is searched by ``searchsorted(side="left")``: the oracle
+    passes a deterministic rate's few exact knots
+    (``intensity.hazard_knots``), ``simulate_portfolio`` its path's grid
+    nodes.  Per-row hazards are searched by a branchless bisection (the
+    same lower bound): ``ceil(log2(nodes))`` halving steps, each a few
+    whole-array passes that release the GIL, at any book size.  It runs
+    only for the thresholds at or below their row's total hazard; the
+    others never cross and stay inf.  On grid nodes this agrees element by
     element with the scalar ``invert_hazard`` for nonnegative thresholds.
     """
     if gamma.ndim == 1:
-        if guide is None:
-            guide = _hazard_guide(gamma)
-        x = e.ravel()
-        idx = guide.base.take(_bucket(x, guide.scale, len(guide.base) - 1))
-        _lower_bound(gamma, x, idx, guide.width)
-        idx = idx.reshape(e.shape)
+        idx = gamma.searchsorted(e)
         return _crossing_times(gamma, points, e, idx, idx)
     n_rows, nodes = gamma.shape
     hit = e <= gamma[:, -1:]
@@ -728,8 +674,7 @@ def simulate_portfolio(
     intensity.grid.require_inside(horizon)
 
     thresholds = np.array([g.exponential() for g in policy_streams(seed, STREAM_ACCIDENT, range(n))])
-    accidents = _invert_gamma_rows(intensity.gamma, intensity.grid.points, thresholds,
-                                   guide=_path_guide(intensity)).tolist()
+    accidents = _invert_gamma_rows(intensity.gamma, intensity.grid.points, thresholds).tolist()
     occurred = [i for i, a in enumerate(accidents) if a != math.inf]
 
     if delay.alpha0 == 1.0:

@@ -171,9 +171,8 @@ class IntensityPath:
     by identity (two paths on one grid may carry different rates).  That
     lets ``pricing`` memoize, per instance, arrays that depend on the path
     and a delay law but not on the valuation time (the refined half-step
-    path, the cdf kernel and the node density), and ``claims`` the
-    hazard's guide table;
-    the memo lives as long as the path.
+    path, the cdf kernel and the node density); the memo lives as long as
+    the path.
     """
 
     grid: TimeGrid
@@ -217,6 +216,26 @@ def trapezoid_hazard(grid: TimeGrid, mu: np.ndarray) -> np.ndarray:
     gamma = np.zeros(mu.shape)
     np.cumsum(increments, axis=-1, out=gamma[..., 1:])
     return gamma
+
+
+def hazard_knots(model: IntensityModel, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Knot times and cumulative hazard of a deterministic rate over ``grid``.
+
+    Gamma is linear between the knots.  A constant rate's knots are the
+    grid's ends; a piecewise rate adds each breakpoint inside, so both are
+    exact.  A zero-volatility log-OU rate keeps the grid nodes and their
+    ``trapezoid_hazard``.
+    """
+    if isinstance(model, LogOUIntensity):
+        return grid.points, trapezoid_hazard(grid, model.values(grid))
+    if isinstance(model, ConstantIntensity):
+        return np.array([grid.t0, grid.t_end]), np.array([0.0, float(model.mu) * (grid.t_end - grid.t0)])
+    inside = [b for b in model.breakpoints if grid.t0 < b < grid.t_end]
+    times = np.array([grid.t0, *inside, grid.t_end])
+    gamma = np.zeros(len(times))
+    with np.errstate(over="ignore"):
+        np.cumsum(model.rate_at(times[:-1]) * np.diff(times), out=gamma[1:])
+    return times, gamma
 
 
 #: Values (256 KiB of float64) per part of ``draw_hazard_chunks``: a

@@ -9,21 +9,21 @@ first reports then developments, the deflator at those events, and one
 independent of the intensity is sampled exactly at the event times, so
 its cost follows the number of payments rather than the grid size.
 Accident times come from one inverter, ``claims._invert_gamma_rows``,
-whether the hazard is one deterministic curve (searched through its
-guide table, built once per run) or per path.  Under a log-OU intensity
-a block draws its accident thresholds, then its levels a few cached
-paths at a time (``draw_hazard_chunks``), and inverts each part's hazard
-as soon as it exists, so no array of the block's levels or hazards
-exists; only a deflator correlated with the
-intensity makes it draw the normals as one block-sized array, which the
-deflator reads.  A block's memory thus follows its policies and
-payments, not its grid.  The inversion is a bisection made of
-whole-array numpy passes, which release the GIL, so blocks on several
-threads run side by side.  Paths are generated in
-fixed-size blocks with one RNG substream per block, mapped over a thread
-pool, so the estimate is bitwise identical for any thread count, and the
-draw layout inside a block is fixed by the configuration and the seed
-alone.
+whether the hazard is one deterministic curve or per path.  A constant or
+piecewise rate gives its exact knots (``intensity.hazard_knots``), so the
+oracle shares no grid error with the analytic leg.  Under a log-OU
+intensity a block draws its accident thresholds, then its levels a few
+cached paths at a time (``draw_hazard_chunks``), and inverts each part's
+hazard as soon as it exists, so no array of the block's levels or hazards
+exists; only a deflator correlated with the intensity makes it draw the
+normals as one block-sized array, which the deflator reads.  A block's
+memory thus follows its policies and payments, not its grid.  The per-path
+inversion is a bisection made of whole-array numpy passes, which release
+the GIL, so blocks on several threads run side by side.  Paths are
+generated in fixed-size blocks with one RNG substream per block, mapped
+over a thread pool, so the estimate is bitwise identical for any thread
+count, and the draw layout inside a block is fixed by the configuration
+and the seed alone.
 
 ``McConfig`` is the one record of a book (the CLI's ``ScenarioConfig`` is
 an ``McConfig`` plus four CLI fields).  Its constructor refuses each
@@ -50,15 +50,15 @@ from typing import Optional
 
 import numpy as np
 
-from .claims import DelayLaw, DevelopmentLaw, MarkLaw, _HazardGuide, _hazard_guide, _invert_gamma_rows
+from .claims import DelayLaw, DevelopmentLaw, MarkLaw, _invert_gamma_rows
 from .errors import ConfigurationError, InsufficientDataError, SchemaError
 from .grids import DEFAULT_STEP, TimeGrid
 from .intensity import (
     IntensityModel,
     LogOUIntensity,
     draw_hazard_chunks,
+    hazard_knots,
     is_deterministic,
-    simulate_intensity_path,
 )
 from .market import (
     DeterministicDeflator,
@@ -160,6 +160,9 @@ class McConfig:
             if not (isinstance(market, MartingaleDeflator) and market.vol > 0.0):
                 raise SchemaError("mc.antithetic", "needs a martingale deflator with market.vol > 0: "
                                                    "antithetic variates mirror its draws")
+            if k is not None:
+                raise SchemaError("mc.antithetic", "cannot bucket by portfolio.reported_count: "
+                                                   "the two paths of a pair may fall in different buckets")
             if self.n_paths % 2 != 0:
                 raise SchemaError("mc.n_paths", f"must be even under mc.antithetic, got {self.n_paths}")
 
@@ -274,21 +277,23 @@ def _deflator_values(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
 
 
 def _accident_times(config: McConfig, grid: TimeGrid, rng: np.random.Generator, n_block: int,
-                    det_hazard: _HazardGuide | None) -> tuple[np.ndarray | None, np.ndarray]:
+                    knots: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray | None, np.ndarray]:
     """The intensity normals, if a correlated deflator reads them, and the
     accident times (paths, policies), inf where a policy has none by T.
 
-    Draws the accident thresholds, then under a log-OU intensity its
-    normals: a few paths at a time straight into the levels
-    (``draw_hazard_chunks``), unless a correlated deflator needs them as
-    one array.  Each hazard chunk is inverted as soon as it exists and its
-    thresholds are overwritten by their accident times.  So neither the
-    block's levels nor its hazards, nor without a correlated deflator its
-    normals, ever exist as one array.
+    Draws the accident thresholds and, under a deterministic rate, inverts
+    them at its hazard ``knots`` (times, Gamma) in one search.  Under a
+    log-OU intensity it then draws the normals: a few paths at a time
+    straight into the levels (``draw_hazard_chunks``), unless a correlated
+    deflator needs them as one array.  Each hazard chunk is inverted as
+    soon as it exists and its thresholds are overwritten by their accident
+    times.  So neither the block's levels nor its hazards, nor without a
+    correlated deflator its normals, ever exist as one array.
     """
     tau = rng.exponential(size=(n_block, config.n_policies))
-    if det_hazard is not None:
-        return None, _invert_gamma_rows(det_hazard.gamma, grid.points, tau, guide=det_hazard)
+    if knots is not None:
+        times, gamma = knots
+        return None, _invert_gamma_rows(gamma, times, tau)
     normals = None
     if correlated_with_intensity(config.market):
         normals = rng.standard_normal((n_block, grid.n_cells))
@@ -333,13 +338,13 @@ def _developments(config: McConfig, rng: np.random.Generator,
 
 
 def _block_paths(config: McConfig, grid: TimeGrid, block: int,
-                 det_hazard: _HazardGuide | None,
+                 knots: tuple[np.ndarray, np.ndarray] | None,
                  det_deflator: np.ndarray | float | None) -> tuple[np.ndarray, np.ndarray | None]:
     """Simulate one block; returns (payoffs, reported counts or None).
 
     Stages, each a function whose temporaries die when it returns:
-    accident times by one inverter (of ``det_hazard``, the guide table of a
-    deterministic hazard, or per path in the log-OU stage), delays, first
+    accident times by one inverter (at the hazard ``knots`` of a
+    deterministic rate, or per path in the log-OU stage), delays, first
     marks, developments, the block's event list, the deflator at its
     events, and one ``bincount`` of deflated amounts by path.  The draw
     order is fixed: accident thresholds, then under a log-OU intensity its
@@ -353,7 +358,7 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
     start = block * BLOCK_SIZE
     n_block = min(BLOCK_SIZE, config.n_paths - start)
     rng = substream(config.seed, _STREAM_MC_BLOCK, block)
-    z_mu, tau1 = _accident_times(config, grid, rng, n_block, det_hazard)
+    z_mu, tau1 = _accident_times(config, grid, rng, n_block, knots)
     tau1 += config.delay.sample_many(rng, tau1.shape)  # report times, in place
     reported = None
     if config.conditioning is not None:
@@ -369,12 +374,12 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
 
 
 def _run_blocks(config: McConfig, threads: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Every block's payoffs and reported counts; a deterministic rate's
+    hazard knots and deflator values are built once, for all blocks."""
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     grid = config.grid()
-    det_hazard = None
-    if is_deterministic(config.intensity):
-        det_hazard = _hazard_guide(simulate_intensity_path(config.intensity, grid, seed=0).gamma)
+    knots = hazard_knots(config.intensity, grid) if is_deterministic(config.intensity) else None
     det_deflator: np.ndarray | float | None = constant_level(config.market)
     if det_deflator is None and isinstance(config.market, DeterministicDeflator):
         det_deflator = config.market.curve(grid.points)
@@ -382,7 +387,7 @@ def _run_blocks(config: McConfig, threads: int) -> tuple[np.ndarray, np.ndarray 
     n_blocks = (config.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(
-            lambda b: _block_paths(config, grid, b, det_hazard, det_deflator),
+            lambda b: _block_paths(config, grid, b, knots, det_deflator),
             range(n_blocks)))
     payoffs = np.concatenate([r[0] for r in results])
     reported = None

@@ -33,16 +33,13 @@ from claimflow.claims import (
     STREAM_DELAY,
     STREAM_DEVELOPMENT,
     STREAM_FIRST_MARK,
-    _bucket,
     _crossing_times,
-    _hazard_guide,
     _invert_gamma_rows,
     _lower_bound,
     _lower_gamma,
     _lower_gamma_quadrature,
-    _path_guide,
 )
-from claimflow.intensity import trapezoid_hazard
+from claimflow.intensity import hazard_knots, trapezoid_hazard
 from claimflow._rng import policy_stream
 
 
@@ -73,9 +70,13 @@ def test_hazard_must_start_at_zero():
         IntensityPath(grid=grid, mu=np.ones(5), gamma=0.5 + grid.points)
 
 
-@pytest.mark.parametrize("n_nodes", [2, 37, 731])
-def test_invert_gamma_rows_shared_hazard_matches_scalar_inverter(n_nodes):
+@pytest.mark.parametrize("n_nodes, rate", [(2, None), (37, None), (731, None), (731, 1e4), (731, 0.0)],
+                         ids=["2", "37", "731", "stiff", "all-zero"])
+def test_invert_gamma_rows_shared_hazard_matches_scalar_inverter(n_nodes, rate):
     # One hazard shared by every threshold: the record simulator's case.
+    # Random increments with flat stretches, or a constant rate: stiff
+    # (mu = 1e4) or zero everywhere.  Thresholds at 0, at every node, at
+    # Gamma_T, one ulp above it and beyond it.
     rng = np.random.default_rng(12)
     grid = TimeGrid.regular(2.0, step=2.0 / (n_nodes - 1))
     increments = rng.exponential(0.1, size=n_nodes - 1)
@@ -83,9 +84,12 @@ def test_invert_gamma_rows_shared_hazard_matches_scalar_inverter(n_nodes):
     increments[0] = 0.0                               # flat from the start
     gamma = np.zeros(n_nodes)
     np.cumsum(increments, out=gamma[1:])
+    if rate is not None:
+        gamma = trapezoid_hazard(grid, np.full(n_nodes, rate))
     path = IntensityPath(grid=grid, mu=np.zeros(n_nodes), gamma=gamma)
     e = rng.uniform(0.0, 1.3 * gamma[-1], size=200)
     e[:4] = (gamma[-1] * 1.01 + 1e-9, gamma[-1], gamma[n_nodes // 2], 0.0)
+    e = np.concatenate([e, gamma, [np.nextafter(gamma[-1], np.inf)]])
     out = _invert_gamma_rows(gamma, grid.points, e)
     expected = np.array([invert_hazard(path, float(x)) for x in e])
     assert np.isinf(out[0])
@@ -94,10 +98,11 @@ def test_invert_gamma_rows_shared_hazard_matches_scalar_inverter(n_nodes):
 
 @pytest.mark.parametrize("n_nodes", [2, 37, 731])
 def test_shared_hazard_search_matches_searchsorted(n_nodes):
-    # The one-hazard branch searches with the same branchless lower bound
-    # as the per-row branch; indices and times equal searchsorted's, for
-    # thresholds at 0, exactly at node values (flat stretches included)
-    # and beyond the last node, in any threshold shape.
+    # The per-row branch's branchless lower bound finds searchsorted's
+    # indices, which the one-hazard branch uses; times equal the crossing
+    # times at those indices, for thresholds at 0, exactly at node values
+    # (flat stretches included) and beyond the last node, in any threshold
+    # shape.
     rng = np.random.default_rng(7)
     grid = TimeGrid.regular(2.0, step=2.0 / (n_nodes - 1))
     increments = rng.exponential(0.1, size=n_nodes - 1)
@@ -117,62 +122,68 @@ def test_shared_hazard_search_matches_searchsorted(n_nodes):
     assert np.array_equal(blocks, times[order].reshape(4, -1))
 
 
-def _guide_case(case):
-    grid = TimeGrid.regular(2.0, step=2.0 / 730)
-    mu = {
-        "constant": np.ones(len(grid.points)),
-        "stiff": np.full(len(grid.points), 1e4),
-        "all-zero": np.zeros(len(grid.points)),
-        # A zero rate over (0.5, 1.5): half the nodes share one bucket.
-        "zero-stretch": np.where((grid.points > 0.5) & (grid.points < 1.5), 0.0, 1.0),
-    }[case]
-    return grid, IntensityPath(grid=grid, mu=mu, gamma=trapezoid_hazard(grid, mu))
+def _knot_inverse(times, gamma, x):
+    """First crossing of ``x`` by the hazard linear between knots, or inf."""
+    for i, g in enumerate(gamma):
+        if g >= x:
+            if i == 0:
+                return times[0]
+            return times[i - 1] + (x - gamma[i - 1]) / (g - gamma[i - 1]) * (times[i] - times[i - 1])
+    return math.inf
 
 
-@pytest.mark.parametrize("case", ["constant", "stiff", "zero-stretch", "all-zero"])
-def test_guide_table_search_matches_scalar_inverter(case):
-    # The one-hazard branch starts each bisection from its threshold's
-    # bucket of the path's memoized guide table.  Indices equal
-    # searchsorted's and times the scalar inverter's, for thresholds at 0,
-    # at every node, at Gamma_T, one ulp above it and beyond it.
-    grid, path = _guide_case(case)
-    gamma = path.gamma
-    guide = _path_guide(path)
-    assert _path_guide(path) is guide
+def test_constant_rate_knots_invert_to_e_over_mu():
+    mu, grid = 1.7, TimeGrid.regular(2.0)
+    times, gamma = hazard_knots(ConstantIntensity(mu), grid)
+    assert times.tolist() == [0.0, 2.0] and gamma.tolist() == [0.0, mu * 2.0]
+    e = np.random.default_rng(4).exponential(size=(64, 9))
+    e[0, :3] = (0.0, mu * 2.0 + 1e-9, 50.0)
+    out = _invert_gamma_rows(gamma, times, e)
+    inside = e <= gamma[-1]
+    assert np.count_nonzero(~inside) > 3
+    assert np.all(np.isinf(out[~inside]))
+    np.testing.assert_allclose(out[inside], e[inside] / mu, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_piecewise_rate_knots_match_a_scalar_reference():
+    # A breakpoint off the daily grid (0.5004), a zero-rate stretch, a
+    # zero-rate last segment inside the grid and a breakpoint past its end.
+    model = PiecewiseConstantIntensity(breakpoints=(0.5004, 1.0, 1.5, 3.0), rates=(0.8, 0.0, 1.3, 0.0, 2.0))
+    times, gamma = hazard_knots(model, TimeGrid.regular(2.0))
+    assert times.tolist() == [0.0, 0.5004, 1.0, 1.5, 2.0]
+    cum, expected = 0.0, [0.0]
+    for a, b, rate in zip(times, times[1:], model.rates):
+        cum += rate * (b - a)
+        expected.append(cum)
+    assert gamma.tolist() == expected
     total = gamma[-1]
-    e = np.concatenate([[0.0, total, np.nextafter(total, np.inf), 1.5 * total + 1.0], gamma,
-                        np.random.default_rng(3).uniform(0.0, 1.2 * total, size=300)])
-    idx = guide.base.take(_bucket(e, guide.scale, len(guide.base) - 1))
-    _lower_bound(gamma, e, idx, guide.width)
-    assert np.array_equal(idx, gamma.searchsorted(e))
-    out = _invert_gamma_rows(gamma, grid.points, e, guide=guide)
-    assert np.array_equal(out, [invert_hazard(path, float(x)) for x in e])
-    widest = {"constant": 3, "stiff": 3, "zero-stretch": 366, "all-zero": 731}
-    assert guide.width <= widest[case]
-    if case == "zero-stretch":
-        assert guide.width > 300
+    e = np.concatenate([[0.0, gamma[1], gamma[3], total, np.nextafter(total, np.inf), 1.5 * total],
+                        np.random.default_rng(8).uniform(0.0, 1.2 * total, size=300)])
+    out = _invert_gamma_rows(gamma, times, e)
+    assert out.tolist() == [_knot_inverse(times, gamma, x) for x in e]
+    assert out[:6].tolist() == [0.0, 0.5004, 1.5, 1.5, math.inf, math.inf]
+    assert _invert_gamma_rows(gamma, times, np.array([0.8 * 0.5004 + 1.3 * 0.25]))[0] == pytest.approx(1.25)
 
 
-def test_guide_table_of_an_overflowed_hazard():
-    # A hazard that overflows to inf (a rate near 1e308) puts every finite
-    # threshold in the first bucket; the search still finds searchsorted's
-    # index, warning-free.
+def test_overflowed_hazard_inverts_warning_free():
+    # A rate near 1e308 overflows Gamma to inf, at knots and on a grid.
+    # Under filterwarnings = error the inversion still matches the scalar
+    # reference and gives every finite threshold a finite time.
+    e = np.array([0.0, 0.25, 0.5, 1.0, 1e300])
+    for model in (ConstantIntensity(1e308),
+                  PiecewiseConstantIntensity(breakpoints=(0.5,), rates=(1.0, 1e308))):
+        times, gamma = hazard_knots(model, TimeGrid.regular(2.5))
+        assert gamma[-1] == math.inf
+        out = _invert_gamma_rows(gamma, times, e)
+        assert out.tolist() == [_knot_inverse(times, gamma, x) for x in e]
+    assert out.tolist() == [0.0, 0.25, 0.5, 0.5, 0.5]
+    grid = TimeGrid.regular(2.0)
     gamma = np.full(731, np.inf)
     gamma[:3] = (0.0, 0.0, 1.0)
-    guide = _hazard_guide(gamma)
-    e = np.array([0.0, 0.5, 1.0, 2.0, 1e300])
-    idx = guide.base.take(_bucket(e, guide.scale, len(guide.base) - 1))
-    _lower_bound(gamma, e, idx, guide.width)
-    assert np.array_equal(idx, gamma.searchsorted(e))
-
-
-def test_simulate_portfolio_builds_the_guide_table_once():
-    path = simulate_intensity_path(ConstantIntensity(1.0), TimeGrid.regular(2.0))
-    args = (DelayLaw(alpha0=1.0), MarkLaw(mean=1.0), DevelopmentLaw(rate=0.0, mark=MarkLaw(mean=1.0)))
-    first = simulate_portfolio(2, path, *args, horizon=2.0, seed=1)
-    guide = path._memo["guide"]
-    assert simulate_portfolio(2, path, *args, horizon=2.0, seed=1) == first
-    assert path._memo["guide"] is guide
+    out = _invert_gamma_rows(gamma, grid.points, e)
+    assert np.all(np.isfinite(out))
+    assert out.tolist() == [0.0, grid.points[1] + 0.25 * grid.step, grid.points[1] + 0.5 * grid.step,
+                            grid.points[2], grid.points[2]]
 
 
 def test_accident_times_follow_exponential_law():

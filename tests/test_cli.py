@@ -397,8 +397,12 @@ _T_HALF = {"valuation": {"t": 0.5, "T": 1.0}}
     ("mc.antithetic", {"mc": {"n_paths": 2000, "antithetic": True}}, {"antithetic": True}),
     ("mc.n_paths", {"market": _MARTINGALE, "mc": {"n_paths": 2001, "antithetic": True}},
      {"market": MartingaleDeflator(init=1.0, vol=0.2), "n_paths": 2001, "antithetic": True}),
+    # A pair's two paths may fall in different reported-count buckets.
+    ("mc.antithetic", {"market": _MARTINGALE, "mc": {"n_paths": 2000, "antithetic": True}, **_AT_HALF},
+     {"market": MartingaleDeflator(init=1.0, vol=0.2), "antithetic": True, "t": 0.5, "conditioning": 1}),
 ], ids=["t_after_T", "reported_above_n", "reported_at_zero", "log_ou_after_zero",
-        "corr_deterministic_intensity", "antithetic_constant_deflator", "antithetic_odd_paths"])
+        "corr_deterministic_intensity", "antithetic_constant_deflator", "antithetic_odd_paths",
+        "antithetic_bucket"])
 def test_each_contradiction_names_one_field_in_both_entry_points(field, scenario, book):
     with pytest.raises(SchemaError) as err:
         parse_config(json.dumps(_scenario(**scenario)))

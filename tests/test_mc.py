@@ -35,7 +35,7 @@ from claimflow import (
 from claimflow import mc
 from claimflow.cli import parse_config
 from claimflow.claims import _BISECT_CHUNK, _invert_gamma_rows
-from claimflow.intensity import _hazard_chunk_rows, trapezoid_hazard
+from claimflow.intensity import _hazard_chunk_rows, hazard_knots, trapezoid_hazard
 from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _accident_times, _brownian_at_events
 
 
@@ -265,6 +265,22 @@ def test_invert_gamma_rows_matches_scalar_inverter(n_nodes, n_policies, n_rows):
     assert np.array_equal(out, expected)
 
 
+def test_deterministic_accident_times_invert_the_exact_knots():
+    # A breakpoint at 0.3 inside the cell [0.25, 0.5] of a coarse grid: the
+    # grid trapezoid would average the two rates over that cell.  The
+    # oracle's accident times are the exact inverse of the piecewise
+    # hazard, 0.5 t up to 0.3 and 0.15 + 2 (t - 0.3) after it.
+    model = PiecewiseConstantIntensity(breakpoints=(0.3,), rates=(0.5, 2.0))
+    config = _config(intensity=model, grid_step=0.25)
+    grid = config.grid()
+    _, tau = _accident_times(config, grid, np.random.default_rng(9), 500, hazard_knots(model, grid))
+    e = np.random.default_rng(9).exponential(size=(500, config.n_policies))
+    exact = np.where(e <= 0.15, e / 0.5, 0.3 + (e - 0.15) / 2.0)
+    exact[e > 0.15 + 2.0 * 0.7] = np.inf
+    assert np.count_nonzero(np.isfinite(exact) & (exact > 0.3)) > 100
+    np.testing.assert_allclose(tau, exact, rtol=1e-14, atol=0.0)
+
+
 def _sample_brownian(times_per_row, n_rows, seed=4, antithetic=False):
     """W at fixed times in every row, events fed in shuffled order."""
     rng = np.random.default_rng(seed)
@@ -418,6 +434,10 @@ def test_config_validation():
         _config(antithetic=True)  # deterministic deflator has no noise to mirror
     with pytest.raises(ConfigurationError):
         _config(market=MartingaleDeflator(init=1.0, vol=0.1, corr_with_intensity=0.5))
+    # The two paths of an antithetic pair may fall in different reported-count buckets.
+    with pytest.raises(SchemaError) as err:
+        _config(conditioning=0, antithetic=True, market=MartingaleDeflator(init=1.0, vol=0.2), n_paths=2000)
+    assert err.value.field == "mc.antithetic"
 
 
 def test_conditional_regime_validation():
