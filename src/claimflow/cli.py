@@ -39,6 +39,8 @@ import json
 import math
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -62,8 +64,11 @@ from .mc import (
     check_oracle_bounds,
     compare,
     mc_reserve,
+    n_blocks,
 )
 from .pricing import (
+    ReserveResult,
+    check_reserve_regime,
     ibnr_probability,
     reporting_cdf,
     reporting_curve,
@@ -382,45 +387,62 @@ def run_scenario(
         except SchemaError as exc:
             print(f"config error at {exc} (--analytic-only prices it)", file=sys.stderr)
             return 1
+        if threads < 1:
+            print(f"error: threads must be >= 1, got {threads}", file=sys.stderr)
+            return 1
+    stochastic = not is_deterministic(cfg.intensity)
+    if analytic:
+        try:
+            check_reserve_regime(cfg.intensity, cfg.market, cfg.t)
+        except UnsupportedRegimeError as exc:
+            print(f"unsupported pricing regime: {exc}", file=sys.stderr)
+            return 3
 
     out_dir = Path(out_dir)
     grid = cfg.grid()
-    stochastic = not is_deterministic(cfg.intensity)
     curve_seed = substream(cfg.seed, _STREAM_CURVE) if stochastic else 0
     curve_path = simulate_intensity_path(cfg.intensity, grid, seed=curve_seed)
     curve = reporting_curve(curve_path, cfg.delay)
 
+    def price() -> tuple[ReserveResult, float]:
+        """The analytic reserve and its wall time."""
+        t0 = time.perf_counter()
+        # A deterministic intensity is priced on the curve's path, whose
+        # node density reporting_curve has already memoized.
+        result = reserve(
+            PortfolioState.from_counts(cfg.t, cfg.n_policies, cfg.reported_count),
+            cfg.intensity if stochastic else curve_path, cfg.delay, cfg.first_mark,
+            cfg.development, cfg.T, market=cfg.market, grid=grid,
+            intensity_draws=cfg.intensity_draws, seed=cfg.seed)
+        return result, time.perf_counter() - t0
+
     analytic_result = None
     mc_estimate = None
+    mc_error = None
     comparison = None
     timings: dict[str, float] = {}
 
-    if analytic:
-        state = PortfolioState.from_counts(cfg.t, cfg.n_policies, cfg.reported_count)
-        t0 = time.perf_counter()
-        try:
-            # A deterministic intensity is priced on the curve's path, whose
-            # node density reporting_curve has already memoized.
-            analytic_result = reserve(
-                state, cfg.intensity if stochastic else curve_path, cfg.delay, cfg.first_mark,
-                cfg.development, cfg.T, market=cfg.market, grid=grid,
-                intensity_draws=cfg.intensity_draws, seed=cfg.seed)
-        except UnsupportedRegimeError as exc:
-            print(f"unsupported pricing regime: {exc}", file=sys.stderr)
-            return 3
-        except ClaimflowError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        timings["analytic_s"] = time.perf_counter() - t0
-
-    if oracle:
-        t0 = time.perf_counter()
-        try:
-            mc_estimate = mc_reserve(cfg, threads=threads)
-        except ClaimflowError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        timings["mc_s"] = time.perf_counter() - t0
+    # Under --validate the reserve is the first task of the oracle's pool:
+    # it runs beside the blocks, and the run never exceeds `threads` workers.
+    with ThreadPoolExecutor(max_workers=threads) if validate else nullcontext() as pool:
+        priced = pool.submit(price) if validate else None
+        if oracle:
+            t0 = time.perf_counter()
+            try:
+                mc_estimate = mc_reserve(cfg, threads=threads, pool=pool)
+            except ClaimflowError as exc:
+                mc_error = exc
+            timings["mc_s"] = time.perf_counter() - t0
+        if analytic:
+            try:
+                analytic_result, timings["analytic_s"] = priced.result() if priced else price()
+            except ClaimflowError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+    # An analytic error takes precedence over the oracle's.
+    if mc_error is not None:
+        print(f"error: {mc_error}", file=sys.stderr)
+        return 1
 
     if analytic_result is not None and mc_estimate is not None:
         comparison = compare(analytic_result, mc_estimate)
@@ -489,7 +511,10 @@ def run_scenario(
               f"({mc_estimate.n_effective} effective paths)")
     if comparison is not None:
         print(f"comparison: z={comparison.z:.3f} -> {'pass' if comparison.passed else 'FAIL'}")
-    stage = " ".join(f"{k}={v:.2f}" for k, v in timings.items())
+    stage = " ".join(f"{k}={timings[k]:.2f}" for k in ("analytic_s", "mc_s") if k in timings)
+    if oracle:
+        # With --validate the legs overlap, so analytic_s + mc_s may exceed elapsed.
+        stage += f" blocks={n_blocks(cfg)} threads={threads}"
     print(f"elapsed: {elapsed:.2f} s {stage}".rstrip())
 
     if validate and comparison is not None and not comparison.passed:

@@ -29,6 +29,12 @@ from .grids import TimeGrid
 from ._rng import coerce_rng, Seed
 
 
+#: Largest rate of a constant or piecewise intensity, per policy-year.  The
+#: trapezoid adds two neighbouring rates, so a rate near the float maximum
+#: overflowed the hazard to inf, which the reserve read as NaN.
+MAX_RATE = 1e300
+
+
 @dataclass(frozen=True)
 class ConstantIntensity:
     """Occurrence rate fixed at ``mu`` events per policy-year."""
@@ -36,8 +42,8 @@ class ConstantIntensity:
     mu: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.mu < math.inf:
-            raise SchemaError("mu", f"must be finite and >= 0, got {self.mu}")
+        if not 0.0 <= self.mu <= MAX_RATE:
+            raise SchemaError("mu", f"must be >= 0 and <= {MAX_RATE}, got {self.mu}")
 
     def values(self, grid: TimeGrid, rng: np.random.Generator | None = None) -> np.ndarray:
         return np.full(len(grid.points), float(self.mu))
@@ -65,8 +71,8 @@ class PiecewiseConstantIntensity:
             raise SchemaError("breakpoints", f"must be strictly increasing, got {list(bp)}")
         if not all(0.0 < b < math.inf for b in bp):
             raise SchemaError("breakpoints", f"must be finite and > 0, got {list(bp)}")
-        if not all(0.0 <= r < math.inf for r in ra):
-            raise SchemaError("rates", f"must be finite and >= 0, got {list(ra)}")
+        if not all(0.0 <= r <= MAX_RATE for r in ra):
+            raise SchemaError("rates", f"must be >= 0 and <= {MAX_RATE}, got {list(ra)}")
 
     def rate_at(self, t: np.ndarray | float) -> np.ndarray:
         idx = np.searchsorted(np.asarray(self.breakpoints), t, side="right")
@@ -120,7 +126,8 @@ class LogOUIntensity:
             normals = rng.standard_normal((1, grid.n_cells))
         return np.exp(self.log_level_paths(grid, normals)[0])
 
-    def log_level_paths(self, grid: TimeGrid, normals: np.ndarray) -> np.ndarray:
+    def log_level_paths(self, grid: TimeGrid, normals: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
         """Exact-transition log-level paths from an array of N(0,1) draws.
 
         ``normals`` has shape (paths, n_cells); the result has one more
@@ -129,12 +136,13 @@ class LogOUIntensity:
         sum_{j<k} d^-(j+1) w[j]): a scaled cumulative sum along each path
         (Blelloch 1990, sec. 1.4), run in blocks of at most ``_SPAN``
         e-folds, each starting from the last level before it.  Past
-        ``_SPAN`` e-folds per step the level is b + w to rounding.
+        ``_SPAN`` e-folds per step the level is b + w to rounding.  The
+        result is written to ``out`` when given.
         """
         innov = self.step_params(grid.step)[1]
         n_paths, n_cells = normals.shape
         b = self.long_run_log_level
-        y = np.empty((n_paths, n_cells + 1))
+        y = np.empty((n_paths, n_cells + 1)) if out is None else out
         y[:, 0] = np.log(self.init) - b
         np.multiply(normals, innov, out=y[:, 1:])
         rate = self.mean_rev * grid.step
@@ -210,11 +218,18 @@ class IntensityPath:
         return float(np.interp(t, self.grid.points, self.mu))
 
 
-def trapezoid_hazard(grid: TimeGrid, mu: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid of ``mu`` along the grid, starting at zero."""
-    increments = 0.5 * (mu[..., 1:] + mu[..., :-1]) * grid.step
-    gamma = np.zeros(mu.shape)
-    np.cumsum(increments, axis=-1, out=gamma[..., 1:])
+def trapezoid_hazard(grid: TimeGrid, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative trapezoid of ``mu`` along the grid, starting at zero.
+
+    The increments are summed in place in the result (``out`` when given).
+    """
+    gamma = np.empty(mu.shape) if out is None else out
+    increments = gamma[..., 1:]
+    np.add(mu[..., 1:], mu[..., :-1], out=increments)
+    increments *= 0.5
+    increments *= grid.step
+    np.cumsum(increments, axis=-1, out=increments)
+    gamma[..., 0] = 0.0
     return gamma
 
 
@@ -238,36 +253,51 @@ def hazard_knots(model: IntensityModel, grid: TimeGrid) -> tuple[np.ndarray, np.
     return times, gamma
 
 
-#: Values (256 KiB of float64) per part of ``draw_hazard_chunks``: a
-#: part's normals, rate, increments and hazard stay in one core's cache.
+#: Values (256 KiB of float64) per part of ``draw_hazard_chunks`` unless
+#: the caller asks for another size: a part's two buffers stay in one
+#: core's cache.
 _HAZARD_CHUNK_VALUES = 1 << 15
 
 
-def _hazard_chunk_rows(grid: TimeGrid) -> int:
+def _hazard_chunk_rows(grid: TimeGrid, part_values: int = _HAZARD_CHUNK_VALUES) -> int:
     """Paths per part of ``draw_hazard_chunks`` on ``grid``."""
-    return max(1, _HAZARD_CHUNK_VALUES // len(grid.points))
+    return max(1, part_values // len(grid.points))
 
 
 def draw_hazard_chunks(model: LogOUIntensity, grid: TimeGrid, rng: np.random.Generator, n_paths: int,
-                       normals: np.ndarray | None = None
+                       normals: np.ndarray | None = None, part_values: int = _HAZARD_CHUNK_VALUES
                        ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """Rate and hazard of ``n_paths`` fresh log-OU paths, a few paths at a time.
 
-    Yields ``(rows, mu, gamma)`` for each ``_hazard_chunk_rows`` part in
-    order: a slice of the paths, their (rows, nodes) rate and its
-    ``trapezoid_hazard``, the rate built from ``rng.standard_normal((rows,
-    n_cells))`` or, when given, ``normals[rows]`` (``rng`` unused).  Row
-    parts of a draw equal one whole draw and each path depends on its own
-    normals only, so the values and the generator's final state equal
-    those of one whole draw fed to ``log_level_paths``, bit for bit.
+    Yields ``(rows, mu, gamma)`` for each part of ``_hazard_chunk_rows(grid,
+    part_values)`` paths in order: a slice of the paths, their (rows, nodes)
+    rate and its ``trapezoid_hazard``, the rate built from
+    ``rng.standard_normal((rows, n_cells))`` or, when given,
+    ``normals[rows]`` (``rng`` unused).  Row parts of a draw equal one
+    whole draw and each path depends on its own normals only, so the
+    values and the generator's final state equal those of one whole draw
+    fed to ``log_level_paths``, bit for bit.
+
+    Every part is built in two buffers allocated once per call: the
+    normals are drawn into the hazard's buffer, the levels and then the
+    rate fill the other, and the hazard overwrites the normals.  So the
+    yielded ``mu`` and ``gamma`` are views that the next part overwrites:
+    reduce or copy them before asking for the next part.
     """
-    size = _hazard_chunk_rows(grid)
+    size = _hazard_chunk_rows(grid, part_values)
+    mu_buffer = np.empty((min(size, n_paths), len(grid.points)))
+    gamma_buffer = np.empty_like(mu_buffer)
     for start in range(0, n_paths, size):
         rows = slice(start, min(start + size, n_paths))
-        mu = model.log_level_paths(grid, rng.standard_normal((rows.stop - start, grid.n_cells))
-                                   if normals is None else normals[rows])
+        k = rows.stop - start
+        mu, gamma = mu_buffer[:k], gamma_buffer[:k]
+        if normals is None:
+            z = rng.standard_normal(out=gamma_buffer.reshape(-1)[:k * grid.n_cells].reshape(k, -1))
+        else:
+            z = normals[rows]
+        model.log_level_paths(grid, z, out=mu)
         np.exp(mu, out=mu)
-        yield rows, mu, trapezoid_hazard(grid, mu)
+        yield rows, mu, trapezoid_hazard(grid, mu, out=gamma)
 
 
 def simulate_intensity_path(model: IntensityModel, grid: TimeGrid, seed: Seed = 0) -> IntensityPath:

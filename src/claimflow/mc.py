@@ -12,18 +12,20 @@ Accident times come from one inverter, ``claims._invert_gamma_rows``,
 whether the hazard is one deterministic curve or per path.  A constant or
 piecewise rate gives its exact knots (``intensity.hazard_knots``), so the
 oracle shares no grid error with the analytic leg.  Under a log-OU
-intensity a block draws its accident thresholds, then its levels a few
-cached paths at a time (``draw_hazard_chunks``), and inverts each part's
-hazard as soon as it exists, so no array of the block's levels or hazards
+intensity a block draws its accident thresholds, then its levels a part
+of ``_LEVEL_PART_VALUES`` values at a time (``draw_hazard_chunks``, two
+buffers reused from part to part), and inverts each part's hazard before
+the generator overwrites it, so no array of the block's levels or hazards
 exists; only a deflator correlated with the intensity makes it draw the
 normals as one block-sized array, which the deflator reads.  A block's
-memory thus follows its policies and payments, not its grid.  The per-path
-inversion is a bisection made of whole-array numpy passes, which release
-the GIL, so blocks on several threads run side by side.  Paths are
+memory thus follows its policies and payments, not its grid.  The
+per-path inversion is a bisection made of whole-array numpy passes over
+a part's thousands of thresholds, which release the GIL for long
+stretches, so blocks on several threads run side by side.  Paths are
 generated in fixed-size blocks with one RNG substream per block, mapped
-over a thread pool, so the estimate is bitwise identical for any thread
-count, and the draw layout inside a block is fixed by the configuration
-and the seed alone.
+over a thread pool that the caller may share with other work, so the
+estimate is bitwise identical for any thread count, and the draw layout
+inside a block is fixed by the configuration and the seed alone.
 
 ``McConfig`` is the one record of a book (the CLI's ``ScenarioConfig`` is
 an ``McConfig`` plus four CLI fields).  Its constructor refuses each
@@ -44,7 +46,7 @@ the homogeneous portfolio.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,6 +86,14 @@ Z_THRESHOLD = 3.0
 #: the stochastic reserve its draws (one bracket each).  Other log-OU
 #: levels are built a cache-sized part of paths at a time.
 MAX_PATH_GRID_VALUES = 1 << 24
+
+#: Values (512 KiB of float64) per part of the log-OU levels a block builds
+#: and inverts at once, twice ``draw_hazard_chunks``' default: on a daily
+#: year a part is 179 paths, so each numpy pass of the inversion covers
+#: thousands of thresholds, and threads running blocks make half as many
+#: calls and wait for the GIL less often.  A part's two buffers on a
+#: 20,000-cell grid still stay under 1 MiB.
+_LEVEL_PART_VALUES = 1 << 16
 
 #: Most grid cells a book may ask for: an hourly grid over about 60 years.
 #: The analytic run at this size takes about 6 s and 250 MB.
@@ -283,12 +293,13 @@ def _accident_times(config: McConfig, grid: TimeGrid, rng: np.random.Generator, 
 
     Draws the accident thresholds and, under a deterministic rate, inverts
     them at its hazard ``knots`` (times, Gamma) in one search.  Under a
-    log-OU intensity it then draws the normals: a few paths at a time
-    straight into the levels (``draw_hazard_chunks``), unless a correlated
-    deflator needs them as one array.  Each hazard chunk is inverted as
-    soon as it exists and its thresholds are overwritten by their accident
-    times.  So neither the block's levels nor its hazards, nor without a
-    correlated deflator its normals, ever exist as one array.
+    log-OU intensity it then draws the normals: a part of
+    ``_LEVEL_PART_VALUES`` values at a time straight into the generator's
+    buffers (``draw_hazard_chunks``), unless a correlated deflator needs
+    them as one array.  Each part's hazard is inverted before the next
+    part overwrites it, and its thresholds are overwritten by their
+    accident times.  So neither the block's levels nor its hazards, nor
+    without a correlated deflator its normals, ever exist as one array.
     """
     tau = rng.exponential(size=(n_block, config.n_policies))
     if knots is not None:
@@ -297,7 +308,8 @@ def _accident_times(config: McConfig, grid: TimeGrid, rng: np.random.Generator, 
     normals = None
     if correlated_with_intensity(config.market):
         normals = rng.standard_normal((n_block, grid.n_cells))
-    for rows, _, gamma in draw_hazard_chunks(config.intensity, grid, rng, n_block, normals):
+    for rows, _, gamma in draw_hazard_chunks(config.intensity, grid, rng, n_block, normals,
+                                             _LEVEL_PART_VALUES):
         tau[rows] = _invert_gamma_rows(gamma, grid.points, tau[rows])
     return normals, tau
 
@@ -373,27 +385,28 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
     return payoffs, reported
 
 
-def _run_blocks(config: McConfig, threads: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Every block's payoffs and reported counts; a deterministic rate's
-    hazard knots and deflator values are built once, for all blocks."""
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+def _run_blocks(config: McConfig, pool: Executor) -> tuple[np.ndarray, np.ndarray | None]:
+    """Every block's payoffs and reported counts, the blocks mapped over
+    ``pool``; a deterministic rate's hazard knots and deflator values are
+    built once, for all blocks."""
     grid = config.grid()
     knots = hazard_knots(config.intensity, grid) if is_deterministic(config.intensity) else None
     det_deflator: np.ndarray | float | None = constant_level(config.market)
     if det_deflator is None and isinstance(config.market, DeterministicDeflator):
         det_deflator = config.market.curve(grid.points)
 
-    n_blocks = (config.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(
-            lambda b: _block_paths(config, grid, b, knots, det_deflator),
-            range(n_blocks)))
+    results = list(pool.map(lambda b: _block_paths(config, grid, b, knots, det_deflator),
+                            range(n_blocks(config))))
     payoffs = np.concatenate([r[0] for r in results])
     reported = None
     if config.conditioning is not None:
         reported = np.concatenate([r[1] for r in results])
     return payoffs, reported
+
+
+def n_blocks(config: McConfig) -> int:
+    """Number of ``BLOCK_SIZE``-path blocks of the oracle's paths."""
+    return (config.n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
 def _estimate(samples: np.ndarray) -> McEstimate:
@@ -432,7 +445,7 @@ def check_oracle_bounds(config: McConfig) -> None:
         raise SchemaError("market.vol", "must be 0 for the Monte Carlo oracle at valuation.t > 0")
 
 
-def mc_reserve(config: McConfig, threads: int = 1) -> McEstimate:
+def mc_reserve(config: McConfig, threads: int = 1, *, pool: Executor | None = None) -> McEstimate:
     """Value of the payments in (t, T], real units, estimated by the oracle.
 
     Averages the deflated payment sum over full-scenario paths.  With the
@@ -442,9 +455,18 @@ def mc_reserve(config: McConfig, threads: int = 1) -> McEstimate:
     at t and the target bucket's statistics are returned; it needs at
     least 100 paths (``InsufficientDataError``).  A book beyond
     ``check_oracle_bounds`` is refused before anything is allocated.
+    The blocks run on ``pool`` when given, which may hold other tasks
+    (the CLI's ``--validate`` runs the analytic reserve on it), else on a
+    pool of ``threads`` workers made for this call.
     """
     check_oracle_bounds(config)
-    payoffs, reported = _run_blocks(config, threads)
+    if pool is not None:
+        payoffs, reported = _run_blocks(config, pool)
+    else:
+        if threads < 1:
+            raise ConfigurationError(f"threads must be >= 1, got {threads}")
+        with ThreadPoolExecutor(max_workers=threads) as own:
+            payoffs, reported = _run_blocks(config, own)
     if config.antithetic:
         payoffs = 0.5 * (payoffs[0::2] + payoffs[1::2])
     if reported is not None:

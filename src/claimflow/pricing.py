@@ -442,12 +442,37 @@ def _bracket_functional(c: np.ndarray, delay: DelayLaw, grid: TimeGrid) -> np.nd
 def _brackets(mu: np.ndarray, gamma: np.ndarray, q: np.ndarray, c: np.ndarray,
               alpha0: float) -> np.ndarray:
     """Payout integral of each path (rows of ``mu`` and ``gamma``) through
-    ``_bracket_functional``'s ``q`` and the weights ``c``."""
-    surv = np.exp(-gamma)
+    ``_bracket_functional``'s ``q`` and the weights ``c``.  The survival
+    and its product with ``mu`` are built in place of ``gamma``."""
+    surv = np.exp(np.negative(gamma, out=gamma), out=gamma)
     out = _cell_masses(surv) @ q
     if alpha0 > 0.0:
-        out = out + alpha0 * ((surv * mu) @ c)
+        out = out + alpha0 * (np.multiply(surv, mu, out=surv) @ c)
     return out
+
+
+def check_reserve_regime(intensity: IntensityPath | IntensityModel, market: MarketModel | None,
+                         t: float) -> None:
+    """Refuse, as ``UnsupportedRegimeError``, a book outside the closed form's regime.
+
+    ``reserve`` calls it first.  The closed form needs a deflator that is
+    uncorrelated with the intensity and whose conditional expectation is
+    its current value (a martingale or a constant), and it prices a
+    stochastic intensity model at t = 0 only.
+    """
+    if market is not None:
+        if correlated_with_intensity(market):
+            raise UnsupportedRegimeError(
+                "deflator correlated with the intensity: the conditional expectation "
+                "does not factorize; use the Monte Carlo oracle (mc_reserve / --mc-only)")
+        if not collapses_to_spot(market):
+            raise UnsupportedRegimeError(
+                "time-varying deterministic deflator is not a martingale; "
+                "use the Monte Carlo oracle (mc_reserve / --mc-only)")
+    if t != 0.0 and not isinstance(intensity, IntensityPath) and not is_deterministic(intensity):
+        raise UnsupportedRegimeError(
+            "stochastic intensity is priced at t = 0 only: neither the closed form "
+            "nor the Monte Carlo oracle conditions on a partial intensity history")
 
 
 def reserve(
@@ -483,25 +508,18 @@ def reserve(
     grid (the rate interpolated linearly at the midpoints, as in
     ``_refined``), a part at a time; their mean gap gives the Richardson
     ``unreported_error_estimate`` and ``error_estimate_draws`` counts
-    them.  Other regimes raise UnsupportedRegimeError; the Monte
-    Carlo oracle prices all of them but a stochastic model at t > 0.
+    them.  Other regimes raise UnsupportedRegimeError
+    (``check_reserve_regime``, before any other check); the Monte Carlo
+    oracle prices all of them but a stochastic model at t > 0.
     """
     t = state.as_of
     n = state.n_policies
     reported = state.reported_count
+    check_reserve_regime(intensity, market, t)
     if t > T:
         raise ConfigurationError(f"valuation time {t} exceeds horizon {T}")
     if t == 0.0 and reported != 0:
         raise ConfigurationError("no claim can already be reported at time zero")
-    if market is not None:
-        if correlated_with_intensity(market):
-            raise UnsupportedRegimeError(
-                "deflator correlated with the intensity: the conditional expectation "
-                "does not factorize; use the Monte Carlo oracle (mc_reserve / --mc-only)")
-        if not collapses_to_spot(market):
-            raise UnsupportedRegimeError(
-                "time-varying deterministic deflator is not a martingale; "
-                "use the Monte Carlo oracle (mc_reserve / --mc-only)")
 
     stochastic = False
     intensity_model: IntensityModel | None = None
@@ -551,11 +569,7 @@ def reserve(
                              unreported_component=unreported, total=total,
                              diagnostics=diagnostics)
 
-    # Stochastic intensity: average the payout integral over fresh paths.
-    if t != 0.0:
-        raise UnsupportedRegimeError(
-            "stochastic intensity is priced at t = 0 only: neither the closed form "
-            "nor the Monte Carlo oracle conditions on a partial intensity history")
+    # Stochastic intensity at t = 0: average the payout integral over fresh paths.
     assert isinstance(intensity_model, LogOUIntensity)
     if not intensity_draws >= 2:
         raise SchemaError("intensity_draws", f"must be >= 2, got {intensity_draws}")
@@ -568,6 +582,8 @@ def reserve(
     rng = substream(seed, 0x1A7E)
     brackets = np.empty(intensity_draws)
     gap = 0.0  # sum of bracket - half-step bracket over the first _ESTIMATE_DRAWS paths
+    # Parts of the generator's default size: a bracket is a row of a
+    # matrix-vector product, whose rounding follows the rows in one call.
     for rows, mu, gamma in draw_hazard_chunks(intensity_model, grid, rng, intensity_draws):
         chunk = _brackets(mu, gamma, q, c, delay.alpha0)
         brackets[rows] = chunk

@@ -39,7 +39,7 @@ from claimflow.claims import (
     _lower_gamma,
     _lower_gamma_quadrature,
 )
-from claimflow.intensity import hazard_knots, trapezoid_hazard
+from claimflow.intensity import MAX_RATE, hazard_knots, trapezoid_hazard
 from claimflow._rng import policy_stream
 
 
@@ -166,13 +166,13 @@ def test_piecewise_rate_knots_match_a_scalar_reference():
 
 
 def test_overflowed_hazard_inverts_warning_free():
-    # A rate near 1e308 overflows Gamma to inf, at knots and on a grid.
-    # Under filterwarnings = error the inversion still matches the scalar
-    # reference and gives every finite threshold a finite time.
+    # The largest rate over 1e9 years overflows Gamma to inf, at knots and
+    # on a grid.  Under filterwarnings = error the inversion still matches
+    # the scalar reference and gives every finite threshold a finite time.
     e = np.array([0.0, 0.25, 0.5, 1.0, 1e300])
-    for model in (ConstantIntensity(1e308),
-                  PiecewiseConstantIntensity(breakpoints=(0.5,), rates=(1.0, 1e308))):
-        times, gamma = hazard_knots(model, TimeGrid.regular(2.5))
+    for model in (ConstantIntensity(MAX_RATE),
+                  PiecewiseConstantIntensity(breakpoints=(0.5,), rates=(1.0, MAX_RATE))):
+        times, gamma = hazard_knots(model, TimeGrid.regular(1e9, step=1e8))
         assert gamma[-1] == math.inf
         out = _invert_gamma_rows(gamma, times, e)
         assert out.tolist() == [_knot_inverse(times, gamma, x) for x in e]

@@ -27,6 +27,7 @@ from claimflow import (
     pricing,
 )
 from claimflow.cli import main, parse_config, run_scenario
+from claimflow.intensity import MAX_RATE
 from claimflow.mc import MAX_GRID_CELLS, MAX_MARK_MEAN, MAX_PATH_GRID_VALUES
 from claimflow.selftest import run_selftest
 
@@ -333,6 +334,54 @@ def test_run_unsupported_regime_exits_three(tmp_path, capsys):
     assert "--mc-only" in capsys.readouterr().err
 
 
+def test_unsupported_regime_under_validate_starts_no_oracle(tmp_path, capsys, monkeypatch):
+    # The reserve runs beside the oracle's blocks, so its regime is refused
+    # before either leg is dispatched.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("started the oracle on a regime the reserve refuses")
+    monkeypatch.setattr(cli, "mc_reserve", forbidden)
+    config = _scenario(
+        intensity={"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": 0.0,
+                   "vol": 0.5, "init": 1.0},
+        market={"kind": "martingale", "init": 1.0, "vol": 0.2, "corr_with_intensity": 0.5},
+    )
+    assert run_scenario(_write(tmp_path, config), tmp_path / "out", validate=True, threads=2) == 3
+    err = capsys.readouterr().err
+    assert "unsupported pricing regime" in err and "--mc-only" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_analytic_error_takes_precedence_over_the_oracle(tmp_path, capsys, monkeypatch):
+    ran = []
+    oracle = cli.mc_reserve
+
+    def failing_reserve(*args, **kwargs):
+        raise claimflow.ClaimflowError("analytic leg failed")
+    monkeypatch.setattr(cli, "reserve", failing_reserve)
+    monkeypatch.setattr(cli, "mc_reserve", lambda *a, **k: ran.append(1) or oracle(*a, **k))
+    assert run_scenario(_write(tmp_path, _scenario()), tmp_path / "out", validate=True, threads=2) == 1
+    assert "error: analytic leg failed" in capsys.readouterr().err
+    assert ran == [1]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_log_ou_reports_are_byte_identical_across_thread_counts(tmp_path, capsys):
+    # The reserve shares the oracle's pool under --validate; neither the
+    # order in which the legs finish nor the thread count reaches a byte.
+    config = _write(tmp_path, _scenario(
+        grid={"step": 1.0 / 365.0},
+        intensity={"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": 0.0, "vol": 0.5, "init": 1.0},
+        development={"rate": 1.5, "mark_mean": 0.5, "mark_kind": "exponential"},
+        portfolio={"n": 64}, mc={"n_paths": 8192, "intensity_draws": 1024}))
+    outputs = []
+    for threads in (1, 2, 1):
+        out = tmp_path / f"out{len(outputs)}"
+        assert run_scenario(config, out, validate=True, threads=threads) == 0
+        outputs.append(((out / "report.json").read_bytes(), (out / "curve.csv").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert "blocks=2 threads=2" in capsys.readouterr().out
+
+
 def test_run_mc_only_handles_correlated_regime(tmp_path):
     config = _scenario(
         intensity={"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": 0.0,
@@ -494,6 +543,25 @@ def test_huge_mark_means_exit_one_naming_field(tmp_path, capsys, field, section,
     config = _write(tmp_path, example)
     assert _run_main(config, tmp_path / "out", "--validate") == 1
     assert f"config error at {field}: must be <= {MAX_MARK_MEAN}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, intensity", [
+    ("intensity.mu", {"kind": "constant", "mu": 1e308}),
+    ("intensity.rates", {"kind": "piecewise", "breakpoints": [1.0], "rates": [1.0, 1e308]}),
+], ids=["constant", "piecewise"])
+def test_huge_rates_exit_one_naming_field(tmp_path, capsys, field, intensity):
+    # Unbounded, both wrote "unreported_error_estimate": NaN into report.json
+    # (exit 0 under --analytic-only, 2 under --validate): the trapezoid's sum
+    # of two neighbouring rates overflowed to inf.
+    example = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+    example["intensity"] = intensity
+    config = _write(tmp_path, example)
+    for flag in ("--analytic-only", "--validate"):
+        assert _run_main(config, tmp_path / "out", flag) == 1
+        assert f"config error at {field}: must be >= 0 and <= {MAX_RATE}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+    example["intensity"] = {"kind": "constant", "mu": MAX_RATE}
+    assert parse_config(json.dumps(example)).intensity.mu == MAX_RATE
 
 
 def test_mark_means_at_the_bound_give_a_finite_report(tmp_path):

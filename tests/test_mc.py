@@ -36,7 +36,7 @@ from claimflow import mc
 from claimflow.cli import parse_config
 from claimflow.claims import _BISECT_CHUNK, _invert_gamma_rows
 from claimflow.intensity import _hazard_chunk_rows, hazard_knots, trapezoid_hazard
-from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _accident_times, _brownian_at_events
+from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _LEVEL_PART_VALUES, _accident_times, _brownian_at_events
 
 
 def _config(**overrides):
@@ -222,7 +222,7 @@ def test_oracle_numbers_are_pinned(name, mean, std_error):
 
 @pytest.mark.parametrize("n_nodes, n_policies, n_rows", [
     (2, 9, 40), (37, 9, 40), (64, 9, 40), (366, 64, 40),
-    (65, 9, 40), (731, 9, 40), (366, 1, 40), (65, 1, 40), (366, 64, 400),
+    (65, 9, 40), (731, 9, 40), (366, 1, 40), (65, 1, 40), (366, 160, 400),
 ], ids=["2", "37", "64", "366", "65", "731", "366-n1", "65-n1", "366-several-passes"])
 def test_invert_gamma_rows_matches_scalar_inverter(n_nodes, n_policies, n_rows):
     rng = np.random.default_rng(11)
@@ -353,7 +353,7 @@ def test_streamed_accident_times_match_whole_block_inversion(correlated):
     model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
     config = _config(n_policies=9, intensity=model, market=market)
     grid = config.grid()
-    chunk = _hazard_chunk_rows(grid)
+    chunk = _hazard_chunk_rows(grid, _LEVEL_PART_VALUES)
     for n_block in (chunk - 1, 1_120):
         rng = np.random.default_rng(n_block)
         e = rng.exponential(size=(n_block, config.n_policies))
