@@ -23,11 +23,11 @@ of its attribute is re-raised under the field's JSON path.  Under
 before any pricing; ``--analytic-only`` never calls it.
 
 Exit codes: 0 success, 1 config error naming the field (also a regime that
-no requested leg can price, or a failed comparison whose quadrature error
-estimate exceeds the oracle's standard error: ``grid.step``), 2 failed
-analytic-vs-MC comparison under ``--validate``, 3 scenario outside the
-closed-form regime (``--mc-only``).  An unreadable config or unwritable
-output also exits 1.
+no requested leg can price, a failed comparison whose quadrature error
+estimate exceeds the oracle's standard error: ``grid.step``, or an analytic
+reserve that is not finite: ``valuation.T``), 2 failed analytic-vs-MC
+comparison under ``--validate``, 3 scenario outside the closed-form regime
+(``--mc-only``).  An unreadable config or unwritable output also exits 1.
 """
 
 from __future__ import annotations
@@ -438,6 +438,14 @@ def run_scenario(
                 analytic_result, timings["analytic_s"] = priced.result() if priced else price()
             except ClaimflowError as exc:
                 print(f"error: {exc}", file=sys.stderr)
+                return 1
+            estimate = analytic_result.diagnostics["unreported_error_estimate"]
+            if not math.isfinite(analytic_result.total + estimate):
+                # The payout c T, the hazard mu T and the shortest cell a grid
+                # may have, T / MAX_GRID_CELLS, all grow with the horizon.
+                print(f"config error at valuation.T: the analytic reserve is not finite over this "
+                      f"horizon (total {analytic_result.total:.3g}, unreported_error_estimate "
+                      f"{estimate:.3g})", file=sys.stderr)
                 return 1
     # An analytic error takes precedence over the oracle's.
     if mc_error is not None:

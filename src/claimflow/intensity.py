@@ -178,8 +178,8 @@ class IntensityPath:
     read-only copies of the arrays passed in, and equality and hashing are
     by identity (two paths on one grid may carry different rates).  That
     lets ``pricing`` memoize, per instance, arrays that depend on the path
-    and a delay law but not on the valuation time (the refined half-step
-    path, the cdf kernel and the node density); the memo lives as long as
+    and a delay law but not on the valuation time (the path on its even
+    nodes, the cdf kernel and the node density); the memo lives as long as
     the path.
     """
 

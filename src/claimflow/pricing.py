@@ -39,8 +39,8 @@ sum and the dot product differ by rounding only, because t_i - s_k and
 
 Arrays that depend on a path and a delay law but not on the valuation time
 are built once per path: the cell masses and cdf kernel, the node density
-p', its two suffix sums and the half-step refined path of the Richardson
-estimate live in the path's private memo (see ``IntensityPath``).  The
+p', its two suffix sums and the path on its even nodes, with its own node
+density, live in the path's private memo (see ``IntensityPath``).  The
 payout is linear in u, so the unreported integral over the whole cells of
 [t, T] reads those sums at the window's ends.  Re-valuing one book at many
 node dates on one path therefore runs no delay-law evaluation, no
@@ -77,7 +77,6 @@ from .intensity import (
     draw_hazard_chunks,
     is_deterministic,
     simulate_intensity_path,
-    trapezoid_hazard,
 )
 from .market import MarketModel, collapses_to_spot, correlated_with_intensity
 from ._rng import Seed, substream
@@ -85,7 +84,7 @@ from ._rng import Seed, substream
 # Guard for conditional denominators; below this the state is degenerate.
 _MIN_SURVIVING_MASS = 1e-12
 
-#: Stochastic-reserve draws also bracketed on the half-step grid (Richardson).
+#: Stochastic-reserve draws whose Richardson gap I_h - I_2h is also bracketed.
 _ESTIMATE_DRAWS = 1024
 
 def expected_development(dev: DevelopmentLaw, t: float) -> float:
@@ -326,76 +325,60 @@ class ReserveResult:
             raise ConfigurationError("total must equal the sum of its components")
 
 
-def _unreported_integrand_weights(grid: TimeGrid, i_T: int,
-                                  first_mark: MarkLaw, dev: DevelopmentLaw) -> np.ndarray:
-    """Trapezoid weights on [0, T] times (E[X1] + expected development to T) per node."""
+def _unreported_integrand_weights(grid: TimeGrid, i_end: int, first_mark: MarkLaw,
+                                  dev: DevelopmentLaw, T: float | None = None) -> np.ndarray:
+    """Trapezoid weights on nodes 0..i_end times the payout to T (default t_{i_end}) per node."""
+    T = grid.points[i_end] if T is None else T
     c = np.zeros(grid.n_cells + 1)
-    u = grid.points[: i_T + 1]
-    psi = first_mark.mean + dev.rate * dev.mark_mean * (grid.points[i_T] - u)
-    w = np.full(len(u), grid.step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    c[: i_T + 1] = w * psi
+    psi = first_mark.mean + dev.rate * dev.mark_mean * (T - grid.points[: i_end + 1])
+    c[: i_end + 1] = grid.step * psi
+    c[0] *= 0.5
+    c[i_end] *= 0.5
     return c
 
 
-def _refined(path: IntensityPath) -> IntensityPath:
-    """The same path at half the step, filling midpoints by interpolation.
-
-    Linear interpolation is the declared between-node behaviour of a
-    realized path, so the refined path shares the original's continuum
-    limit (and its hazard at the original nodes, exactly).  It is built
-    once per path and memoized on it, so its own node densities are too.
-    """
-    fine = path._memo.get("refined")
-    if fine is None:
-        fine_grid = _half_step_grid(path.grid)
-        mu = _half_step_rates(path.mu)
-        fine = IntensityPath(grid=fine_grid, mu=mu, gamma=trapezoid_hazard(fine_grid, mu))
-        path._memo["refined"] = fine
-    return fine
-
-
-def _half_step_grid(grid: TimeGrid) -> TimeGrid:
-    return TimeGrid(t0=grid.t0, t_end=grid.t_end, step=0.5 * grid.step,
-                    points=np.linspace(grid.t0, grid.t_end, 2 * grid.n_cells + 1))
-
-
-def _half_step_rates(mu: np.ndarray) -> np.ndarray:
-    """Rates (last axis on the nodes) on the half-step grid: the nodes' own,
-    and linear interpolation at the midpoints."""
-    fine = np.empty(mu.shape[:-1] + (2 * mu.shape[-1] - 1,))
-    fine[..., 0::2] = mu
-    fine[..., 1::2] = 0.5 * (mu[..., :-1] + mu[..., 1:])
-    return fine
+def _even_nodes(path: IntensityPath) -> IntensityPath:
+    """The path on every other node of its grid (two or more cells): step
+    2h, rates ``mu[::2]`` and the hazard kept at those nodes, so each cell
+    mass is the sum of two of the path's.  It is memoized on the path, so
+    its own node densities are too."""
+    coarse = path._memo.get("even_nodes")
+    if coarse is None:
+        even = slice(0, 2 * (path.grid.n_cells // 2) + 1, 2)
+        points = path.grid.points[even].copy()
+        grid = TimeGrid(path.grid.t0, float(points[-1]), 2.0 * path.grid.step, points)
+        coarse = IntensityPath(grid=grid, mu=path.mu[even], gamma=path.gamma[even])
+        path._memo["even_nodes"] = coarse
+    return coarse
 
 
 def _payout_integral(path: IntensityPath, delay: DelayLaw, first_mark: MarkLaw,
-                     dev: DevelopmentLaw, t: float, T: float) -> float:
-    """Trapezoid of (E[X1] + expected development to T) * p'(u) over [t, T].
+                     dev: DevelopmentLaw, t: float, T: float, end: float | None = None) -> float:
+    """Trapezoid of (E[X1] + expected development to T) * p'(u) over [t, end] (default T).
 
     The payout psi(u) = E[X1] + c (T - u) is linear in u, so over the whole
     cells of the window the trapezoid reads the memoized tail sums of p' at
     the window's two end nodes: O(1) once the path's entry is filled.  The
     sums round relative to the tail from the first node, which equals the
-    window's own sum when T is the grid's end.  Endpoints need not sit on
-    grid nodes; partial end cells use pointwise density evaluations.
+    window's own sum when ``end`` is the grid's end.  Endpoints need not sit
+    on grid nodes; partial end cells use pointwise density evaluations.
     """
     grid = path.grid
     c = dev.rate * dev.mark_mean
+    end = T if end is None else end
 
     def psi(u):
         return first_mark.mean + c * (T - u)
 
     i_lo = int(math.ceil((t - grid.t0) / grid.step - 1e-12))
-    i_hi = int(math.floor((T - grid.t0) / grid.step + 1e-12))
+    i_hi = int(math.floor((end - grid.t0) / grid.step + 1e-12))
     i_lo = min(max(i_lo, 0), grid.n_cells)
     i_hi = min(max(i_hi, 0), grid.n_cells)
     if i_lo > i_hi:
         # whole window inside one cell
         d_t = reporting_density(path, delay, t)
-        d_T = reporting_density(path, delay, T)
-        return 0.5 * (psi(t) * d_t + psi(T) * d_T) * (T - t)
+        d_end = reporting_density(path, delay, end)
+        return 0.5 * (psi(t) * d_t + psi(end) * d_end) * (end - t)
     entry = _node_density(path, delay)
     u_lo, u_hi = float(grid.points[i_lo]), float(grid.points[i_hi])
     v_lo = psi(u_lo) * float(entry.density[i_lo])
@@ -411,10 +394,10 @@ def _payout_integral(path: IntensityPath, delay: DelayLaw, first_mark: MarkLaw,
     if left_gap > 1e-12 * grid.step:
         d_t = reporting_density(path, delay, t)
         total += 0.5 * (psi(t) * d_t + v_lo) * left_gap
-    right_gap = T - u_hi
+    right_gap = end - u_hi
     if right_gap > 1e-12 * grid.step:
-        d_T = reporting_density(path, delay, T)
-        total += 0.5 * (v_hi + psi(T) * d_T) * right_gap
+        d_end = reporting_density(path, delay, end)
+        total += 0.5 * (v_hi + psi(end) * d_end) * right_gap
     return total
 
 
@@ -503,12 +486,14 @@ def reserve(
     generator through ``draw_hazard_chunks``, and each part of a few paths
     is reduced to its payout brackets before the next is drawn, so memory
     stays at one bracket per draw and a few cache-sized arrays, and the
-    result equals a one-pass average bit for bit.  The first
-    ``_ESTIMATE_DRAWS`` (1,024) paths are also bracketed on the half-step
-    grid (the rate interpolated linearly at the midpoints, as in
-    ``_refined``), a part at a time; their mean gap gives the Richardson
-    ``unreported_error_estimate`` and ``error_estimate_draws`` counts
-    them.  Other regimes raise UnsupportedRegimeError
+    result equals a one-pass average bit for bit.  Richardson's
+    ``unreported_error_estimate`` is |I_h - I_2h| / 3, I_2h the same rule on
+    the even nodes (step 2h, rates mu[::2], the hazard kept at those nodes),
+    both over the whole 2h cells of [t, T] with the payout to T, or the
+    unreported component where there are none (one cell, or t past the last
+    even node but one).  A stochastic model averages I_h - I_2h over its
+    first ``_ESTIMATE_DRAWS`` paths, which ``error_estimate_draws`` counts.
+    Other regimes raise UnsupportedRegimeError
     (``check_reserve_regime``, before any other check); the Monte Carlo
     oracle prices all of them but a stochastic model at t > 0.
     """
@@ -547,10 +532,8 @@ def reserve(
         p_t = reporting_cdf(path, delay, t)
         diagnostics["reporting_cdf_at_t"] = p_t
         unreported_count = n - reported
-        if unreported_count == 0:
-            unreported = 0.0
-            diagnostics["unreported_error_estimate"] = 0.0
-        else:
+        unreported = estimate = 0.0
+        if unreported_count:
             surviving = 1.0 - p_t
             if surviving < _MIN_SURVIVING_MASS:
                 raise DegenerateStateError(
@@ -558,51 +541,57 @@ def reserve(
                     "no surviving mass to condition on (expected reported count = n)")
             integral = _payout_integral(path, delay, first_mark, dev, t, T)
             unreported = unreported_count * integral / surviving
-            # Richardson estimate: with a second-order scheme the half-step
-            # value closes three quarters of the gap to the limit.
-            fine = _refined(path)
-            fine_integral = _payout_integral(fine, delay, first_mark, dev, t, T)
-            diagnostics["unreported_error_estimate"] = (
-                unreported_count * (4.0 / 3.0) * abs(integral - fine_integral) / surviving)
-        total = reported_component + unreported
-        return ReserveResult(as_of=t, horizon=T, reported_component=reported_component,
-                             unreported_component=unreported, total=total,
-                             diagnostics=diagnostics)
-
-    # Stochastic intensity at t = 0: average the payout integral over fresh paths.
-    assert isinstance(intensity_model, LogOUIntensity)
-    if not intensity_draws >= 2:
-        raise SchemaError("intensity_draws", f"must be >= 2, got {intensity_draws}")
-    i_T = grid.node_index(T, what="horizon")
-    c = _unreported_integrand_weights(grid, i_T, first_mark, dev)
-    q = _bracket_functional(c, delay, grid)
-    fine_grid = _half_step_grid(grid)
-    c_fine = _unreported_integrand_weights(fine_grid, 2 * i_T, first_mark, dev)
-    q_fine = _bracket_functional(c_fine, delay, fine_grid)
-    rng = substream(seed, 0x1A7E)
-    brackets = np.empty(intensity_draws)
-    gap = 0.0  # sum of bracket - half-step bracket over the first _ESTIMATE_DRAWS paths
-    # Parts of the generator's default size: a bracket is a row of a
-    # matrix-vector product, whose rounding follows the rows in one call.
-    for rows, mu, gamma in draw_hazard_chunks(intensity_model, grid, rng, intensity_draws):
-        chunk = _brackets(mu, gamma, q, c, delay.alpha0)
-        brackets[rows] = chunk
-        if rows.start < _ESTIMATE_DRAWS:
-            k = min(rows.stop, _ESTIMATE_DRAWS) - rows.start
-            mu_fine = _half_step_rates(mu[:k])
-            fine = _brackets(mu_fine, trapezoid_hazard(fine_grid, mu_fine), q_fine, c_fine,
-                             delay.alpha0)
-            gap += float(np.sum(chunk[:k] - fine))
-    mean_bracket = float(np.mean(brackets))
-    se_bracket = float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))
-    unreported = n * mean_bracket
-    diagnostics["intensity_draws"] = int(intensity_draws)
-    diagnostics["outer_std_error"] = n * se_bracket
-    # Richardson estimate, as in the deterministic branch, from the mean
-    # half-step gap of the first _ESTIMATE_DRAWS paths.
-    estimate_draws = min(_ESTIMATE_DRAWS, intensity_draws)
-    diagnostics["error_estimate_draws"] = estimate_draws
-    diagnostics["unreported_error_estimate"] = n * (4.0 / 3.0) * abs(gap / estimate_draws)
+            # The rule on the even nodes has four times this second-order
+            # error, so the error is about |I_h - I_2h| / 3.
+            i_a = 2 * math.ceil((t - grid.t0) / (2.0 * grid.step) - 1e-12)
+            i_b = 2 * math.floor((T - grid.t0) / (2.0 * grid.step) + 1e-12)
+            estimate = unreported
+            if i_a < i_b:
+                t_a, t_b = grid.points.item(i_a), grid.points.item(i_b)
+                fine = integral if t_a == t and t_b == T else _payout_integral(
+                    path, delay, first_mark, dev, t_a, T, t_b)
+                gap = fine - _payout_integral(_even_nodes(path), delay, first_mark, dev, t_a, T, t_b)
+                estimate = unreported_count * abs(gap) / 3.0 / surviving
+        diagnostics["unreported_error_estimate"] = estimate
+    else:
+        # Stochastic intensity at t = 0: average the payout integral over fresh paths.
+        assert isinstance(intensity_model, LogOUIntensity)
+        if not intensity_draws >= 2:
+            raise SchemaError("intensity_draws", f"must be >= 2, got {intensity_draws}")
+        i_T = grid.node_index(T, what="horizon")
+        c = _unreported_integrand_weights(grid, i_T, first_mark, dev)
+        q = _bracket_functional(c, delay, grid)
+        # I_h - I_2h as one bracket: a 2h cell mass is the sum of two h masses,
+        # so the 2h weights sit on the h grid as repeat(q_2h) and c_2h[::2].
+        i_e = i_T - i_T % 2
+        if i_e:
+            coarse = TimeGrid(t0=grid.t0, t_end=float(grid.points[i_e]), step=2.0 * grid.step,
+                              points=grid.points[: i_e + 1 : 2])
+            c_gap = _unreported_integrand_weights(grid, i_e, first_mark, dev, grid.points[i_T])
+            c_2h = _unreported_integrand_weights(coarse, i_e // 2, first_mark, dev, grid.points[i_T])
+            q_gap = _bracket_functional(c_gap, delay, grid)
+            q_gap[:i_e] -= np.repeat(_bracket_functional(c_2h, delay, coarse), 2)
+            c_gap[: i_e + 1 : 2] -= c_2h
+        rng = substream(seed, 0x1A7E)
+        brackets = np.empty(intensity_draws)
+        gap = 0.0  # sum of I_h - I_2h over the first _ESTIMATE_DRAWS paths
+        # Parts of the generator's default size: a bracket is a row of a
+        # matrix-vector product, whose rounding follows the rows in one call.
+        for rows, mu, gamma in draw_hazard_chunks(intensity_model, grid, rng, intensity_draws):
+            if i_e and rows.start < _ESTIMATE_DRAWS:
+                # Read before the main bracket, which overwrites gamma.
+                k = min(rows.stop, _ESTIMATE_DRAWS) - rows.start
+                gap += float(np.sum(_brackets(mu[:k], gamma[:k].copy(), q_gap, c_gap, delay.alpha0)))
+            brackets[rows] = _brackets(mu, gamma, q, c, delay.alpha0)
+        mean_bracket = float(np.mean(brackets))
+        se_bracket = float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))
+        unreported = n * mean_bracket
+        diagnostics["intensity_draws"] = int(intensity_draws)
+        diagnostics["outer_std_error"] = n * se_bracket
+        estimate_draws = min(_ESTIMATE_DRAWS, intensity_draws) if i_e else 0
+        diagnostics["error_estimate_draws"] = estimate_draws
+        diagnostics["unreported_error_estimate"] = (
+            n * abs(gap / estimate_draws) / 3.0 if estimate_draws else unreported)
     total = reported_component + unreported
     return ReserveResult(as_of=t, horizon=T, reported_component=reported_component,
                          unreported_component=unreported, total=total,

@@ -480,7 +480,7 @@ def test_oracle_book_beyond_array_bound_exits_one(tmp_path, capsys):
 
 def test_deterministic_run_prices_on_the_curve_path(tmp_path, monkeypatch):
     # reporting_curve convolves for the cdf and the density; the reserve
-    # reuses that density and convolves once more, on the half-step path.
+    # reuses that density and convolves once more, on the path's even nodes.
     calls = []
     convolve = pricing._fft_convolve
     monkeypatch.setattr(pricing, "_fft_convolve", lambda a, b: calls.append(1) or convolve(a, b))
@@ -564,6 +564,40 @@ def test_huge_rates_exit_one_naming_field(tmp_path, capsys, field, intensity):
     assert parse_config(json.dumps(example)).intensity.mu == MAX_RATE
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("T, step", [(1e7, 1e5), (1e9, 1e7)])
+def test_non_finite_analytic_reserve_exits_one_naming_the_horizon(tmp_path, capsys, T, step):
+    # A rate at MAX_RATE over a long horizon wrote "total": Infinity and
+    # "unreported_error_estimate": NaN with exit 0: the trapezoid weighs the
+    # first node's atom density, 2e299, by a cell of 1e5 or 1e7 years and
+    # the payout 1 + 0.75 T (at T = 1e9 the hazard overflows too).  Over a
+    # two-year horizon the same rate and step give a finite report.
+    example = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+    example["intensity"]["mu"] = MAX_RATE
+    example["valuation"]["T"] = T
+    example["grid"]["step"] = step
+    config = _write(tmp_path, example)
+    assert _run_main(config, tmp_path / "out", "--analytic-only") == 1
+    assert "config error at valuation.T: the analytic reserve is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+    example["valuation"]["T"] = 2.0
+    assert _run_main(_write(tmp_path, example), tmp_path / "out", "--analytic-only") == 0
+    report = _strict_json((tmp_path / "out" / "report.json").read_text())
+    assert math.isfinite(report["analytic"]["diagnostics"]["unreported_error_estimate"])
+
+
+def test_overflowing_reported_component_exits_one(tmp_path, capsys):
+    # Every policy reported: the reported part, rate x mark mean x (T - t),
+    # overflows by itself and is no less refused.
+    config = _write(tmp_path, _scenario(development={"rate": 1e300, "mark_mean": 1e10},
+                                        portfolio={"n": 4, "reported_count": 4},
+                                        valuation={"t": 0.5, "T": 2.0}))
+    assert _run_main(config, tmp_path / "out", "--analytic-only") == 1
+    assert "config error at valuation.T: the analytic reserve is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_mark_means_at_the_bound_give_a_finite_report(tmp_path):
     config = _write(tmp_path, _scenario(
         first_mark={"mean": MAX_MARK_MEAN, "kind": "lognormal", "sigma_ln": 1.0},
@@ -619,10 +653,10 @@ _STOCHASTIC_BOOK = {
 @pytest.mark.parametrize("step, code", [(0.5, 1), (0.25, 1), (1.0 / 365.0, 0)],
                          ids=["0.5", "0.25", "daily"])
 def test_log_ou_quadrature_estimate_names_grid_step(tmp_path, capsys, step, code):
-    # The stochastic reserve's half-step estimate (2.76 and 0.69) explains
+    # The stochastic reserve's even-node estimate (2.79 and 0.69) explains
     # its misses of z = -47.3 and -10.6 at steps 0.5 and 0.25, so the run
     # blames the grid instead of exiting 2.  At the daily step the estimate
-    # (8e-5) is far below the oracle's standard error (0.05).
+    # (2.8e-4) is far below the oracle's standard error (0.05).
     config = _write(tmp_path, {**_STOCHASTIC_BOOK, "grid": {"step": step}})
     assert _run_main(config, tmp_path / "out", "--validate") == code
     report = json.loads((tmp_path / "out" / "report.json").read_text())

@@ -495,8 +495,8 @@ def _ladder_values(path, delay, t):
 
 def test_memoized_reserve_matches_fresh_paths():
     # Re-valuing on one path reads the memoized density, its tail sums and
-    # the refined path; at ten dates every value must equal the one from a
-    # fresh path, bit for bit.
+    # the path on its even nodes; at ten dates every value must equal the
+    # one from a fresh path, bit for bit.
     delay = _GAMMA_DELAY
     grid = TimeGrid.regular(2.0, step=1.0 / 730.0)
     path = simulate_intensity_path(_SEASONAL, grid)
@@ -551,7 +551,7 @@ def test_memo_skips_convolutions_after_first_reserve(monkeypatch):
     delay = _GAMMA_DELAY
     path = simulate_intensity_path(_SEASONAL, TimeGrid.regular(2.0))
     _ladder_values(path, delay, 0.25)
-    # The node density on the grid and on the half-step grid.
+    # The node density on the grid and on its even nodes.
     assert len(calls) == 2
     for t in (0.25, 0.5, 0.5 + 1e-3, 1.9):
         _ladder_values(path, delay, t)
@@ -565,8 +565,8 @@ def test_tail_sums_filled_once_per_path_and_delay(monkeypatch):
     path = simulate_intensity_path(_SEASONAL, TimeGrid.regular(2.0))
     n = path.grid.n_cells
     _ladder_values(path, _GAMMA_DELAY, 0.25)
-    # Two sums on the grid and two on the half-step grid.
-    assert calls == [n + 1, n + 1, 2 * n + 1, 2 * n + 1]
+    # Two sums on the grid and two on its even nodes.
+    assert calls == [n + 1, n + 1, n // 2 + 1, n // 2 + 1]
     for t in (0.25, 0.5, 0.5 + 1e-3, 1.0, 1.9):
         _ladder_values(path, _GAMMA_DELAY, t)
     assert len(calls) == 4
@@ -691,31 +691,34 @@ def test_stochastic_reserve_chunks_match_one_pass(alpha0):
 
 
 @pytest.mark.parametrize("draws", [2, 1023, 1024, 2049])
-def test_stochastic_error_estimate_matches_one_pass_half_step(draws):
-    # The Richardson estimate reads the first min(draws, 1024) draws on the
-    # half-step grid: the same levels, the rate linearly interpolated at the
-    # midpoints, and the fine grid's own payout weights.  Streamed, it
-    # matches that one-pass computation.
+@pytest.mark.parametrize("cells", [52, 51], ids=["even", "odd"])
+def test_stochastic_error_estimate_matches_one_pass_coarse(cells, draws):
+    # The Richardson estimate reads the first min(draws, 1024) draws on
+    # every other node: rates mu[:, ::2], the hazard kept at those nodes and
+    # the coarse grid's own payout weights, both rules over [0, t_e], t_e
+    # the last even node, with the payout to T = 1.  Streamed as one
+    # difference bracket, it matches the two one-pass brackets.
     model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
     delay, fm, dev = DelayLaw(alpha0=0.2, density=ExponentialDelay(2.0)), MarkLaw(mean=1.0), _book()[2]
-    grid = TimeGrid.regular(1.0, step=1 / 52)
-    fine_grid = TimeGrid.regular(1.0, step=1 / 104)
+    grid = TimeGrid.regular(1.0, step=1 / cells)
+    i_e = cells - cells % 2
+    coarse = TimeGrid.regular(float(grid.points[i_e]), step=2 / cells)
     state = PortfolioState.from_counts(0.0, 64, 0)
     result = reserve(state, model, delay, fm, dev, 1.0, grid=grid, intensity_draws=draws, seed=3)
     k = min(draws, _ESTIMATE_DRAWS)
     mu = np.exp(model.log_level_paths(grid, substream(3, 0x1A7E).standard_normal((k, grid.n_cells))))
-    mu_fine = np.empty((k, fine_grid.n_cells + 1))
-    mu_fine[:, 0::2] = mu
-    mu_fine[:, 1::2] = 0.5 * (mu[:, :-1] + mu[:, 1:])
+    gamma = trapezoid_hazard(grid, mu)
     gaps = 0.0
-    for g, rates, sign in ((grid, mu, 1.0), (fine_grid, mu_fine, -1.0)):
-        c = _unreported_integrand_weights(g, g.n_cells, fm, dev)
-        surv = np.exp(-trapezoid_hazard(g, rates))
+    for g, i_end, rates, hazard, sign in ((grid, i_e, mu, gamma, 1.0),
+                                          (coarse, i_e // 2, mu[:, : i_e + 1 : 2],
+                                           gamma[:, : i_e + 1 : 2], -1.0)):
+        c = _unreported_integrand_weights(g, i_end, fm, dev, 1.0)
+        surv = np.exp(-hazard)
         brackets = _cell_masses(surv) @ _bracket_functional(c, delay, g) + 0.2 * ((surv * rates) @ c)
         gaps = gaps + sign * brackets
     assert result.diagnostics["error_estimate_draws"] == k
     assert result.diagnostics["unreported_error_estimate"] == pytest.approx(
-        64 * (4.0 / 3.0) * abs(float(np.mean(gaps))), rel=1e-9)
+        64 * abs(float(np.mean(gaps))) / 3.0, rel=1e-9)
 
 
 _STOCHASTIC_SCENARIO = {
@@ -750,15 +753,15 @@ _CONDITIONAL_SCENARIO = {
 
 @pytest.mark.parametrize("text, diagnostic, total, value", [
     ((Path(__file__).resolve().parents[1] / "configs" / "example.json").read_text(),
-     "unreported_error_estimate", "0x1.65f41a19488cdp+3", "0x1.0a3f588aaaaaap-17"),
+     "unreported_error_estimate", "0x1.65f41a19488cdp+3", "0x1.0a3f3afc55555p-17"),
     (json.dumps(_STOCHASTIC_SCENARIO),
      "outer_std_error", "0x1.369995e5d2390p+5", "0x1.437cb97d07a9dp-5"),
     (json.dumps(_CONDITIONAL_SCENARIO),
-     "unreported_error_estimate", "0x1.7539062074594p+2", "0x1.49dd513b1fa86p-20"),
+     "unreported_error_estimate", "0x1.7539062074594p+2", "0x1.c6081b9d2bb52p-14"),
 ], ids=["example", "log_ou_n64", "piecewise_t0.7"])
 def test_analytic_reserve_numbers_are_pinned(text, diagnostic, total, value):
     # The analytic reserve bit for bit, as run_scenario computes it: the
-    # deterministic example with its Richardson half-step re-run, the
+    # deterministic example with its even-node Richardson estimate, the
     # chunked stochastic outer average with its standard error, and a
     # deterministic valuation at t > 0, where p(t) is not trivially 0.
     cfg = parse_config(text)
@@ -819,6 +822,62 @@ def test_reserve_error_estimate_tracks_true_error():
     true_err = abs(result.unreported_component - exact)
     estimate = result.diagnostics["unreported_error_estimate"]
     assert 0.5 * true_err <= estimate <= 2.0 * true_err
+
+
+def test_error_estimate_sees_the_breakpoint_bias():
+    # Across the rate breakpoint at 1 the trapezoid hazard is first order.
+    # A half-step path that kept the hazard at the old nodes shared that
+    # bias and reported 0.2 % of the true error; the even-node rule sees
+    # about 18 % of it.  The reference runs at 1/32 of the daily step.
+    cfg = parse_config(json.dumps(_CONDITIONAL_SCENARIO))
+
+    def priced(step):
+        return reserve(PortfolioState.from_counts(cfg.t, cfg.n_policies, cfg.reported_count),
+                       cfg.intensity, cfg.delay, cfg.first_mark, cfg.development, cfg.T,
+                       grid=TimeGrid.regular(cfg.T, step=step))
+
+    result = priced(cfg.grid_step)
+    true_err = abs(result.unreported_component - priced(cfg.grid_step / 32).unreported_component)
+    estimate = result.diagnostics["unreported_error_estimate"]
+    assert 0.1 * true_err <= estimate <= 2.0 * true_err
+
+
+@pytest.mark.parametrize("intensity, step, t", [
+    (ConstantIntensity(1.0), 1.0, 0.0),
+    (LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0), 1.0, 0.0),
+    (ConstantIntensity(1.0), 0.2, 0.8),
+    (ConstantIntensity(1.0), 0.2, 0.9),
+], ids=["one-cell", "one-cell-log-ou", "odd-last-node", "odd-last-cell"])
+def test_error_estimate_without_a_coarse_cell_is_the_component(intensity, step, t):
+    # A one-cell grid has no even-node cell, and on a five-cell grid a t
+    # from node 4 on leaves none in [t, T]: the estimate is then the
+    # unreported component itself, finite and never 0.
+    delay, fm, dev = _book()
+    state = PortfolioState.from_counts(t, 4, 1 if t > 0.0 else 0)
+    result = reserve(state, intensity, delay, fm, dev, 1.0, grid=TimeGrid.regular(1.0, step=step),
+                     intensity_draws=64)
+    assert result.unreported_component > 0.0
+    assert result.diagnostics["unreported_error_estimate"] == result.unreported_component
+    if isinstance(intensity, LogOUIntensity):
+        assert result.diagnostics["error_estimate_draws"] == 0
+
+
+@pytest.mark.parametrize("cells, node, evaluations", [(730, 400, 2), (730, 401, 3), (729, 400, 3)],
+                         ids=["even-node", "odd-node", "odd-grid"])
+def test_warm_node_revaluation_counts_payout_integrals(monkeypatch, cells, node, evaluations):
+    # A warm valuation at an even node reads I_h and I_2h, two O(1)
+    # evaluations.  From an odd node, or on an odd grid whose last even
+    # node falls short of T, both rules run over the whole 2h cells only,
+    # so the h-rule runs once more over that window; no evaluation needs a
+    # pointwise density.
+    path = simulate_intensity_path(_SEASONAL, TimeGrid.regular(2.0, step=2.0 / cells))
+    _ladder_values(path, _GAMMA_DELAY, 0.25)
+    calls = []
+    payout = pricing._payout_integral
+    monkeypatch.setattr(pricing, "_payout_integral", lambda p, *a: calls.append(p) or payout(p, *a))
+    monkeypatch.setattr(pricing, "reporting_density", lambda *a: pytest.fail("pointwise density"))
+    _ladder_values(path, _GAMMA_DELAY, float(path.grid.points[node]))
+    assert calls == [path] * (evaluations - 1) + [pricing._even_nodes(path)]
 
 
 def test_bracket_functional_matches_direct_quadrature():
