@@ -29,9 +29,9 @@ from .grids import TimeGrid
 from ._rng import coerce_rng, Seed
 
 
-#: Largest rate of a constant or piecewise intensity, per policy-year.  The
-#: trapezoid adds two neighbouring rates, so a rate near the float maximum
-#: overflowed the hazard to inf, which the reserve read as NaN.
+#: Largest rate of a constant or piecewise intensity, or log-OU start or
+#: long-run rate, per policy-year.  The trapezoid adds two neighbouring
+#: rates, so a rate near the float maximum overflowed the hazard to inf.
 MAX_RATE = 1e300
 
 
@@ -102,12 +102,13 @@ class LogOUIntensity:
     def __post_init__(self) -> None:
         if not 0.0 <= self.mean_rev < math.inf:
             raise SchemaError("mean_rev", f"must be finite and >= 0, got {self.mean_rev}")
-        if not math.isfinite(self.long_run_log_level):
-            raise SchemaError("long_run_log_level", f"must be finite, got {self.long_run_log_level}")
+        if not -math.inf < self.long_run_log_level <= math.log(MAX_RATE):
+            raise SchemaError("long_run_log_level", f"must be finite and <= log({MAX_RATE}), "
+                                                    f"got {self.long_run_log_level}")
         if not 0.0 <= self.vol < math.inf:
             raise SchemaError("vol", f"must be finite and >= 0, got {self.vol}")
-        if not 0.0 < self.init < math.inf:
-            raise SchemaError("init", f"must be finite and > 0, got {self.init}")
+        if not 0.0 < self.init <= MAX_RATE:
+            raise SchemaError("init", f"must be > 0 and <= {MAX_RATE}, got {self.init}")
 
     def step_params(self, dt: float) -> tuple[float, float]:
         """Exact one-step transition: decay factor and innovation std dev."""
@@ -233,13 +234,14 @@ def trapezoid_hazard(grid: TimeGrid, mu: np.ndarray, out: np.ndarray | None = No
     return gamma
 
 
+@np.errstate(over="ignore")
 def hazard_knots(model: IntensityModel, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Knot times and cumulative hazard of a deterministic rate over ``grid``.
 
-    Gamma is linear between the knots.  A constant rate's knots are the
-    grid's ends; a piecewise rate adds each breakpoint inside, so both are
-    exact.  A zero-volatility log-OU rate keeps the grid nodes and their
-    ``trapezoid_hazard``.
+    Gamma is linear between the knots and may overflow to inf, silently.
+    A constant rate's knots are the grid's ends; a piecewise rate adds each
+    breakpoint inside, so both are exact.  A zero-volatility log-OU rate
+    keeps the grid nodes and their ``trapezoid_hazard``.
     """
     if isinstance(model, LogOUIntensity):
         return grid.points, trapezoid_hazard(grid, model.values(grid))
@@ -248,35 +250,32 @@ def hazard_knots(model: IntensityModel, grid: TimeGrid) -> tuple[np.ndarray, np.
     inside = [b for b in model.breakpoints if grid.t0 < b < grid.t_end]
     times = np.array([grid.t0, *inside, grid.t_end])
     gamma = np.zeros(len(times))
-    with np.errstate(over="ignore"):
-        np.cumsum(model.rate_at(times[:-1]) * np.diff(times), out=gamma[1:])
+    np.cumsum(model.rate_at(times[:-1]) * np.diff(times), out=gamma[1:])
     return times, gamma
 
 
-#: Values (256 KiB of float64) per part of ``draw_hazard_chunks`` unless
-#: the caller asks for another size: a part's two buffers stay in one
-#: core's cache.
-_HAZARD_CHUNK_VALUES = 1 << 15
+#: Values (512 KiB of float64) per part of ``draw_hazard_chunks``, for both
+#: legs: 179 paths on a daily year, so each numpy pass of the oracle's
+#: inversion covers thousands of thresholds and threads wait less for the GIL.
+_HAZARD_CHUNK_VALUES = 1 << 16
 
 
-def _hazard_chunk_rows(grid: TimeGrid, part_values: int = _HAZARD_CHUNK_VALUES) -> int:
+def _hazard_chunk_rows(grid: TimeGrid) -> int:
     """Paths per part of ``draw_hazard_chunks`` on ``grid``."""
-    return max(1, part_values // len(grid.points))
+    return max(1, _HAZARD_CHUNK_VALUES // len(grid.points))
 
 
 def draw_hazard_chunks(model: LogOUIntensity, grid: TimeGrid, rng: np.random.Generator, n_paths: int,
-                       normals: np.ndarray | None = None, part_values: int = _HAZARD_CHUNK_VALUES
-                       ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+                       normals: np.ndarray | None = None) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """Rate and hazard of ``n_paths`` fresh log-OU paths, a few paths at a time.
 
-    Yields ``(rows, mu, gamma)`` for each part of ``_hazard_chunk_rows(grid,
-    part_values)`` paths in order: a slice of the paths, their (rows, nodes)
-    rate and its ``trapezoid_hazard``, the rate built from
-    ``rng.standard_normal((rows, n_cells))`` or, when given,
-    ``normals[rows]`` (``rng`` unused).  Row parts of a draw equal one
-    whole draw and each path depends on its own normals only, so the
-    values and the generator's final state equal those of one whole draw
-    fed to ``log_level_paths``, bit for bit.
+    Yields ``(rows, mu, gamma)`` for each part of ``_hazard_chunk_rows(grid)``
+    paths in order: a slice of the paths, their (rows, nodes) rate and its
+    ``trapezoid_hazard``, the rate built from ``rng.standard_normal((rows,
+    n_cells))`` or, when given, ``normals[rows]`` (``rng`` unused).  Row
+    parts of a draw equal one whole draw and each path depends on its own
+    normals only, so the values and the generator's final state equal
+    those of one whole draw fed to ``log_level_paths``, bit for bit.
 
     Every part is built in two buffers allocated once per call: the
     normals are drawn into the hazard's buffer, the levels and then the
@@ -284,7 +283,7 @@ def draw_hazard_chunks(model: LogOUIntensity, grid: TimeGrid, rng: np.random.Gen
     yielded ``mu`` and ``gamma`` are views that the next part overwrites:
     reduce or copy them before asking for the next part.
     """
-    size = _hazard_chunk_rows(grid, part_values)
+    size = _hazard_chunk_rows(grid)
     mu_buffer = np.empty((min(size, n_paths), len(grid.points)))
     gamma_buffer = np.empty_like(mu_buffer)
     for start in range(0, n_paths, size):

@@ -12,9 +12,9 @@ Accident times come from one inverter, ``claims._invert_gamma_rows``,
 whether the hazard is one deterministic curve or per path.  A constant or
 piecewise rate gives its exact knots (``intensity.hazard_knots``), so the
 oracle shares no grid error with the analytic leg.  Under a log-OU
-intensity a block draws its accident thresholds, then its levels a part
-of ``_LEVEL_PART_VALUES`` values at a time (``draw_hazard_chunks``, two
-buffers reused from part to part), and inverts each part's hazard before
+intensity a block draws its accident thresholds, then its levels a
+cache-sized part of paths at a time (``draw_hazard_chunks``, two buffers
+reused from part to part), and inverts each part's hazard before
 the generator overwrites it, so no array of the block's levels or hazards
 exists; only a deflator correlated with the intensity makes it draw the
 normals as one block-sized array, which the deflator reads.  A block's
@@ -29,8 +29,9 @@ inside a block is fixed by the configuration and the seed alone.
 
 ``McConfig`` is the one record of a book (the CLI's ``ScenarioConfig`` is
 an ``McConfig`` plus four CLI fields).  Its constructor refuses each
-book-level bound (seed, horizon, grid size, mark means), then each
-cross-field contradiction, as a ``SchemaError`` naming the config field.
+book-level bound (seed, horizon and a deterministic rate's hazard over
+it, grid size, mark means), then each cross-field contradiction, as a
+``SchemaError`` naming the config field.
 
 ``mc_reserve`` is the one entry point.  It first calls
 ``check_oracle_bounds``, which refuses a book too large for the oracle's
@@ -87,14 +88,6 @@ Z_THRESHOLD = 3.0
 #: levels are built a cache-sized part of paths at a time.
 MAX_PATH_GRID_VALUES = 1 << 24
 
-#: Values (512 KiB of float64) per part of the log-OU levels a block builds
-#: and inverts at once, twice ``draw_hazard_chunks``' default: on a daily
-#: year a part is 179 paths, so each numpy pass of the inversion covers
-#: thousands of thresholds, and threads running blocks make half as many
-#: calls and wait for the GIL less often.  A part's two buffers on a
-#: 20,000-cell grid still stay under 1 MiB.
-_LEVEL_PART_VALUES = 1 << 16
-
 #: Most grid cells a book may ask for: an hourly grid over about 60 years.
 #: The analytic run at this size takes about 6 s and 250 MB.
 MAX_GRID_CELLS = 1 << 19
@@ -139,6 +132,8 @@ class McConfig:
         if cells > MAX_GRID_CELLS:
             raise SchemaError("grid.step", f"valuation.T / grid.step = {ratio:.6g} grid cells "
                                            f"exceeds the limit of {MAX_GRID_CELLS}")
+        if is_deterministic(self.intensity) and math.isinf(hazard_knots(self.intensity, self.grid())[1][-1]):
+            raise SchemaError("valuation.T", "the intensity's hazard over [0, T] is not finite")
         if isinstance(self.intensity, LogOUIntensity) and correlated_with_intensity(market):
             rows = min(BLOCK_SIZE, self.n_paths)
             if cells * rows > MAX_PATH_GRID_VALUES:
@@ -293,9 +288,9 @@ def _accident_times(config: McConfig, grid: TimeGrid, rng: np.random.Generator, 
 
     Draws the accident thresholds and, under a deterministic rate, inverts
     them at its hazard ``knots`` (times, Gamma) in one search.  Under a
-    log-OU intensity it then draws the normals: a part of
-    ``_LEVEL_PART_VALUES`` values at a time straight into the generator's
-    buffers (``draw_hazard_chunks``), unless a correlated deflator needs
+    log-OU intensity it then draws the normals: a part of paths at a time
+    straight into the generator's buffers (``draw_hazard_chunks``, at the
+    stochastic reserve's part size), unless a correlated deflator needs
     them as one array.  Each part's hazard is inverted before the next
     part overwrites it, and its thresholds are overwritten by their
     accident times.  So neither the block's levels nor its hazards, nor
@@ -308,8 +303,7 @@ def _accident_times(config: McConfig, grid: TimeGrid, rng: np.random.Generator, 
     normals = None
     if correlated_with_intensity(config.market):
         normals = rng.standard_normal((n_block, grid.n_cells))
-    for rows, _, gamma in draw_hazard_chunks(config.intensity, grid, rng, n_block, normals,
-                                             _LEVEL_PART_VALUES):
+    for rows, _, gamma in draw_hazard_chunks(config.intensity, grid, rng, n_block, normals):
         tau[rows] = _invert_gamma_rows(gamma, grid.points, tau[rows])
     return normals, tau
 

@@ -422,15 +422,27 @@ def _bracket_functional(c: np.ndarray, delay: DelayLaw, grid: TimeGrid) -> np.nd
     return q
 
 
-def _brackets(mu: np.ndarray, gamma: np.ndarray, q: np.ndarray, c: np.ndarray,
+#: Columns per ``einsum`` in ``_row_dots``: past numpy's 8,192-element
+#: buffer, one call cuts a row where the rows before it end.
+_ROW_COLUMNS = 1 << 12
+
+
+def _row_dots(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` with each row summed by itself (``einsum`` over blocks of
+    ``_ROW_COLUMNS`` columns, added in order): a row's bits do not depend
+    on the rows beside it, on a BLAS build or on its thread count."""
+    return sum(np.einsum("ij,j->i", a[:, s : s + _ROW_COLUMNS], v[s : s + _ROW_COLUMNS])
+               for s in range(0, a.shape[1], _ROW_COLUMNS))
+
+
+def _brackets(surv: np.ndarray, mu: np.ndarray, q: np.ndarray, c: np.ndarray,
               alpha0: float) -> np.ndarray:
-    """Payout integral of each path (rows of ``mu`` and ``gamma``) through
-    ``_bracket_functional``'s ``q`` and the weights ``c``.  The survival
-    and its product with ``mu`` are built in place of ``gamma``."""
-    surv = np.exp(np.negative(gamma, out=gamma), out=gamma)
-    out = _cell_masses(surv) @ q
+    """Payout integral of each path, a row of its survival exp(-Gamma) and
+    of its rate on the nodes, through ``_bracket_functional``'s ``q`` and
+    the weights ``c``, each row reduced by itself (``_row_dots``)."""
+    out = _row_dots(_cell_masses(surv), q)
     if alpha0 > 0.0:
-        out = out + alpha0 * (np.multiply(surv, mu, out=surv) @ c)
+        out += alpha0 * _row_dots(surv * mu, c)
     return out
 
 
@@ -484,16 +496,17 @@ def reserve(
     intensity paths is estimated from ``intensity_draws`` fresh draws and
     its standard error lands in the diagnostics.  The draws come from one
     generator through ``draw_hazard_chunks``, and each part of a few paths
-    is reduced to its payout brackets before the next is drawn, so memory
-    stays at one bracket per draw and a few cache-sized arrays, and the
-    result equals a one-pass average bit for bit.  Richardson's
+    is reduced to its payout brackets, row by row, before the next is
+    drawn, so memory stays at one bracket per draw and a few cache-sized
+    arrays, and any part size gives a one-pass average's bits.  Richardson's
     ``unreported_error_estimate`` is |I_h - I_2h| / 3, I_2h the same rule on
     the even nodes (step 2h, rates mu[::2], the hazard kept at those nodes),
     both over the whole 2h cells of [t, T] with the payout to T, or the
     unreported component where there are none (one cell, or t past the last
     even node but one).  A stochastic model averages I_h - I_2h over its
-    first ``_ESTIMATE_DRAWS`` paths, which ``error_estimate_draws`` counts.
-    Other regimes raise UnsupportedRegimeError
+    first ``_ESTIMATE_DRAWS`` paths (``error_estimate_draws``), bracketed
+    from the survival of their main brackets.  A result that is not finite
+    raises SchemaError naming ``T``, other regimes UnsupportedRegimeError
     (``check_reserve_regime``, before any other check); the Monte Carlo
     oracle prices all of them but a stochastic model at t > 0.
     """
@@ -552,7 +565,6 @@ def reserve(
                     path, delay, first_mark, dev, t_a, T, t_b)
                 gap = fine - _payout_integral(_even_nodes(path), delay, first_mark, dev, t_a, T, t_b)
                 estimate = unreported_count * abs(gap) / 3.0 / surviving
-        diagnostics["unreported_error_estimate"] = estimate
     else:
         # Stochastic intensity at t = 0: average the payout integral over fresh paths.
         assert isinstance(intensity_model, LogOUIntensity)
@@ -574,25 +586,22 @@ def reserve(
             c_gap[: i_e + 1 : 2] -= c_2h
         rng = substream(seed, 0x1A7E)
         brackets = np.empty(intensity_draws)
-        gap = 0.0  # sum of I_h - I_2h over the first _ESTIMATE_DRAWS paths
-        # Parts of the generator's default size: a bracket is a row of a
-        # matrix-vector product, whose rounding follows the rows in one call.
+        gaps = np.empty(min(_ESTIMATE_DRAWS, intensity_draws) if i_e else 0)  # I_h - I_2h per draw
         for rows, mu, gamma in draw_hazard_chunks(intensity_model, grid, rng, intensity_draws):
-            if i_e and rows.start < _ESTIMATE_DRAWS:
-                # Read before the main bracket, which overwrites gamma.
-                k = min(rows.stop, _ESTIMATE_DRAWS) - rows.start
-                gap += float(np.sum(_brackets(mu[:k], gamma[:k].copy(), q_gap, c_gap, delay.alpha0)))
-            brackets[rows] = _brackets(mu, gamma, q, c, delay.alpha0)
-        mean_bracket = float(np.mean(brackets))
-        se_bracket = float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))
-        unreported = n * mean_bracket
+            surv = np.exp(np.negative(gamma, out=gamma), out=gamma)
+            brackets[rows] = _brackets(surv, mu, q, c, delay.alpha0)
+            if rows.start < len(gaps):  # a slice past the end of gaps is cut short
+                gaps[rows] = _brackets(surv, mu, q_gap, c_gap, delay.alpha0)[: len(gaps[rows])]
+        unreported = n * float(np.mean(brackets))
         diagnostics["intensity_draws"] = int(intensity_draws)
-        diagnostics["outer_std_error"] = n * se_bracket
-        estimate_draws = min(_ESTIMATE_DRAWS, intensity_draws) if i_e else 0
-        diagnostics["error_estimate_draws"] = estimate_draws
-        diagnostics["unreported_error_estimate"] = (
-            n * abs(gap / estimate_draws) / 3.0 if estimate_draws else unreported)
+        diagnostics["outer_std_error"] = n * float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))
+        diagnostics["error_estimate_draws"] = len(gaps)
+        estimate = n * abs(float(np.mean(gaps))) / 3.0 if len(gaps) else unreported
     total = reported_component + unreported
+    diagnostics["unreported_error_estimate"] = estimate
+    if not math.isfinite(total + estimate):
+        raise SchemaError("T", f"the analytic reserve is not finite over this horizon "
+                               f"(total {total:.3g}, unreported_error_estimate {estimate:.3g})")
     return ReserveResult(as_of=t, horizon=T, reported_component=reported_component,
                          unreported_component=unreported, total=total,
                          diagnostics=diagnostics)

@@ -272,12 +272,12 @@ except SystemExit as exc:
 """
 
 
-def _fresh_run(tmp_path, config, *flags):
+def _fresh_run(tmp_path, config, *flags, env=()):
     src = str(Path(claimflow.__file__).resolve().parents[1])
     argv = ["run", str(_write(tmp_path, config)), "--out", str(tmp_path / "out"), *flags]
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", _FRESH_RUN, *argv], capture_output=True, text=True,
-                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": path, **dict(env)})
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -293,6 +293,21 @@ def test_cli_with_gamma_delay_never_imports_scipy(tmp_path, flag):
     gamma = {"alpha0": 0.2, "density": {"kind": "gamma", "shape": 2.3, "rate": 2.0}}
     result = _fresh_run(tmp_path, _scenario(delay=gamma), flag)
     assert result == {"exit": 0, "imported": [], "run": []}
+
+
+def test_log_ou_report_is_byte_identical_across_blas_threads(tmp_path):
+    # The stochastic reserve sums each bracket by itself, not through BLAS,
+    # so the BLAS thread count of a fresh interpreter reaches no byte.
+    config = _scenario(
+        grid={"step": 1.0 / 365.0},
+        intensity={"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": 0.0, "vol": 0.5, "init": 1.0},
+        portfolio={"n": 64}, mc={"n_paths": 2000, "intensity_draws": 1024})
+    reports = []
+    for threads in ("1", "2"):
+        result = _fresh_run(tmp_path, config, "--validate", env={"OPENBLAS_NUM_THREADS": threads})
+        assert result["exit"] == 0
+        reports.append((tmp_path / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------
@@ -564,27 +579,61 @@ def test_huge_rates_exit_one_naming_field(tmp_path, capsys, field, intensity):
     assert parse_config(json.dumps(example)).intensity.mu == MAX_RATE
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("field, value, reason", [
+    ("long_run_log_level", 800.0, f"must be finite and <= log({MAX_RATE})"),
+    ("init", 1e301, f"must be > 0 and <= {MAX_RATE}"),
+])
+def test_huge_log_ou_levels_exit_one_naming_field(tmp_path, capsys, field, value, reason):
+    # A long-run level of 800 overflowed the rate to inf: numpy warnings,
+    # then "error: total must equal the sum of its components" in both
+    # modes.  A huge vol can still overflow a path.
+    intensity = {"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": 0.0, "vol": 0.5, "init": 1.0}
+    config = _write(tmp_path, _scenario(intensity={**intensity, field: value}))
+    for flag in ("--analytic-only", "--validate"):
+        assert _run_main(config, tmp_path / "out", flag) == 1
+        assert f"config error at intensity.{field}: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+    edge = {**intensity, "long_run_log_level": math.log(MAX_RATE), "init": MAX_RATE}
+    assert parse_config(json.dumps(_scenario(intensity=edge))).intensity.init == MAX_RATE
+
+
 @pytest.mark.parametrize("T, step", [(1e7, 1e5), (1e9, 1e7)])
 def test_non_finite_analytic_reserve_exits_one_naming_the_horizon(tmp_path, capsys, T, step):
     # A rate at MAX_RATE over a long horizon wrote "total": Infinity and
     # "unreported_error_estimate": NaN with exit 0: the trapezoid weighs the
     # first node's atom density, 2e299, by a cell of 1e5 or 1e7 years and
-    # the payout 1 + 0.75 T (at T = 1e9 the hazard overflows too).  Over a
-    # two-year horizon the same rate and step give a finite report.
+    # the payout 1 + 0.75 T.  At T = 1e9 the hazard itself overflows, which
+    # McConfig refuses before any path is built.  No numpy warning is
+    # raised on the way.  Over a two-year horizon the same rate and step
+    # give a finite report.
     example = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
     example["intensity"]["mu"] = MAX_RATE
     example["valuation"]["T"] = T
     example["grid"]["step"] = step
     config = _write(tmp_path, example)
     assert _run_main(config, tmp_path / "out", "--analytic-only") == 1
-    assert "config error at valuation.T: the analytic reserve is not finite" in capsys.readouterr().err
+    reason = {1e7: "the analytic reserve", 1e9: "the intensity's hazard over [0, T]"}[T]
+    assert f"config error at valuation.T: {reason} is not finite" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
     example["valuation"]["T"] = 2.0
     assert _run_main(_write(tmp_path, example), tmp_path / "out", "--analytic-only") == 0
     report = _strict_json((tmp_path / "out" / "report.json").read_text())
     assert math.isfinite(report["analytic"]["diagnostics"]["unreported_error_estimate"])
+
+
+@pytest.mark.parametrize("T", [1e12, 1e9])
+def test_overflowing_development_exits_one_naming_the_horizon(tmp_path, capsys, T):
+    # The payout c (T - u) overflows: the unreported component came out NaN
+    # and the run ended in a ReserveResult invariant naming no field.
+    example = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+    example["development"]["rate"] = 1e300
+    example["valuation"].update(t=1e7, T=T)
+    example["grid"]["step"] = 1e7
+    example["portfolio"]["reported_count"] = 4
+    config = _write(tmp_path, example)
+    assert _run_main(config, tmp_path / "out", "--analytic-only") == 1
+    assert "config error at valuation.T: the analytic reserve is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_overflowing_reported_component_exits_one(tmp_path, capsys):

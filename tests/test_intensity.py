@@ -1,5 +1,4 @@
 """Intensity models, hazard and survival transforms."""
-import itertools
 import math
 
 import numpy as np
@@ -18,16 +17,12 @@ from claimflow import (
 )
 from claimflow.grids import DEFAULT_STEP
 from claimflow.intensity import (
-    _HAZARD_CHUNK_VALUES,
     _SPAN,
     _hazard_chunk_rows,
     draw_hazard_chunks,
     trapezoid_hazard,
 )
-from claimflow.mc import _LEVEL_PART_VALUES
-
-#: Paths per part of ``draw_hazard_chunks`` at its default size on the
-#: yearly daily grid (89); the oracle asks for parts of 179 paths.
+#: Paths per part of ``draw_hazard_chunks`` on the yearly daily grid (179).
 _CHUNK = _hazard_chunk_rows(TimeGrid.regular(1.0))
 
 
@@ -236,20 +231,20 @@ def test_drawn_hazard_chunks_equal_one_normals_draw(n_paths, source):
     # Levels drawn a few paths at a time, or read from the normals a
     # correlated deflator keeps, give the rate and hazard of one
     # log_level_paths call on one (paths, cells) draw bit for bit, in
-    # consecutive parts of at most _CHUNK paths (or of the oracle's larger
-    # parts), and leave the generator where that one draw leaves it.
+    # consecutive parts of at most _CHUNK paths, and leave the generator
+    # where that one draw leaves it.
     grid = TimeGrid.regular(1.0)
-    for model, part_values in itertools.product(_MODELS, (_HAZARD_CHUNK_VALUES, _LEVEL_PART_VALUES)):
+    for model in _MODELS:
         one = np.random.default_rng(5)
         normals = one.standard_normal((n_paths, grid.n_cells))
         mu = np.exp(model.log_level_paths(grid, normals))
         gamma = trapezoid_hazard(grid, mu)
         streamed = np.random.default_rng(5)
         chunks = draw_hazard_chunks(model, grid, streamed, n_paths,
-                                    normals=None if source == "drawn" else normals, part_values=part_values)
+                                    normals=None if source == "drawn" else normals)
         end = 0
         for part, mu_part, gamma_part in chunks:
-            assert part.start == end and 0 < part.stop - part.start <= _hazard_chunk_rows(grid, part_values)
+            assert part.start == end and 0 < part.stop - part.start <= _CHUNK
             assert _same_bits(mu_part, mu[part])
             assert _same_bits(gamma_part, gamma[part])
             end = part.stop

@@ -36,7 +36,7 @@ from claimflow import mc
 from claimflow.cli import parse_config
 from claimflow.claims import _BISECT_CHUNK, _invert_gamma_rows
 from claimflow.intensity import _hazard_chunk_rows, hazard_knots, trapezoid_hazard
-from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _LEVEL_PART_VALUES, _accident_times, _brownian_at_events
+from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _accident_times, _brownian_at_events
 
 
 def _config(**overrides):
@@ -353,7 +353,7 @@ def test_streamed_accident_times_match_whole_block_inversion(correlated):
     model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
     config = _config(n_policies=9, intensity=model, market=market)
     grid = config.grid()
-    chunk = _hazard_chunk_rows(grid, _LEVEL_PART_VALUES)
+    chunk = _hazard_chunk_rows(grid)
     for n_block in (chunk - 1, 1_120):
         rng = np.random.default_rng(n_block)
         e = rng.exponential(size=(n_block, config.n_policies))

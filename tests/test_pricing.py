@@ -37,12 +37,13 @@ from claimflow import (
     simulate_intensity_path,
     simulate_portfolio,
 )
-from claimflow import pricing
+from claimflow import intensity, pricing
 from claimflow.cli import parse_config
 from claimflow.intensity import trapezoid_hazard
 from claimflow.pricing import (
     _ESTIMATE_DRAWS,
     _bracket_functional,
+    _brackets,
     _cell_masses,
     _fft_convolve,
     _kernel_arrays,
@@ -659,15 +660,19 @@ def test_reserve_refuses_reported_claims_at_time_zero(intensity):
 
 
 def _unchunked_stochastic_reserve(model, delay, fm, dev, T, grid, draws, seed, n):
-    """The outer average over all draws at once: (unreported, outer SE)."""
+    """The outer average over all draws at once: (unreported, outer SE).
+
+    Each bracket is summed row by row, as the reserve sums it; a
+    matrix-vector product rounds a row by the rows beside it.
+    """
     c = _unreported_integrand_weights(grid, grid.node_index(T), fm, dev)
     q = _bracket_functional(c, delay, grid)
     normals = substream(seed, 0x1A7E).standard_normal((draws, grid.n_cells))
     mu = np.exp(model.log_level_paths(grid, normals))
     gamma = trapezoid_hazard(grid, mu)
-    brackets = _cell_masses(np.exp(-gamma)) @ q
+    brackets = np.einsum("ij,j->i", _cell_masses(np.exp(-gamma)), q)
     if delay.alpha0 > 0.0:
-        brackets = brackets + delay.alpha0 * ((np.exp(-gamma) * mu) @ c)
+        brackets += delay.alpha0 * np.einsum("ij,j->i", np.exp(-gamma) * mu, c)
     se = float(np.std(brackets, ddof=1) / math.sqrt(draws))
     return n * float(np.mean(brackets)), n * se
 
@@ -688,6 +693,44 @@ def test_stochastic_reserve_chunks_match_one_pass(alpha0):
                          intensity_draws=draws, seed=3)
         expected = _unchunked_stochastic_reserve(model, delay, fm, dev, 1.0, grid, draws, 3, 64)
         assert (result.total, result.diagnostics["outer_std_error"]) == expected
+
+
+@pytest.mark.parametrize("cells", [365, 9000])
+def test_brackets_of_a_part_equal_its_rows_bracketed_alone(cells):
+    # A whole part of the generator (179 paths on the daily year, 7 on a
+    # 9,000-cell grid) against its rows bracketed alone or in smaller
+    # calls.  With a matrix-vector product the first row alone, or the
+    # first 90, differed from the same rows of the 179 in the last bit;
+    # past 8,192 cells numpy's own einsum cuts a row by its neighbours.
+    model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+    delay, fm, dev = DelayLaw(alpha0=0.2, density=ExponentialDelay(2.0)), MarkLaw(mean=1.0), _book()[2]
+    grid = TimeGrid.regular(1.0, step=1 / cells)
+    rows = intensity._hazard_chunk_rows(grid)
+    c = _unreported_integrand_weights(grid, grid.n_cells, fm, dev)
+    q = _bracket_functional(c, delay, grid)
+    mu = np.exp(model.log_level_paths(grid, np.random.default_rng(3).standard_normal((rows, cells))))
+    surv = np.exp(-trapezoid_hazard(grid, mu))
+    part = _brackets(surv, mu, q, c, delay.alpha0)
+    for alone in (slice(0, 1), slice(0, rows // 2), slice(rows // 2, rows), slice(rows - 1, rows)):
+        assert np.array_equal(_brackets(surv[alone].copy(), mu[alone].copy(), q, c, delay.alpha0),
+                              part[alone])
+
+
+def test_stochastic_reserve_does_not_depend_on_the_part_size(monkeypatch):
+    # Parts of 11, 89 and 179 paths on the daily year give the same total,
+    # outer standard error and Richardson estimate, bit for bit.
+    model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+    delay, fm, dev = DelayLaw(alpha0=0.2, density=ExponentialDelay(2.0)), MarkLaw(mean=1.0), _book()[2]
+    state = PortfolioState.from_counts(0.0, 64, 0)
+    results = set()
+    for values in (1 << 12, 1 << 15, 1 << 16):
+        monkeypatch.setattr(intensity, "_HAZARD_CHUNK_VALUES", values)
+        assert intensity._hazard_chunk_rows(TimeGrid.regular(1.0)) == values // 366
+        result = reserve(state, model, delay, fm, dev, 1.0, grid=TimeGrid.regular(1.0),
+                         intensity_draws=2049, seed=7)
+        results.add((result.total, result.diagnostics["outer_std_error"],
+                     result.diagnostics["unreported_error_estimate"]))
+    assert len(results) == 1
 
 
 @pytest.mark.parametrize("draws", [2, 1023, 1024, 2049])
