@@ -191,6 +191,11 @@ def _pinned_configs():
         "log_ou_correlated_antithetic": _config(
             n_policies=8, intensity=log_ou, n_paths=BLOCK_SIZE + 904, seed=4, antithetic=True,
             market=MartingaleDeflator(init=1.0, vol=0.3, corr_with_intensity=-0.4)),
+        "event_martingale": _config(
+            n_policies=6, n_paths=BLOCK_SIZE + 904, seed=6, market=MartingaleDeflator(init=1.0, vol=0.2)),
+        "event_martingale_antithetic": _config(
+            n_policies=6, n_paths=BLOCK_SIZE + 904, seed=6, antithetic=True,
+            market=MartingaleDeflator(init=1.0, vol=0.2)),
     }
 
 
@@ -201,6 +206,8 @@ def _pinned_configs():
     ("conditional", "0x1.ef2609c2b4066p-1", "0x1.14bbf3a6cb236p-5"),
     ("log_ou_correlated", "0x1.1ecf82145eb69p+2", "0x1.53f621a6d9b95p-5"),
     ("log_ou_correlated_antithetic", "0x1.1966917078636p+2", "0x1.420b181bacf72p-5"),
+    ("event_martingale", "0x1.a0cddb345dc71p+1", "0x1.16a3af7a66211p-5"),
+    ("event_martingale_antithetic", "0x1.a0ba830a58826p+1", "0x1.1511d1355e909p-5"),
 ])
 def test_oracle_numbers_are_pinned(name, mean, std_error):
     # The draw layout and the arithmetic of a block, bit for bit: a log-OU
@@ -209,7 +216,9 @@ def test_oracle_numbers_are_pinned(name, mean, std_error):
     # delay layouts (alpha0 in (0, 1), 0 and 1), a conditional run, and a
     # deflator correlated with a log-OU intensity, plain and antithetic,
     # whose block draws the intensity normals as one array.  A log-OU block
-    # draws its accident thresholds before its intensity normals.
+    # draws its accident thresholds before its intensity normals.  The two
+    # event_martingale books sample an independent martingale deflator at
+    # every payment date (the README command's oracle), plain and antithetic.
     # Thread invariance cannot see a change in these numbers; this can.
     config = _pinned_configs()[name]
     estimate = mc_reserve(config)
