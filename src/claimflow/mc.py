@@ -2,12 +2,15 @@
 
 Each path simulates the intensity, every policy's claim history and the
 deflator.  A block runs in stages, each a function whose temporaries die
-when it returns: accident times, delays, first marks, developments, one
-event list (time, path, amount) of its payments in the valuation window,
-first reports then developments, the deflator at those events, and one
-``bincount`` of the deflated amounts by path.  A martingale deflator
-independent of the intensity is sampled exactly at the event times, so
-its cost follows the number of payments rather than the grid size.
+when it returns: accident times, delays, first marks, development counts,
+one event list (time, path, amount) of its payments in the valuation
+window, the deflator at those events, and one ``bincount`` of the
+deflated amounts by path.  The event list is one buffer, sized once the
+development counts are drawn: first reports at its front, developments
+written after them in place.  A martingale deflator independent of the
+intensity is sampled exactly at the event times, put in (path, time)
+order by one sort of a float key, so its cost follows the number of
+payments rather than the grid size.
 Accident times come from one inverter, ``claims._invert_gamma_rows``,
 whether the hazard is one deterministic curve or per path.  A constant or
 piecewise rate gives its exact knots (``intensity.hazard_knots``), so the
@@ -29,9 +32,9 @@ inside a block is fixed by the configuration and the seed alone.
 
 ``McConfig`` is the one record of a book (the CLI's ``ScenarioConfig`` is
 an ``McConfig`` plus four CLI fields).  Its constructor refuses each
-book-level bound (seed, horizon and a deterministic rate's hazard over
-it, grid size, mark means), then each cross-field contradiction, as a
-``SchemaError`` naming the config field.
+book-level bound (seed, horizon and the rate's hazard over it, a log-OU
+rate's along its median path, grid size, mark means), then each
+cross-field contradiction, as a ``SchemaError`` naming the config field.
 
 ``mc_reserve`` is the one entry point.  It first calls
 ``check_oracle_bounds``, which refuses a book too large for the oracle's
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -132,7 +135,9 @@ class McConfig:
         if cells > MAX_GRID_CELLS:
             raise SchemaError("grid.step", f"valuation.T / grid.step = {ratio:.6g} grid cells "
                                            f"exceeds the limit of {MAX_GRID_CELLS}")
-        if is_deterministic(self.intensity) and math.isinf(hazard_knots(self.intensity, self.grid())[1][-1]):
+        # A log-OU rate is held to its median path, the one at zero volatility.
+        median = replace(self.intensity, vol=0.0) if isinstance(self.intensity, LogOUIntensity) else self.intensity
+        if math.isinf(hazard_knots(median, self.grid())[1][-1]):
             raise SchemaError("valuation.T", "the intensity's hazard over [0, T] is not finite")
         if isinstance(self.intensity, LogOUIntensity) and correlated_with_intensity(market):
             rows = min(BLOCK_SIZE, self.n_paths)
@@ -203,6 +208,28 @@ def _interp_on_paths(times: np.ndarray, row: np.ndarray, grid: TimeGrid, paths: 
     return paths[row, k] * (1.0 - frac) + paths[row, k + 1] * frac
 
 
+def _two_pass_order(times: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """Indices that sort events by path, then time: any sort by time, then a
+    stable sort by path on the narrowest integer type, which numpy
+    radix-sorts."""
+    order = np.argsort(times)
+    key = paths[order].astype(np.min_scalar_type(int(paths.max())))
+    return order[np.argsort(key, kind="stable")]
+
+
+def _increments(s: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time increments of events sorted by path ``p`` and time ``s``, each
+    path's first measured from 0, and the mask of those first events."""
+    m = len(s)
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    np.not_equal(p[1:], p[:-1], out=first[1:])
+    ds = np.empty(m)
+    np.subtract(s[1:], s[:-1], out=ds[1:])
+    np.copyto(ds, s, where=first)
+    return ds, first
+
+
 def _brownian_at_events(times: np.ndarray, rows: np.ndarray, rng: np.random.Generator,
                         antithetic: bool = False) -> np.ndarray:
     """Standard Brownian motion of each row sampled exactly at its event times.
@@ -212,27 +239,37 @@ def _brownian_at_events(times: np.ndarray, rows: np.ndarray, rng: np.random.Gene
     each row (independent Gaussian increments, Glasserman 2004, sec. 3.1).
     With ``antithetic``, rows 2k and 2k + 1 share one motion sampled at the
     union of their times and the odd row takes ``-W``.
+
+    The order is one ``argsort`` of the float key ``path + time / span``,
+    ``span`` a power of two above twice the latest time: a path's keys lie
+    in [path, path + 1/2], so paths cannot mix, and rounding never
+    reverses two times.  It can tie two times of one path less than an ulp
+    of the key apart, and ``argsort`` may then put them in either order; a
+    negative increment shows it, and the two-pass sort orders that block.
+    Times must be >= 0.
     """
     m = len(times)
     if m == 0:
         return np.empty(0)
     paths = rows // 2 if antithetic else rows
-    # Two passes instead of np.lexsort: any sort by time, then a stable sort
-    # by path on the narrowest integer type, which numpy radix-sorts.
-    order = np.argsort(times)
-    key = paths[order].astype(np.min_scalar_type(int(paths.max())))
-    order = order[np.argsort(key, kind="stable")]
-    s, p = times[order], paths[order]
-    first = np.empty(m, dtype=bool)
-    first[0] = True
-    np.not_equal(p[1:], p[:-1], out=first[1:])
-    ds = np.diff(s, prepend=0.0)
-    ds[first] = s[first]
-    cum = np.cumsum(np.sqrt(ds) * rng.standard_normal(m))
+    key = times * math.ldexp(1.0, -math.frexp(times.max())[1] - 1)
+    key += paths
+    order = np.argsort(key)
+    del key
+    ds, first = _increments(times[order], paths[order])
+    if ds.min() < 0.0:
+        order = _two_pass_order(times, paths)
+        ds, first = _increments(times[order], paths[order])
+    z = rng.standard_normal(m)
+    cum = np.sqrt(ds, out=ds)
+    cum *= z
+    np.cumsum(cum, out=cum)
     starts = np.flatnonzero(first)
-    before = np.concatenate(([0.0], cum))[starts]
-    w = np.empty(m)
-    w[order] = cum - np.repeat(before, np.diff(starts, append=m))
+    before = cum[starts - 1]
+    before[0] = 0.0
+    cum -= np.repeat(before, np.diff(starts, append=m))
+    w = z
+    w[order] = cum
     if antithetic:
         np.negative(w, out=w, where=rows % 2 == 1)
     return w
@@ -264,8 +301,12 @@ def _deflator_values(config: McConfig, grid: TimeGrid, rng: np.random.Generator,
     at_t = float(market.init)  # t = 0 in this regime
     rho = market.corr_with_intensity
     if rho == 0.0:
-        w = _brownian_at_events(times, rows, rng, antithetic=config.antithetic)
-        return market.init * np.exp(market.vol * w - (0.5 * market.vol ** 2) * times), at_t
+        deflator = _brownian_at_events(times, rows, rng, antithetic=config.antithetic)
+        deflator *= market.vol
+        deflator -= (0.5 * market.vol ** 2) * times
+        np.exp(deflator, out=deflator)
+        deflator *= market.init
+        return deflator, at_t
 
     assert z_mu is not None
     n_block = len(z_mu)
@@ -317,30 +358,60 @@ def _first_reports(config: McConfig, rng: np.random.Generator,
     return tau1.take(first), first // config.n_policies, x1.take(first)
 
 
-def _developments(config: McConfig, rng: np.random.Generator,
-                  tau1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Development payments in (t, T]: their times, paths and marks.
+def _development_claims(config: McConfig, rng: np.random.Generator,
+                        tau1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The development counts: each development's claim cell (path x
+    n_policies + policy), row-major, and that claim's report time.
 
     A claim reported at ``tau1 <= T`` pays a Poisson(rate x (T - tau1))
-    number of developments at uniform times in (tau1, T].  The draws are
-    the counts, then the offsets and the marks of every development, kept
-    or not.  No (paths, policies) array outlives the counts.
+    number of developments.  No (paths, policies) array outlives the counts.
     """
-    dev, n = config.development, config.n_policies
-    if not (dev.rate > 0.0 and n > 0):
-        return np.empty(0), np.empty(0, dtype=np.intp), np.empty(0)
+    dev = config.development
+    if not (dev.rate > 0.0 and config.n_policies > 0):
+        return np.empty(0, dtype=np.intp), np.empty(0)
     # A claim never reported (tau1 = inf) has horizon 0.
     counts = rng.poisson(dev.rate * np.clip(config.T - tau1, 0.0, None)).ravel()
     claims = np.flatnonzero(counts)
-    cell = np.repeat(claims, counts[claims])  # each development's claim, row-major
+    cell = np.repeat(claims, counts[claims])
     del counts, claims
+    return cell, tau1.ravel().take(cell)
+
+
+def _event_buffer(first: tuple[np.ndarray, ...], size: int) -> tuple[np.ndarray, ...]:
+    """(times, paths, amounts) arrays of ``size`` events, the first reports
+    ``first`` at the front."""
+    events = tuple(np.empty(size, dtype=part.dtype) for part in first)
+    for buffer, part in zip(events, first):
+        buffer[:len(part)] = part
+    return events
+
+
+def _developments(config: McConfig, rng: np.random.Generator, claims: tuple[np.ndarray, np.ndarray],
+                  events: tuple[np.ndarray, ...], start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The event list: ``events`` up to ``start``, then the developments in
+    (t, T], written in place after it; their times, paths and amounts.
+
+    Each development of ``claims`` (cells, report times) falls at a uniform
+    time in (report, T].  The draws are the offsets, then the marks of
+    every development, kept or not, so ``events`` has room for all of them.
+    """
+    cell, report = claims
+    if len(cell) == 0:
+        return events
+    times, rows, amounts = (buffer[start:] for buffer in events)
     # Only a claim with a positive horizon T - tau1 has developments.
-    times = config.T - tau1.ravel()[cell]
+    np.subtract(config.T, report, out=times)
     times *= 1.0 - rng.random(len(cell))
-    times += tau1.ravel()[cell]
+    times += report
+    np.floor_divide(cell, config.n_policies, out=rows)
+    amounts[:] = config.development.mark.sample(rng, size=len(cell))
     keep = times > config.t
-    times, rows = times[keep], cell[keep] // n
-    return times, rows, np.asarray(dev.mark.sample(rng, size=len(cell)))[keep]
+    if keep.all():
+        return events
+    end = start + np.count_nonzero(keep)
+    for buffer in events:
+        buffer[start:end] = buffer[start:][keep]
+    return tuple(buffer[:end] for buffer in events)
 
 
 def _block_paths(config: McConfig, grid: TimeGrid, block: int,
@@ -351,8 +422,12 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
     Stages, each a function whose temporaries die when it returns:
     accident times by one inverter (at the hazard ``knots`` of a
     deterministic rate, or per path in the log-OU stage), delays, first
-    marks, developments, the block's event list, the deflator at its
-    events, and one ``bincount`` of deflated amounts by path.  The draw
+    marks, development counts, the block's event list, the deflator at its
+    events, and one ``bincount`` of deflated amounts by path.  The report
+    times and the first reports' own arrays are freed before the
+    developments' offsets are drawn: the event list is one buffer with
+    room for every drawn development, the first reports at its front.  The
+    deflator and the deflated amounts are computed in place.  The draw
     order is fixed: accident thresholds, then under a log-OU intensity its
     normals (paths, cells) path by path, delays (in
     ``DelayLaw.sample_many``'s layout), first marks, development counts,
@@ -369,13 +444,17 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
     reported = None
     if config.conditioning is not None:
         reported = np.sum(tau1 <= config.t, axis=1).astype(int)
-    parts = _first_reports(config, rng, tau1), _developments(config, rng, tau1)
-    del tau1  # from here on a block holds only its payment events
-    # First reports, then developments: one event list.
-    times, rows, amounts = map(np.concatenate, zip(*parts))
-    del parts
+    first = _first_reports(config, rng, tau1)
+    claims = _development_claims(config, rng, tau1)
+    del tau1
+    n_first = len(first[0])
+    events = _event_buffer(first, n_first + len(claims[0]))
+    del first  # the first reports live on in the buffer only
+    times, rows, amounts = _developments(config, rng, claims, events, n_first)
+    del claims  # from here on a block holds only its payment events
     deflator, deflator_at_t = _deflator_values(config, grid, rng, times, rows, z_mu, det_deflator)
-    payoffs = np.bincount(rows, weights=deflator * amounts, minlength=n_block) / deflator_at_t
+    amounts *= deflator
+    payoffs = np.bincount(rows, weights=amounts, minlength=n_block) / deflator_at_t
     return payoffs, reported
 
 

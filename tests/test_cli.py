@@ -621,6 +621,29 @@ def test_non_finite_analytic_reserve_exits_one_naming_the_horizon(tmp_path, caps
     assert math.isfinite(report["analytic"]["diagnostics"]["unreported_error_estimate"])
 
 
+@pytest.mark.parametrize("flag", ["--analytic-only", "--validate"])
+def test_overflowing_log_ou_hazard_exits_one_naming_the_horizon(tmp_path, capsys, flag):
+    # A log-OU rate near its level bound over 1e9 years: the curve path's
+    # hazard overflowed in trapezoid_hazard, and the run printed numpy
+    # warnings and exited 0 with a total of 2.184e16.  McConfig holds the
+    # rate's median path (zero volatility) to a finite hazard, as it holds a
+    # deterministic rate, before any path is built; no numpy warning is
+    # raised on the way.
+    example = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+    example["intensity"] = {"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": 690.0,
+                            "vol": 0.5, "init": 1.0}
+    example["market"] = {"kind": "deterministic", "level": 1.0}
+    example["valuation"]["T"] = 1e9
+    example["grid"]["step"] = 1e7
+    assert _run_main(_write(tmp_path, example), tmp_path / "out", flag) == 1
+    err = capsys.readouterr().err
+    assert "config error at valuation.T: the intensity's hazard over [0, T] is not finite" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+    example["valuation"]["T"] = 2.0
+    example["grid"]["step"] = 0.02
+    assert parse_config(json.dumps(example)).T == 2.0
+
+
 @pytest.mark.parametrize("T", [1e12, 1e9])
 def test_overflowing_development_exits_one_naming_the_horizon(tmp_path, capsys, T):
     # The payout c (T - u) overflows: the unreported component came out NaN

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from claimflow import (
     ConfigurationError,
@@ -316,8 +317,8 @@ def test_log_ou_block_peak_memory():
     # One 4,096-path block of the stochastic_validate book at n = 64.  Its
     # levels are built a cache-sized part at a time, each part's hazard is
     # inverted as it is built, and each stage's arrays die with the stage,
-    # so the peak (9.2 MiB) stays below one (nodes, paths) levels array of
-    # the block (11.4 MiB).
+    # so the peak (8.7 MiB, set by the development counts) stays below one
+    # (nodes, paths) levels array of the block (11.4 MiB).
     config = _config(
         n_policies=64, intensity=LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
         development=DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="exponential")),
@@ -344,10 +345,12 @@ def test_log_ou_accident_stage_memory_does_not_follow_the_grid():
 
 def test_deterministic_block_peak_memory():
     # One 4,096-path block of configs/example.json.  Its event-time deflator
-    # sets the peak (5.8 MiB) only if the stages before it have freed their
-    # (paths, policies) arrays and development temporaries.
+    # sets the peak (3.7 MiB) only if the stages before it have freed their
+    # (paths, policies) arrays and development temporaries, and the event
+    # list is built in one buffer: concatenating the first reports and the
+    # developments held the list twice and peaked at 5.8 MiB.
     example = parse_config((Path(__file__).parents[1] / "configs" / "example.json").read_text())
-    assert _block_peak(replace(example, n_paths=BLOCK_SIZE)) < 7 * 2**20
+    assert _block_peak(replace(example, n_paths=BLOCK_SIZE)) < 5 * 2**20
 
 
 @pytest.mark.parametrize("correlated", [False, True], ids=["independent", "correlated"])
@@ -426,6 +429,72 @@ def test_event_brownian_antithetic_pairs_mirror():
     resid = -other[1::2][late] - shared[0::2][late]
     assert abs(np.mean(resid * shared[0::2][late])) <= 5.0 * 0.5 * math.sqrt(1.0 / late.sum())
     assert abs(np.var(shared[0::2]) - 0.5) <= 5.0 * 0.5 * math.sqrt(2.0 / n_pairs)
+
+
+def _two_pass_brownian(times, rows, rng, antithetic=False):
+    """The event-time Brownian motion ordered by two sorts, time and then a
+    stable sort by path: the reference for the one-key sort."""
+    m = len(times)
+    if m == 0:
+        return np.empty(0)
+    paths = rows // 2 if antithetic else rows
+    order = np.argsort(times)
+    order = order[np.argsort(paths[order], kind="stable")]
+    s, p = times[order], paths[order]
+    first = np.concatenate(([True], p[1:] != p[:-1]))
+    ds = np.diff(s, prepend=0.0)
+    ds[first] = s[first]
+    cum = np.cumsum(np.sqrt(ds) * rng.standard_normal(m))
+    starts = np.flatnonzero(first)
+    before = np.concatenate(([0.0], cum))[starts]
+    w = np.empty(m)
+    w[order] = cum - np.repeat(before, np.diff(starts, append=m))
+    if antithetic:
+        w[rows % 2 == 1] *= -1.0
+    return w
+
+
+def _assert_brownian_matches_two_pass(times, rows):
+    for antithetic in (False, True):
+        one, two = np.random.default_rng(6), np.random.default_rng(6)
+        w = _brownian_at_events(times, rows, one, antithetic=antithetic)
+        expected = _two_pass_brownian(times, rows, two, antithetic=antithetic)
+        assert w.tobytes() == expected.tobytes()
+        assert one.random() == two.random()
+
+
+_EVENT_TIMES = st.builds(lambda base, ulps: float(base + ulps * np.spacing(base)),
+                         st.sampled_from([1e-3, 0.1, 0.5, 1.0, 1.5, 2.0]), st.integers(0, 3))
+_EVENT_ROWS = st.one_of(st.sampled_from([0, 1, 2, BLOCK_SIZE - 2, BLOCK_SIZE - 1]),
+                        st.integers(0, BLOCK_SIZE - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(events=st.lists(st.tuples(_EVENT_ROWS, _EVENT_TIMES), max_size=40))
+def test_one_key_event_order_matches_the_two_pass_sort(events):
+    # Repeated times, times an ulp or three apart (which the key
+    # path + time / span may tie on a path > 0), rows up to BLOCK_SIZE - 1
+    # and the empty list: bit for bit the motion of the two-pass order.
+    times = np.array([time for _, time in events], dtype=float)
+    rows = np.array([row for row, _ in events], dtype=np.intp)
+    _assert_brownian_matches_two_pass(times, rows)
+
+
+def test_tied_event_keys_take_the_two_pass_sort(monkeypatch):
+    # Two times one ulp apart at path 4,095 share one key, and argsort
+    # orders equal keys the same way whatever their times; so one of the
+    # two feeding orders comes out reversed and must be repaired.
+    calls = []
+    two_pass = mc._two_pass_order
+    monkeypatch.setattr(mc, "_two_pass_order", lambda *args: calls.append(1) or two_pass(*args))
+    rows = np.full(2, BLOCK_SIZE - 1)
+    for times in ([1.0, np.nextafter(1.0, 2.0)], [np.nextafter(1.0, 2.0), 1.0]):
+        _assert_brownian_matches_two_pass(np.array(times), rows)
+    assert len(calls) == 2  # once plain, once antithetic
+    # The same pair on path 0 keys apart and needs no repair.
+    calls.clear()
+    _assert_brownian_matches_two_pass(np.array([np.nextafter(1.0, 2.0), 1.0]), np.zeros(2, dtype=np.intp))
+    assert not calls
 
 
 # ---------------------------------------------------------------------------
