@@ -640,13 +640,26 @@ def _crossing_times(flat: np.ndarray, points: np.ndarray, e: np.ndarray, idx: np
     <= 0 (its left end is the first node itself or, in a flattened array
     of rows, the previous row's last node) and maps to ``points[0]``; one
     beyond the last node maps to inf.
+
+    Each step runs in place in one of three gathered arrays and one index
+    array.  A segment of width <= 0 is widened to inf first, so its
+    fraction is a zero (of either sign) and its time ``t_lo``, with no
+    division by zero.
     """
-    lo, hi = flat.take(flat_idx - 1, mode="clip"), flat.take(flat_idx, mode="clip")
-    t_lo, t_hi = points.take(idx - 1, mode="clip"), points.take(idx, mode="clip")
-    den = hi - lo
-    frac = np.zeros(den.shape)
-    np.divide(e - lo, den, out=frac, where=den > 0.0)
-    return np.where(idx < len(points), t_lo + frac * (t_hi - t_lo), np.inf)
+    beyond = idx >= len(points)
+    prev = flat_idx - 1
+    lo, den = flat.take(prev, mode="clip"), flat.take(flat_idx, mode="clip")
+    den -= lo
+    den[den <= 0.0] = np.inf
+    frac = np.subtract(e, lo, out=lo)
+    frac /= den
+    t_lo = points.take(np.subtract(idx, 1, out=prev), mode="clip", out=den)
+    times = points.take(idx, mode="clip")
+    times -= t_lo
+    times *= frac
+    times += t_lo
+    times[beyond] = np.inf
+    return times
 
 
 def simulate_portfolio(

@@ -143,12 +143,15 @@ def reporting_cdf(path: IntensityPath, delay: DelayLaw, t: float) -> float:
     """
     grid = path.grid
     grid.require_inside(t)
-    i = min(int(round((t - grid.t0) / grid.step)), grid.n_cells)
-    if grid.points[i] != t:
+    points = grid.points
+    i = int(round((t - grid.t0) / grid.step))
+    if i >= len(points):
+        i = len(points) - 1
+    if points.item(i) != t:
         return _stieltjes(path, t, lambda s: delay.cdf(t - s))
     if i == 0:
         return 0.0
-    masses, kernel = _cdf_kernel(path, delay)
+    masses, kernel = path._memo.get(("cdf", delay)) or _cdf_kernel(path, delay)
     return float(np.dot(masses[:i], kernel[i - 1 :: -1]))
 
 
@@ -364,40 +367,42 @@ def _payout_integral(path: IntensityPath, delay: DelayLaw, first_mark: MarkLaw,
     on grid nodes; partial end cells use pointwise density evaluations.
     """
     grid = path.grid
-    c = dev.rate * dev.mark_mean
+    t0, h, n_cells = grid.t0, grid.step, len(grid.points) - 1
+    # psi(u) = mean + c (T - u), written out on every line that needs it.
+    mean, c = first_mark.mean, dev.rate * dev.mark.mean
     end = T if end is None else end
-
-    def psi(u):
-        return first_mark.mean + c * (T - u)
-
-    i_lo = int(math.ceil((t - grid.t0) / grid.step - 1e-12))
-    i_hi = int(math.floor((end - grid.t0) / grid.step + 1e-12))
-    i_lo = min(max(i_lo, 0), grid.n_cells)
-    i_hi = min(max(i_hi, 0), grid.n_cells)
+    # t and end lie on the grid's span, so neither index is below 0; t_end
+    # itself may round one past the last node.
+    i_lo = math.ceil((t - t0) / h - 1e-12)
+    if i_lo > n_cells:
+        i_lo = n_cells
+    i_hi = math.floor((end - t0) / h + 1e-12)
+    if i_hi > n_cells:
+        i_hi = n_cells
     if i_lo > i_hi:
         # whole window inside one cell
         d_t = reporting_density(path, delay, t)
         d_end = reporting_density(path, delay, end)
-        return 0.5 * (psi(t) * d_t + psi(end) * d_end) * (end - t)
-    entry = _node_density(path, delay)
-    u_lo, u_hi = float(grid.points[i_lo]), float(grid.points[i_hi])
-    v_lo = psi(u_lo) * float(entry.density[i_lo])
-    v_hi = psi(u_hi) * float(entry.density[i_hi])
+        return 0.5 * ((mean + c * (T - t)) * d_t + (mean + c * (T - end)) * d_end) * (end - t)
+    density, tail, tail_lag = path._memo.get(("density", delay)) or _node_density(path, delay)
+    u_lo, u_hi = grid.points.item(i_lo), grid.points.item(i_hi)
+    v_lo = (mean + c * (T - u_lo)) * density.item(i_lo)
+    v_hi = (mean + c * (T - u_hi)) * density.item(i_hi)
     total = 0.0
     if i_hi > i_lo:
         # psi(u) = a + c (t_end - u), so sum_{i_lo..i_hi} psi p' = a dS0 + c dS1.
-        a = first_mark.mean + c * (T - grid.t_end)
-        s0 = float(entry.tail[i_lo] - entry.tail[i_hi + 1])
-        s1 = float(entry.tail_lag[i_lo] - entry.tail_lag[i_hi + 1])
-        total = grid.step * (a * s0 + c * s1 - 0.5 * (v_lo + v_hi))
+        a = mean + c * (T - grid.t_end)
+        s0 = tail.item(i_lo) - tail.item(i_hi + 1)
+        s1 = tail_lag.item(i_lo) - tail_lag.item(i_hi + 1)
+        total = h * (a * s0 + c * s1 - 0.5 * (v_lo + v_hi))
     left_gap = u_lo - t
-    if left_gap > 1e-12 * grid.step:
+    if left_gap > 1e-12 * h:
         d_t = reporting_density(path, delay, t)
-        total += 0.5 * (psi(t) * d_t + v_lo) * left_gap
+        total += 0.5 * ((mean + c * (T - t)) * d_t + v_lo) * left_gap
     right_gap = end - u_hi
-    if right_gap > 1e-12 * grid.step:
+    if right_gap > 1e-12 * h:
         d_end = reporting_density(path, delay, end)
-        total += 0.5 * (v_hi + psi(end) * d_end) * right_gap
+        total += 0.5 * (v_hi + (mean + c * (T - end)) * d_end) * right_gap
     return total
 
 
@@ -556,8 +561,9 @@ def reserve(
             unreported = unreported_count * integral / surviving
             # The rule on the even nodes has four times this second-order
             # error, so the error is about |I_h - I_2h| / 3.
-            i_a = 2 * math.ceil((t - grid.t0) / (2.0 * grid.step) - 1e-12)
-            i_b = 2 * math.floor((T - grid.t0) / (2.0 * grid.step) + 1e-12)
+            t0, h2 = grid.t0, 2.0 * grid.step
+            i_a = 2 * math.ceil((t - t0) / h2 - 1e-12)
+            i_b = 2 * math.floor((T - t0) / h2 + 1e-12)
             estimate = unreported
             if i_a < i_b:
                 t_a, t_b = grid.points.item(i_a), grid.points.item(i_b)
@@ -602,6 +608,4 @@ def reserve(
     if not math.isfinite(total + estimate):
         raise SchemaError("T", f"the analytic reserve is not finite over this horizon "
                                f"(total {total:.3g}, unreported_error_estimate {estimate:.3g})")
-    return ReserveResult(as_of=t, horizon=T, reported_component=reported_component,
-                         unreported_component=unreported, total=total,
-                         diagnostics=diagnostics)
+    return ReserveResult(t, T, reported_component, unreported, total, diagnostics)

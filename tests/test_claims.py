@@ -122,6 +122,44 @@ def test_shared_hazard_search_matches_searchsorted(n_nodes):
     assert np.array_equal(blocks, times[order].reshape(4, -1))
 
 
+
+def _reference_crossing_times(flat, points, e, idx, flat_idx):
+    """``_crossing_times`` by a masked divide and ``np.where``: the bits
+    that its in-place passes must keep."""
+    lo, hi = flat.take(flat_idx - 1, mode="clip"), flat.take(flat_idx, mode="clip")
+    t_lo, t_hi = points.take(idx - 1, mode="clip"), points.take(idx, mode="clip")
+    den = hi - lo
+    frac = np.zeros(den.shape)
+    np.divide(e - lo, den, out=frac, where=den > 0.0)
+    return np.where(idx < len(points), t_lo + frac * (t_hi - t_lo), np.inf)
+
+
+@pytest.mark.parametrize("n_nodes", [2, 37, 731])
+def test_crossing_times_match_the_masked_divide_reference(n_nodes):
+    # Byte for byte, signed zeros included: thresholds at +-0, at node
+    # values (flat stretches too), between them and past the last node, on
+    # one hazard and on two rows flattened, where the second row's first
+    # segment runs back from the first row's last node.
+    rng = np.random.default_rng(11)
+    points = np.linspace(0.0, 2.0, n_nodes)
+    increments = rng.exponential(0.1, size=n_nodes - 1)
+    increments[rng.random(n_nodes - 1) < 0.3] = 0.0
+    gamma = np.zeros(n_nodes)
+    np.cumsum(increments, out=gamma[1:])
+    e = np.concatenate([[0.0, -0.0], gamma, rng.uniform(0.0, 1.3 * gamma[-1], size=300),
+                        [np.nextafter(gamma[-1], np.inf)]])
+    idx = gamma.searchsorted(e)
+    assert (_crossing_times(gamma, points, e, idx, idx).tobytes()
+            == _reference_crossing_times(gamma, points, e, idx, idx).tobytes())
+    # The per-row branch inverts only thresholds that its row reaches.
+    hit = e[e <= gamma[-1]]
+    x = np.concatenate([hit, 0.5 * hit])
+    rows = np.concatenate([gamma.searchsorted(hit), (0.5 * gamma).searchsorted(0.5 * hit)])
+    flat_idx = rows + np.repeat([0, n_nodes], len(hit))
+    flat = np.concatenate([gamma, 0.5 * gamma])
+    assert (_crossing_times(flat, points, x, rows, flat_idx).tobytes()
+            == _reference_crossing_times(flat, points, x, rows, flat_idx).tobytes())
+
 def _knot_inverse(times, gamma, x):
     """First crossing of ``x`` by the hazard linear between knots, or inf."""
     for i, g in enumerate(gamma):

@@ -923,6 +923,140 @@ def test_warm_node_revaluation_counts_payout_integrals(monkeypatch, cells, node,
     assert calls == [path] * (evaluations - 1) + [pricing._even_nodes(path)]
 
 
+def _reference_reporting_cdf(path, delay, t):
+    """``reporting_cdf`` with its on-node dot product reached through numpy
+    scalars and ``_memoized``: the arithmetic, in its order, that the
+    plain-float path must reproduce bit for bit."""
+    grid = path.grid
+    grid.require_inside(t)
+    i = min(int(round((t - grid.t0) / grid.step)), grid.n_cells)
+    if grid.points[i] != t:
+        return pricing._stieltjes(path, t, lambda s: delay.cdf(t - s))
+    if i == 0:
+        return 0.0
+    masses, kernel = pricing._cdf_kernel(path, delay)
+    return float(np.dot(masses[:i], kernel[i - 1 :: -1]))
+
+
+def _reference_payout_integral(path, delay, first_mark, dev, t, T, end=None):
+    """``_payout_integral`` on numpy scalars with a ``psi`` closure, the
+    reference of the plain-float code."""
+    grid = path.grid
+    c = dev.rate * dev.mark_mean
+    end = T if end is None else end
+
+    def psi(u):
+        return first_mark.mean + c * (T - u)
+
+    i_lo = int(math.ceil((t - grid.t0) / grid.step - 1e-12))
+    i_hi = int(math.floor((end - grid.t0) / grid.step + 1e-12))
+    i_lo = min(max(i_lo, 0), grid.n_cells)
+    i_hi = min(max(i_hi, 0), grid.n_cells)
+    if i_lo > i_hi:
+        d_t = reporting_density(path, delay, t)
+        d_end = reporting_density(path, delay, end)
+        return 0.5 * (psi(t) * d_t + psi(end) * d_end) * (end - t)
+    entry = pricing._node_density(path, delay)
+    u_lo, u_hi = float(grid.points[i_lo]), float(grid.points[i_hi])
+    v_lo = psi(u_lo) * float(entry.density[i_lo])
+    v_hi = psi(u_hi) * float(entry.density[i_hi])
+    total = 0.0
+    if i_hi > i_lo:
+        a = first_mark.mean + c * (T - grid.t_end)
+        s0 = float(entry.tail[i_lo] - entry.tail[i_hi + 1])
+        s1 = float(entry.tail_lag[i_lo] - entry.tail_lag[i_hi + 1])
+        total = grid.step * (a * s0 + c * s1 - 0.5 * (v_lo + v_hi))
+    left_gap = u_lo - t
+    if left_gap > 1e-12 * grid.step:
+        d_t = reporting_density(path, delay, t)
+        total += 0.5 * (psi(t) * d_t + v_lo) * left_gap
+    right_gap = end - u_hi
+    if right_gap > 1e-12 * grid.step:
+        d_end = reporting_density(path, delay, end)
+        total += 0.5 * (v_hi + psi(end) * d_end) * right_gap
+    return total
+
+
+def _valuation_bits(cdf, payout, path, delay, t, ends=()):
+    """Bits of p(t), of the payout integral to T = 2 over [t, T] and over
+    [t, end] for each end in [t, T], and of the two Richardson windows
+    that ``reserve`` reads at t, by the functions ``cdf`` and ``payout``."""
+    fm, dev, T = MarkLaw(mean=1.3), DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5)), 2.0
+    grid = path.grid
+    values = [cdf(path, delay, t), payout(path, delay, fm, dev, t, T)]
+    values += [payout(path, delay, fm, dev, t, T, end) for end in ends if t <= end <= T]
+    i_a = 2 * math.ceil(t / (2.0 * grid.step) - 1e-12)
+    i_b = 2 * math.floor(T / (2.0 * grid.step) + 1e-12)
+    if i_a < i_b:
+        t_a, t_b = float(grid.points[i_a]), float(grid.points[i_b])
+        values += [payout(p, delay, fm, dev, t_a, T, t_b) for p in (path, pricing._even_nodes(path))]
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("alpha0", [0.0, 0.2])
+@pytest.mark.parametrize("density", [ExponentialDelay(2.0), GammaDelay(shape=2.0, rate=3.0)],
+                         ids=["exponential", "gamma"])
+@pytest.mark.parametrize("model", [ConstantIntensity(1.0), _SEASONAL], ids=["constant", "seasonal"])
+@pytest.mark.parametrize("cells", [730, 729])
+def test_valuations_match_the_numpy_scalar_reference(cells, model, density, alpha0):
+    # Python floats and numpy float64 round alike, so the plain-float path
+    # gives the reference's bits as long as it keeps every operation and
+    # its order: at every node (t = 0 and t = T included), to T and to an
+    # end before T on and off a node, and from a few off-node times whose
+    # windows start or lie inside a cell.  The new code runs first, so it
+    # also fills each memo entry.
+    delay = DelayLaw(alpha0=alpha0, density=density)
+    path = simulate_intensity_path(model, TimeGrid.regular(2.0, step=2.0 / cells))
+    points, step = path.grid.points, path.grid.step
+    ends = (float(points[cells * 3 // 4]), float(points[cells * 3 // 4]) + step / 3.0)
+    dates = [float(u) for u in points] + [float(points[i]) + step / 3.0 for i in range(0, cells, 97)]
+    for t in dates:
+        new = _valuation_bits(pricing.reporting_cdf, pricing._payout_integral, path, delay, t,
+                              ends + (t + step / 3.0,))
+        old = _valuation_bits(_reference_reporting_cdf, _reference_payout_integral, path, delay, t,
+                              ends + (t + step / 3.0,))
+        assert new == old, t
+
+
+def test_ladder_dates_match_the_numpy_scalar_reference(monkeypatch):
+    # A 3-hour book valued at 52 weekly dates, like the valuation_ladder
+    # benchmark.  175/365 and 350/365 fall one ulp off a node and keep the
+    # pointwise sum, whose bias the ladder's reference totals encode
+    # (ROADMAP item 1); every other date is a node.
+    months = np.arange(24)
+    model = PiecewiseConstantIntensity(breakpoints=tuple(months[1:] / 12.0),
+                                       rates=tuple(0.45 * (1.0 + 0.3 * np.sin(months + 1.0))))
+    delay = DelayLaw(alpha0=0.1, density=GammaDelay(shape=2.2, rate=3.5))
+    path = simulate_intensity_path(model, TimeGrid.regular(2.0, step=1.0 / (365.0 * 8.0)))
+    stieltjes, pointwise = pricing._stieltjes, []
+    for k in range(1, 53):
+        t = 7.0 * k / 365.0
+        monkeypatch.setattr(pricing, "_stieltjes", lambda p, u, f: pointwise.append(u) or stieltjes(p, u, f))
+        new = _valuation_bits(pricing.reporting_cdf, pricing._payout_integral, path, delay, t)
+        monkeypatch.setattr(pricing, "_stieltjes", stieltjes)
+        old = _valuation_bits(_reference_reporting_cdf, _reference_payout_integral, path, delay, t)
+        assert new == old, t
+    assert pointwise == [175.0 / 365.0, 350.0 / 365.0]
+
+
+@pytest.mark.parametrize("cells", [730, 729])
+def test_warm_node_valuations_build_nothing(monkeypatch, cells):
+    # Once every node date has been valued, p(t) and the reserve at each of
+    # them read only the memo: with the builders of the cdf kernel and of
+    # the tail sums made to fail, both give the same bits again.
+    path = simulate_intensity_path(_SEASONAL, TimeGrid.regular(2.0, step=2.0 / cells))
+    dates = [float(t) for t in path.grid.points]
+
+    def values():
+        return [(reporting_cdf(path, _GAMMA_DELAY, t).hex(), _ladder_values(path, _GAMMA_DELAY, t))
+                for t in dates]
+
+    cold = values()
+    for name in ("_kernel_arrays", "_tail_sums"):
+        monkeypatch.setattr(pricing, name, lambda *a, name=name: pytest.fail(f"{name} ran when warm"))
+    assert values() == cold
+
+
 def test_bracket_functional_matches_direct_quadrature():
     # The fast path-functional used for the stochastic-intensity average
     # must reproduce the direct trapezoid of c_i * density_i exactly.
