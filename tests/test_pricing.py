@@ -1042,8 +1042,8 @@ def test_ladder_dates_match_the_numpy_scalar_reference(monkeypatch):
 @pytest.mark.parametrize("cells", [730, 729])
 def test_warm_node_valuations_build_nothing(monkeypatch, cells):
     # Once every node date has been valued, p(t) and the reserve at each of
-    # them read only the memo: with the builders of the cdf kernel and of
-    # the tail sums made to fail, both give the same bits again.
+    # them read only the memo: with ``_kernel_arrays`` and ``_tail_sums``
+    # made to fail, both give the same bits again.
     path = simulate_intensity_path(_SEASONAL, TimeGrid.regular(2.0, step=2.0 / cells))
     dates = [float(t) for t in path.grid.points]
 
