@@ -88,9 +88,10 @@ def policy_streams(seed: Seed, purpose: int, indices: Iterable[int]) -> Iterator
     fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     high = _policy_word(purpose, 0)
+    bit_generator = rng.bit_generator
     for i in indices:  # _policy_word's check inline: a call would add a tenth per policy
         if not 0 <= i < _WORD:
             raise OverflowError(f"policy must be in [0, 2**32), got {i}")
         key[1] = high | i
-        rng.bit_generator.state = fresh
+        bit_generator.state = fresh
         yield rng

@@ -45,11 +45,15 @@ class ExponentialDelay:
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
+        with np.errstate(over="ignore"):  # rate * x = inf gives 1, as it should
+            y = -self.rate * np.maximum(x, 0.0)
+        return np.where(x >= 0.0, -np.expm1(y), 0.0)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
+        with np.errstate(over="ignore"):  # rate * x = inf gives 0, as it should
+            y = -self.rate * np.maximum(x, 0.0)
+        return np.where(x >= 0.0, self.rate * np.exp(y), 0.0)
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
@@ -83,7 +87,8 @@ class GammaDelay:
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        y = self.rate * np.maximum(x, 0.0)
+        with np.errstate(over="ignore"):  # y = inf is handled below
+            y = self.rate * np.maximum(x, 0.0)
         if self.shape == 1.0:
             return np.where(x >= 0.0, -np.expm1(-y), 0.0)
         out = np.where(y == np.inf, 1.0, 0.0)
@@ -93,7 +98,8 @@ class GammaDelay:
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        y = self.rate * np.maximum(x, 0.0)
+        with np.errstate(over="ignore"):  # y = inf is handled below
+            y = self.rate * np.maximum(x, 0.0)
         if self.shape == 1.0:
             return np.where(x >= 0.0, self.rate * np.exp(-y), 0.0)
         out = np.zeros_like(y)
@@ -411,22 +417,24 @@ class ClaimRecord:
 
     def __post_init__(self) -> None:
         if math.isinf(self.accident_time):
-            if self.delay is not None or self.first_mark is not None or self.developments:
+            if (self.delay is not None or self.report_time != math.inf or self.first_mark is not None
+                    or self.developments):
                 raise ConfigurationError("an accident that never happens has no further fields")
             return
         if self.delay is None or self.delay < 0.0:
             raise ConfigurationError("occurred claims need a nonnegative delay")
         if self.report_time != self.accident_time + self.delay:
             raise ConfigurationError("report time must equal accident time plus delay")
-        if self.first_mark is None or self.first_mark < 0.0:
+        if self.first_mark is None or not self.first_mark >= 0.0:
             raise ConfigurationError("occurred claims need a nonnegative first mark")
-        if not self.developments:
-            return
-        offsets = [o for o, _ in self.developments]
-        if any(o <= 0.0 for o in offsets) or any(b <= a for a, b in zip(offsets, offsets[1:])):
-            raise ConfigurationError("development offsets must be strictly increasing and > 0")
-        if any(x < 0.0 for _, x in self.developments):
-            raise ConfigurationError("development marks must be >= 0")
+        # Written so that NaN fails: no NaN is > or >= anything.
+        previous = 0.0
+        for offset, amount in self.developments:
+            if not offset > previous:
+                raise ConfigurationError("development offsets must be strictly increasing and > 0")
+            if not amount >= 0.0:
+                raise ConfigurationError("development marks must be >= 0")
+            previous = offset
 
     @property
     def occurred(self) -> bool:
@@ -548,13 +556,16 @@ def sample_development(law: DevelopmentLaw, horizon: float, seed: Seed) -> tuple
     ``policy_stream(s, STREAM_DEVELOPMENT, i)`` as the seed, with the
     horizon less policy ``i``'s report time, gives its developments.
     """
-    if horizon < 0.0:
-        raise ConfigurationError(f"development horizon must be >= 0, got {horizon}")
+    if not 0.0 <= horizon < math.inf:
+        raise ConfigurationError(f"development horizon must be finite and >= 0, got {horizon}")
     rng = coerce_rng(seed)
     return _draw_developments(law, horizon, rng)
 
 
 def _draw_developments(law: DevelopmentLaw, horizon: float, rng: np.random.Generator) -> tuple[tuple[float, float], ...]:
+    """The draw order is a Poisson count, then that many uniforms for the
+    offsets, then that many marks, one scalar draw at a time: the same
+    values as drawing each group as one array."""
     if horizon == 0.0 or law.rate == 0.0:
         return ()
     count = rng.poisson(law.rate * horizon)
@@ -562,9 +573,8 @@ def _draw_developments(law: DevelopmentLaw, horizon: float, rng: np.random.Gener
         return ()
     # (1 - U) * horizon lands in (0, horizon]; order statistics of uniforms
     # are exactly the arrival times of a Poisson process given its count.
-    offsets = np.sort((1.0 - rng.random(count)) * horizon)
-    marks = np.atleast_1d(law.mark.sample(rng, size=count))
-    return tuple((float(o), float(x)) for o, x in zip(offsets, marks))
+    offsets = sorted([(1.0 - rng.random()) * horizon for _ in range(count)])
+    return tuple(zip(offsets, [float(law.mark.sample(rng)) for _ in range(count)]))
 
 
 #: Thresholds per pass of the per-row bisection: every threshold of one
@@ -695,12 +705,14 @@ def simulate_portfolio(
     if delay.alpha0 == 1.0:
         delays = [0.0] * len(occurred)
     else:
-        delays = [delay.sample(g) for g in policy_streams(seed, STREAM_DELAY, occurred)]
+        sample = delay.sample
+        delays = [sample(g) for g in policy_streams(seed, STREAM_DELAY, occurred)]
     reports = [accidents[i] + theta for i, theta in zip(occurred, delays)]
     if first_mark.kind == "deterministic":
         marks = [first_mark.mean] * len(occurred)
     else:
-        marks = [float(first_mark.sample(g)) for g in policy_streams(seed, STREAM_FIRST_MARK, occurred)]
+        sample = first_mark.sample
+        marks = [float(sample(g)) for g in policy_streams(seed, STREAM_FIRST_MARK, occurred)]
     devs: list[tuple[tuple[float, float], ...]] = [()] * len(occurred)
     if dev.rate > 0.0:
         developing = [k for k, report in enumerate(reports) if report < horizon]
@@ -709,9 +721,8 @@ def simulate_portfolio(
             devs[k] = _draw_developments(dev, horizon - reports[k], g)
 
     records = [_NO_ACCIDENT] * n
-    for k, i in enumerate(occurred):
-        records[i] = ClaimRecord(accident_time=accidents[i], delay=delays[k], report_time=reports[k],
-                                 first_mark=marks[k], developments=devs[k])
+    for i, theta, report, mark, events in zip(occurred, delays, reports, marks, devs):
+        records[i] = ClaimRecord(accidents[i], theta, report, mark, events)
     return records
 
 
@@ -720,18 +731,20 @@ def observed_state(claims: Sequence[ClaimRecord], t: float) -> PortfolioState:
 
     A claim enters the snapshot once its report time is <= t; its
     developments are truncated to those that happened by t.  Unreported
-    claims contribute nothing, not even their existence.
+    claims contribute nothing, not even their existence.  ``t`` must be
+    finite.
     """
+    if not math.isfinite(t):
+        raise ConfigurationError(f"observation time must be finite, got {t}")
     visible = []
     for claim in claims:
-        if not claim.occurred or claim.report_time > t:
+        report = claim.report_time  # inf for an accident that never happens
+        if report > t:
             continue
-        devs = tuple((o, x) for o, x in claim.developments if claim.report_time + o <= t)
-        visible.append(VisibleClaim(
-            accident_time=claim.accident_time,
-            delay=float(claim.delay),
-            report_time=claim.report_time,
-            first_mark=float(claim.first_mark),
-            developments=devs,
-        ))
+        devs = claim.developments
+        # Offsets increase, so the developments seen by t are a prefix.
+        if devs and report + devs[-1][0] > t:
+            devs = tuple([event for event in devs if report + event[0] <= t])
+        visible.append(VisibleClaim(claim.accident_time, float(claim.delay), report,
+                                    float(claim.first_mark), devs))
     return PortfolioState(as_of=t, n_policies=len(claims), visible=tuple(visible))

@@ -144,8 +144,15 @@ def benchmarked_cashflow(claims: Sequence[ClaimRecord], path: MarketPath, t: flo
     path.grid.require_inside(t)
     path.grid.require_inside(T)
     times, amounts = array("d"), array("d")
-    for claim in claims:
-        for when, amount in claim.payment_events():
+    for claim in claims:  # the events of ClaimRecord.payment_events, in its order
+        report = claim.report_time  # inf for an accident that never happens
+        if report > T:
+            continue
+        if report > t:
+            times.append(report)
+            amounts.append(claim.first_mark)
+        for offset, amount in claim.developments:
+            when = report + offset
             if t < when <= T:
                 times.append(when)
                 amounts.append(amount)

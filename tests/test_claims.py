@@ -20,6 +20,7 @@ from claimflow import (
     PortfolioState,
     SchemaError,
     TimeGrid,
+    VisibleClaim,
     invert_hazard,
     observed_state,
     sample_accident_time,
@@ -34,6 +35,7 @@ from claimflow.claims import (
     STREAM_DEVELOPMENT,
     STREAM_FIRST_MARK,
     _crossing_times,
+    _draw_developments,
     _invert_gamma_rows,
     _lower_bound,
     _lower_gamma,
@@ -308,6 +310,16 @@ def test_delay_densities_refuse_non_finite_parameters(make, field):
         assert err.value.field == field
 
 
+@pytest.mark.parametrize("density", [
+    ExponentialDelay(rate=1e308), GammaDelay(shape=1.0, rate=1e308), GammaDelay(shape=2.3, rate=1e308),
+], ids=["exponential", "gamma-1", "gamma-2.3"])
+def test_delay_densities_saturate_at_huge_rates_without_warning(density):
+    # rate * x overflows to inf past x = 1.8; that is a cdf of 1 and a pdf of 0.
+    x = np.array([-1.0, 0.0, 1.0, 2.0, 1e300])
+    assert np.array_equal(density.cdf(x), [0.0, 0.0, 1.0, 1.0, 1.0])
+    assert np.array_equal(density.pdf(x)[2:], [0.0, 0.0, 0.0])
+
+
 def test_delay_cdf_is_proper():
     law = DelayLaw(alpha0=0.25, density=GammaDelay(shape=2.0, rate=3.0))
     xs = np.linspace(0.0, 20.0, 200)
@@ -418,6 +430,49 @@ def test_gamma_delay_large_shapes():
 def test_development_zero_rate_is_empty():
     law = DevelopmentLaw(rate=0.0, mark=MarkLaw(mean=1.0))
     assert sample_development(law, 3.0, seed=1) == ()
+
+
+@pytest.mark.parametrize("horizon", [-1.0, math.inf, math.nan])
+def test_development_refuses_a_horizon_not_finite_and_nonnegative(horizon):
+    # A NaN or infinite horizon reached numpy's Poisson sampler, whose
+    # ValueError ("lam < 0 or lam is NaN", "lam value too large") named no bound.
+    law = DevelopmentLaw(rate=2.0, mark=MarkLaw(mean=1.0))
+    with pytest.raises(ConfigurationError, match="horizon"):
+        sample_development(law, horizon, seed=1)
+
+
+def _array_developments(law, horizon, rng):
+    """The development draw in its earlier array form, kept as the reference
+    for the scalar draw: a Poisson count, the sorted offsets, then the marks."""
+    if horizon == 0.0 or law.rate == 0.0:
+        return ()
+    count = rng.poisson(law.rate * horizon)
+    if count == 0:
+        return ()
+    offsets = np.sort((1.0 - rng.random(count)) * horizon)
+    marks = np.atleast_1d(law.mark.sample(rng, size=count))
+    return tuple((float(o), float(x)) for o, x in zip(offsets, marks))
+
+
+_DEVELOPMENT_MARKS = [MarkLaw(mean=2), MarkLaw(mean=0.5, kind="exponential"),
+                      MarkLaw(mean=0.5, kind="lognormal", sigma_ln=0.6)]
+
+
+@pytest.mark.parametrize("mark", _DEVELOPMENT_MARKS, ids=["deterministic", "exponential", "lognormal"])
+def test_scalar_development_draw_matches_the_array_reference(mark):
+    # The same values, the same float type (an integer mean included) and
+    # the same draws consumed: the next uniform of both streams agrees too.
+    law = DevelopmentLaw(rate=2.0, mark=mark)
+    counts = set()
+    for i in range(400):
+        horizon = (0.0, 0.01, 1.5, 3.0)[i % 4]
+        scalar, array = (policy_stream(5, STREAM_DEVELOPMENT, i) for _ in range(2))
+        got = _draw_developments(law, horizon, scalar)
+        want = _array_developments(law, horizon, array)
+        assert got == want and repr(got) == repr(want), (i, horizon)
+        assert scalar.random() == array.random()
+        counts.add(len(got))
+    assert set(range(6)) <= counts and max(counts) > 5
 
 
 def test_development_event_count_mean():
@@ -592,6 +647,20 @@ def test_claim_record_validation():
                     developments=((0.3, 1.0), (0.3, 2.0)))
 
 
+@pytest.mark.parametrize("fields", [
+    dict(accident_time=1.0, delay=0.5, report_time=1.5, first_mark=math.nan),
+    dict(accident_time=1.0, delay=0.5, report_time=1.5, first_mark=1.0,
+         developments=((0.3, 1.0), (math.nan, 1.0))),
+    dict(accident_time=1.0, delay=0.5, report_time=1.5, first_mark=1.0,
+         developments=((0.3, 1.0), (0.4, math.nan))),
+    dict(accident_time=math.inf, report_time=0.5),
+], ids=["nan-first-mark", "nan-offset", "nan-development-mark", "report-without-accident"])
+def test_claim_record_refuses_nan_and_a_report_without_an_accident(fields):
+    # Each was accepted: NaN passes every "< 0" and "<=" test.
+    with pytest.raises(ConfigurationError):
+        ClaimRecord(**fields)
+
+
 # ---------------------------------------------------------------------------
 # Observable state
 # ---------------------------------------------------------------------------
@@ -640,6 +709,47 @@ def test_observed_state_monotone_in_time():
         current = event_set(observed_state(claims, float(t)))
         assert previous <= current
         previous = current
+
+
+def _reference_observed_state(claims, t):
+    """observed_state in its earlier form, kept as the reference: every claim
+    tested for occurrence and every development against t."""
+    visible = []
+    for claim in claims:
+        if not claim.occurred or claim.report_time > t:
+            continue
+        devs = tuple((o, x) for o, x in claim.developments if claim.report_time + o <= t)
+        visible.append(VisibleClaim(
+            accident_time=claim.accident_time,
+            delay=float(claim.delay),
+            report_time=claim.report_time,
+            first_mark=float(claim.first_mark),
+            developments=devs,
+        ))
+    return PortfolioState(as_of=t, n_policies=len(claims), visible=tuple(visible))
+
+
+@pytest.mark.parametrize("mark", _DEVELOPMENT_MARKS, ids=["deterministic", "exponential", "lognormal"])
+def test_observed_state_matches_the_reference_at_event_times(mark):
+    path = _unit_path()
+    delay = DelayLaw(alpha0=0.3, density=ExponentialDelay(2.0))
+    claims = simulate_portfolio(300, path, delay, mark, DevelopmentLaw(rate=3.0, mark=mark),
+                                horizon=2.0, seed=13)
+    developed = [c for c in claims if len(c.developments) >= 2][:3]
+    assert len(developed) == 3
+    # Windows that end exactly at a report or at a development time.
+    times = [0.0, 0.25, 1.0, 2.0, 5.0]
+    for c in developed:
+        times.append(c.report_time)
+        times.extend(c.report_time + o for o, _ in c.developments)
+    for t in times:
+        assert observed_state(claims, t) == _reference_observed_state(claims, t), t
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_observed_state_refuses_an_observation_time_not_finite(t):
+    with pytest.raises(ConfigurationError, match="observation time"):
+        observed_state([_sample_claim(), ClaimRecord(accident_time=math.inf)], t)
 
 
 def test_state_from_counts_bounds():

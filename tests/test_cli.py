@@ -579,6 +579,16 @@ def test_huge_rates_exit_one_naming_field(tmp_path, capsys, field, intensity):
     assert parse_config(json.dumps(example)).intensity.mu == MAX_RATE
 
 
+def test_huge_delay_rate_prices_without_a_numpy_warning(tmp_path):
+    # rate * x overflowed in ExponentialDelay.cdf and .pdf with a numpy
+    # RuntimeWarning, which filterwarnings = error makes a failure here.  The
+    # total is still wrong (about 5e305 against an oracle mean near 14): this
+    # test pins only the warning.
+    example = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+    example["delay"]["density"]["rate"] = 1e308
+    assert run_scenario(_write(tmp_path, example), tmp_path / "out", analytic_only=True) == 0
+
+
 @pytest.mark.parametrize("field, value, reason", [
     ("long_run_log_level", 800.0, f"must be finite and <= log({MAX_RATE})"),
     ("init", 1e301, f"must be > 0 and <= {MAX_RATE}"),

@@ -169,6 +169,46 @@ def _reference_cashflow(claims, path, t, T):
     return total
 
 
+def _array_cashflow(claims, path, t, T):
+    """benchmarked_cashflow as it read each claim's payment_events, kept as
+    the reference: the window's events in order, one interpolation, a cumsum."""
+    times, amounts = [], []
+    for claim in claims:
+        for when, amount in claim.payment_events():
+            if t < when <= T:
+                times.append(when)
+                amounts.append(amount)
+    if not times:
+        return 0.0
+    products = np.interp(times, path.grid.points, path.values) * amounts
+    return float(np.cumsum(products)[-1])
+
+
+@pytest.mark.parametrize("mark", [
+    MarkLaw(mean=2), MarkLaw(mean=0.5, kind="exponential"), MarkLaw(mean=0.5, kind="lognormal", sigma_ln=0.6),
+], ids=["deterministic", "exponential", "lognormal"])
+def test_cashflow_matches_the_payment_events_reference_at_event_times(mark):
+    grid = TimeGrid.regular(2.0)
+    intensity = simulate_intensity_path(
+        PiecewiseConstantIntensity(breakpoints=(0.5, 1.0), rates=(0.6, 0.3, 1.2)), grid)
+    claims = simulate_portfolio(300, intensity, DelayLaw(alpha0=0.2, density=ExponentialDelay(2.0)),
+                                mark, DevelopmentLaw(rate=3.0, mark=mark), horizon=2.0, seed=8)
+    path = simulate_market(MartingaleDeflator(init=1.0, vol=0.2), grid, seed=9)
+    developed = [c for c in claims if len(c.developments) >= 2][:3]
+    assert len(developed) == 3
+    # Window ends at reports and development times, so both sides of t < when <= T are hit.
+    ends = [0.0, 1.0, 2.0]
+    for c in developed:
+        ends.append(c.report_time)
+        ends.extend(c.report_time + o for o, _ in c.developments)
+    ends = sorted(e for e in ends if e <= 2.0)
+    for t in ends:
+        for T in ends:
+            if t <= T:
+                got = benchmarked_cashflow(claims, path, t, T)
+                assert got.hex() == _array_cashflow(claims, path, t, T).hex(), (t, T)
+
+
 def test_cashflow_matches_per_event_reference_bit_for_bit():
     grid = TimeGrid.regular(2.0)
     intensity = simulate_intensity_path(
