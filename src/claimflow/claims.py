@@ -28,6 +28,11 @@ STREAM_DELAY = 1
 STREAM_FIRST_MARK = 2
 STREAM_DEVELOPMENT = 3
 
+#: Entries per piece of a vector draw over an oracle block's (paths,
+#: policies) cells, 512 KiB of float64: its delays and its first marks are
+#: drawn this many cells at a time.
+_DRAW_PIECE = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # Delay laws
@@ -323,16 +328,36 @@ class DelayLaw:
 
     def sample_many(self, rng: np.random.Generator, size) -> np.ndarray:
         """Vector version of ``sample``; ``size`` is an int or a shape.
+        The draws are ``add_to``'s."""
+        out = np.zeros(size)
+        self.add_to(rng, out)
+        return out
+
+    def add_to(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Add one lag to every entry of the contiguous float array ``out``, in place.
 
         The draw layout is fixed by ``alpha0``: nothing at 1, magnitudes
-        only at 0, otherwise all the uniforms, then all the magnitudes.
+        only at 0, otherwise all the uniforms, then all the magnitudes; an
+        entry whose uniform falls below ``alpha0`` gets no magnitude.  Each
+        group is drawn ``_DRAW_PIECE`` entries at a time, the same values as
+        one draw of the whole group, so besides ``out`` only one piece and
+        the atom's mask, a byte an entry, exist at once.
         """
         if self.density is None:
-            return np.zeros(size)
+            return
+        flat = out.reshape(-1, copy=False)
+        pieces = [slice(lo, lo + _DRAW_PIECE) for lo in range(0, flat.size, _DRAW_PIECE)]
         if self.alpha0 == 0.0:
-            return np.asarray(self.density.sample(rng, size=size))
-        zero = rng.random(size) < self.alpha0
-        return np.where(zero, 0.0, self.density.sample(rng, size=size))
+            for piece in pieces:
+                part = flat[piece]
+                part += self.density.sample(rng, size=part.size)
+            return
+        drawn = np.empty(flat.size, dtype=bool)
+        for piece in pieces:
+            np.greater_equal(rng.random(drawn[piece].size), self.alpha0, out=drawn[piece])
+        for piece in pieces:
+            part = flat[piece]
+            np.add(part, self.density.sample(rng, size=part.size), out=part, where=drawn[piece])
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +386,16 @@ class MarkLaw:
             raise SchemaError("kind", f"must be one of {MARK_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.sigma_ln < math.inf:
             raise SchemaError("sigma_ln", f"must be finite and >= 0, got {self.sigma_ln}")
+        # The lognormal's log-space mean, set once; not a field, so equality
+        # and hashing see only the three fields above.
+        object.__setattr__(self, "_mu_ln", math.log(self.mean) - 0.5 * self.sigma_ln ** 2)
 
     def sample(self, rng: np.random.Generator, size=None):
         if self.kind == "deterministic":
             return self.mean if size is None else np.full(size, self.mean)
         if self.kind == "exponential":
             return rng.exponential(self.mean, size=size)
-        mu_ln = math.log(self.mean) - 0.5 * self.sigma_ln ** 2
-        return rng.lognormal(mu_ln, self.sigma_ln, size=size)
+        return rng.lognormal(self._mu_ln, self.sigma_ln, size=size)
 
 
 #: First payment at the report time; same parametrization as any mark.
@@ -405,7 +432,8 @@ class ClaimRecord:
 
     ``accident_time`` is ``inf`` for a policy whose accident never happens
     within the simulated horizon; all other fields are then ``None``/empty.
-    Development entries are (offset from the report, amount) with strictly
+    Otherwise it and the first mark are finite.  Development entries are
+    (offset from the report, amount), both finite, with strictly
     increasing offsets.
     """
 
@@ -416,24 +444,26 @@ class ClaimRecord:
     developments: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if math.isinf(self.accident_time):
+        if self.accident_time == math.inf:
             if (self.delay is not None or self.report_time != math.inf or self.first_mark is not None
                     or self.developments):
                 raise ConfigurationError("an accident that never happens has no further fields")
             return
+        # Written so that NaN fails: no NaN is <, <= or >= anything.
+        if not -math.inf < self.accident_time:
+            raise ConfigurationError("an accident time must be finite, or inf for none")
         if self.delay is None or self.delay < 0.0:
             raise ConfigurationError("occurred claims need a nonnegative delay")
         if self.report_time != self.accident_time + self.delay:
             raise ConfigurationError("report time must equal accident time plus delay")
-        if self.first_mark is None or not self.first_mark >= 0.0:
-            raise ConfigurationError("occurred claims need a nonnegative first mark")
-        # Written so that NaN fails: no NaN is > or >= anything.
+        if self.first_mark is None or not 0.0 <= self.first_mark < math.inf:
+            raise ConfigurationError("occurred claims need a finite nonnegative first mark")
         previous = 0.0
         for offset, amount in self.developments:
-            if not offset > previous:
-                raise ConfigurationError("development offsets must be strictly increasing and > 0")
-            if not amount >= 0.0:
-                raise ConfigurationError("development marks must be >= 0")
+            if not previous < offset < math.inf:
+                raise ConfigurationError("development offsets must be finite, strictly increasing and > 0")
+            if not 0.0 <= amount < math.inf:
+                raise ConfigurationError("development marks must be finite and >= 0")
             previous = offset
 
     @property
@@ -596,7 +626,9 @@ def _invert_gamma_rows(gamma: np.ndarray, points: np.ndarray, e: np.ndarray) -> 
     (``intensity.hazard_knots``), ``simulate_portfolio`` its path's grid
     nodes.  Per-row hazards are searched by a branchless bisection (the
     same lower bound): ``ceil(log2(nodes))`` halving steps, each a few
-    whole-array passes that release the GIL, at any book size.  It runs
+    whole-array passes, at any book size.  numpy releases the GIL inside
+    each pass, but over one oracle hazard part's few thousand thresholds a
+    pass takes microseconds, too little for threads to overlap much.  It runs
     only for the thresholds at or below their row's total hazard; the
     others never cross and stay inf.  On grid nodes this agrees element by
     element with the scalar ``invert_hazard`` for nonnegative thresholds.

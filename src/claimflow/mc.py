@@ -2,12 +2,15 @@
 
 Each path simulates the intensity, every policy's claim history and the
 deflator.  A block runs in stages, each a function whose temporaries die
-when it returns: accident times, delays, first marks, development counts,
-one event list (time, path, amount) of its payments in the valuation
-window, the deflator at those events, and one ``bincount`` of the
-deflated amounts by path.  The event list is one buffer, sized once the
-development counts are drawn: first reports at its front, developments
-written after them in place.  A martingale deflator independent of the
+when it returns: accident times, delays added to them in place, the
+claims reported by T, their first marks and development counts, one event
+list (time, path, amount) of its payments in the valuation window, the
+deflator at those events, and the deflated amounts summed by path.  No
+stage after the claims are taken out holds a (paths, policies) array, and
+the delays and first marks, drawn for every cell, are drawn a piece of
+cells at a time.  The claims' arrays are freed one by one as the event
+list is built from them: every claim's first report at its front, the
+developments after them.  A martingale deflator independent of the
 intensity is sampled exactly at the event times, put in (path, time)
 order by one sort of a float key, so its cost follows the number of
 payments rather than the grid size.
@@ -23,8 +26,10 @@ exists; only a deflator correlated with the intensity makes it draw the
 normals as one block-sized array, which the deflator reads.  A block's
 memory thus follows its policies and payments, not its grid.  The
 per-path inversion is a bisection made of whole-array numpy passes over
-a part's thousands of thresholds, which release the GIL for long
-stretches, so blocks on several threads run side by side.  Paths are
+a part's thousands of thresholds.  numpy releases the GIL inside each
+pass, but a pass of that size takes microseconds, so blocks on two
+threads overlap little: on 2 cores, inverting 8 blocks' hazard parts ran
+1.18x as fast on 2 threads as on one, and 2.05x on 2 processes.  Paths are
 generated in fixed-size blocks with one RNG substream per block, mapped
 over a thread pool that the caller may share with other work, so the
 estimate is bitwise identical for any thread count, and the draw layout
@@ -56,7 +61,7 @@ from typing import Optional
 
 import numpy as np
 
-from .claims import DelayLaw, DevelopmentLaw, MarkLaw, _invert_gamma_rows
+from .claims import _DRAW_PIECE, DelayLaw, DevelopmentLaw, MarkLaw, _invert_gamma_rows
 from .errors import ConfigurationError, InsufficientDataError, SchemaError
 from .grids import DEFAULT_STEP, TimeGrid
 from .intensity import (
@@ -90,6 +95,17 @@ Z_THRESHOLD = 3.0
 #: the stochastic reserve its draws (one bracket each).  Other log-OU
 #: levels are built a cache-sized part of paths at a time.
 MAX_PATH_GRID_VALUES = 1 << 24
+
+#: Bytes an oracle block may hold for its development events (512 MiB).
+DEVELOPMENT_BUDGET_BYTES = 1 << 29
+
+#: Most bytes a block holds at its peak per development event: its event
+#: list entry (20) and the deflator's temporaries at the event.  Measured
+#: with tracemalloc as the growth of a block's peak from 50,000 to 200,000
+#: expected developments (4 policies x 256 paths): 28 under a constant
+#: deflator, 53 under an independent martingale one, 57 antithetic, 60
+#: correlated with the intensity; rounded up.
+BYTES_PER_DEVELOPMENT = 64
 
 #: Most grid cells a book may ask for: an hourly grid over about 60 years.
 #: The analytic run at this size takes about 6 s and 250 MB.
@@ -349,68 +365,87 @@ def _accident_times(config: McConfig, grid: TimeGrid, rng: np.random.Generator, 
     return normals, tau
 
 
-def _first_reports(config: McConfig, rng: np.random.Generator,
-                   tau1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every policy's first mark, then the first reports in (t, T], row-major:
-    their times, paths and amounts."""
-    x1 = np.asarray(config.first_mark.sample(rng, size=tau1.shape))
-    first = np.flatnonzero((tau1 > config.t) & (tau1 <= config.T))
-    return tau1.take(first), first // config.n_policies, x1.take(first)
+def _reported_claims(config: McConfig, tau1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The claims reported by T, row-major: their cells (path x n_policies
+    + policy) as int32, which holds any block ``check_oracle_bounds``
+    admits, and their report times."""
+    flat = tau1.reshape(-1)
+    reported = flat <= config.T
+    return np.flatnonzero(reported).astype(np.int32), flat[reported]
 
 
-def _development_claims(config: McConfig, rng: np.random.Generator,
-                        tau1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The development counts: each development's claim cell (path x
-    n_policies + policy), row-major, and that claim's report time.
+def _first_marks(config: McConfig, rng: np.random.Generator, cells: np.ndarray, n_cells: int) -> np.ndarray:
+    """The first marks of the claims at ``cells`` (sorted) of a block's
+    ``n_cells`` cells: every cell's mark is drawn, ``_DRAW_PIECE`` cells at
+    a time, the same values as one draw, and only the claims' are kept."""
+    marks = np.empty(len(cells))
+    for lo in range(0, n_cells, _DRAW_PIECE):
+        hi = min(lo + _DRAW_PIECE, n_cells)
+        a, b = cells.searchsorted((lo, hi))
+        piece = config.first_mark.sample(rng, size=hi - lo)
+        piece.take(cells[a:b] - lo, out=marks[a:b], mode="clip")
+    return marks
+
+
+def _development_owners(config: McConfig, rng: np.random.Generator, report: np.ndarray) -> np.ndarray:
+    """Each development's claim, an int32 index into the claims' ``report``
+    times, in claim order.
 
     A claim reported at ``tau1 <= T`` pays a Poisson(rate x (T - tau1))
-    number of developments.  No (paths, policies) array outlives the counts.
+    number of developments.  One reported at T, like a cell never reported
+    by T, has mean 0, which numpy's Poisson answers without a draw, so
+    drawing the claims' counts alone draws what every cell's would.
     """
     dev = config.development
-    if not (dev.rate > 0.0 and config.n_policies > 0):
-        return np.empty(0, dtype=np.intp), np.empty(0)
-    # A claim never reported (tau1 = inf) has horizon 0.
-    counts = rng.poisson(dev.rate * np.clip(config.T - tau1, 0.0, None)).ravel()
-    claims = np.flatnonzero(counts)
-    cell = np.repeat(claims, counts[claims])
-    del counts, claims
-    return cell, tau1.ravel().take(cell)
+    if not dev.rate > 0.0:
+        return np.empty(0, dtype=np.int32)
+    counts = rng.poisson(dev.rate * (config.T - report))
+    return np.repeat(np.arange(len(report), dtype=np.int32), counts)
 
 
-def _event_buffer(first: tuple[np.ndarray, ...], size: int) -> tuple[np.ndarray, ...]:
-    """(times, paths, amounts) arrays of ``size`` events, the first reports
-    ``first`` at the front."""
-    events = tuple(np.empty(size, dtype=part.dtype) for part in first)
-    for buffer, part in zip(events, first):
-        buffer[:len(part)] = part
-    return events
+def _event_list(config: McConfig, rng: np.random.Generator,
+                claims: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The event list of the payments in (t, T], row-major: every claim's
+    first report, then every development; their times, paths (int32) and
+    amounts.
 
-
-def _developments(config: McConfig, rng: np.random.Generator, claims: tuple[np.ndarray, np.ndarray],
-                  events: tuple[np.ndarray, ...], start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The event list: ``events`` up to ``start``, then the developments in
-    (t, T], written in place after it; their times, paths and amounts.
-
-    Each development of ``claims`` (cells, report times) falls at a uniform
-    time in (report, T].  The draws are the offsets, then the marks of
-    every development, kept or not, so ``events`` has room for all of them.
+    ``claims`` holds the claims' cells, report times and first marks, and
+    the ``_development_owners``.  The list is emptied, and each array is
+    dropped once the event list holds what it needs of it: the list's
+    times, paths and amounts are built in that order, so at most the first
+    marks exist beside the whole list.  Each development falls at a uniform
+    time in (report, T]: the offsets' uniforms are drawn into its amounts,
+    then its marks over them.  Events at or before t, first reports or
+    developments, are then dropped in place.
     """
-    cell, report = claims
-    if len(cell) == 0:
-        return events
-    times, rows, amounts = (buffer[start:] for buffer in events)
-    # Only a claim with a positive horizon T - tau1 has developments.
-    np.subtract(config.T, report, out=times)
-    times *= 1.0 - rng.random(len(cell))
-    times += report
-    np.floor_divide(cell, config.n_policies, out=rows)
-    amounts[:] = config.development.mark.sample(rng, size=len(cell))
+    cells, report, marks, owners = claims
+    claims.clear()
+    n_claims, size = len(report), len(report) + len(owners)
+    times = np.empty(size)
+    times[:n_claims] = report
+    report.take(owners, out=times[n_claims:], mode="clip")
+    del report
+    rows = np.empty(size, dtype=np.int32)
+    rows[:n_claims] = cells
+    cells.take(owners, out=rows[n_claims:], mode="clip")
+    del cells, owners
+    rows //= config.n_policies
+    amounts = np.empty(size)
+    amounts[:n_claims] = marks
+    del marks
+    dev_times, dev_amounts = times[n_claims:], amounts[n_claims:]
+    rng.random(out=dev_amounts)
+    np.subtract(1.0, dev_amounts, out=dev_amounts)  # 1 - U lies in (0, 1]
+    dev_amounts *= config.T - dev_times
+    dev_times += dev_amounts
+    dev_amounts[:] = config.development.mark.sample(rng, size=len(dev_amounts))
+    events = (times, rows, amounts)
     keep = times > config.t
     if keep.all():
         return events
-    end = start + np.count_nonzero(keep)
+    end = np.count_nonzero(keep)
     for buffer in events:
-        buffer[start:end] = buffer[start:][keep]
+        buffer[:end] = buffer[keep]
     return tuple(buffer[:end] for buffer in events)
 
 
@@ -419,42 +454,41 @@ def _block_paths(config: McConfig, grid: TimeGrid, block: int,
                  det_deflator: np.ndarray | float | None) -> tuple[np.ndarray, np.ndarray | None]:
     """Simulate one block; returns (payoffs, reported counts or None).
 
-    Stages, each a function whose temporaries die when it returns:
-    accident times by one inverter (at the hazard ``knots`` of a
-    deterministic rate, or per path in the log-OU stage), delays, first
-    marks, development counts, the block's event list, the deflator at its
-    events, and one ``bincount`` of deflated amounts by path.  The report
-    times and the first reports' own arrays are freed before the
-    developments' offsets are drawn: the event list is one buffer with
-    room for every drawn development, the first reports at its front.  The
-    deflator and the deflated amounts are computed in place.  The draw
-    order is fixed: accident thresholds, then under a log-OU intensity its
-    normals (paths, cells) path by path, delays (in
-    ``DelayLaw.sample_many``'s layout), first marks, development counts,
-    offsets and marks, then the deflator: for a martingale deflator
-    independent of the intensity one normal per payment event in the
-    window, ordered by path (antithetic pair) and then time; for one
-    correlated with the intensity one normal per path (pair) and grid cell.
+    The stages are the module docstring's, each a function whose
+    temporaries die when it returns; accident times are inverted at the
+    hazard ``knots`` of a deterministic rate, or per path under a log-OU
+    one.  The deflator and the deflated amounts are computed in place.  The
+    draw order is fixed: accident thresholds, then under a log-OU
+    intensity its normals (paths, cells) path by path, delays (in
+    ``DelayLaw.add_to``'s layout), every cell's first mark, the
+    development counts of the claims reported before T, offsets and marks,
+    then the deflator: for a martingale deflator independent of the
+    intensity one normal per payment event in the window, ordered by path
+    (antithetic pair) and then time; for one correlated with the intensity
+    one normal per path (pair) and grid cell.
     """
     start = block * BLOCK_SIZE
     n_block = min(BLOCK_SIZE, config.n_paths - start)
     rng = substream(config.seed, _STREAM_MC_BLOCK, block)
     z_mu, tau1 = _accident_times(config, grid, rng, n_block, knots)
-    tau1 += config.delay.sample_many(rng, tau1.shape)  # report times, in place
+    config.delay.add_to(rng, tau1)  # report times, in place
     reported = None
     if config.conditioning is not None:
         reported = np.sum(tau1 <= config.t, axis=1).astype(int)
-    first = _first_reports(config, rng, tau1)
-    claims = _development_claims(config, rng, tau1)
-    del tau1
-    n_first = len(first[0])
-    events = _event_buffer(first, n_first + len(claims[0]))
-    del first  # the first reports live on in the buffer only
-    times, rows, amounts = _developments(config, rng, claims, events, n_first)
-    del claims  # from here on a block holds only its payment events
+    cells, report = _reported_claims(config, tau1)
+    del tau1  # from here on a block holds its claims, not its cells
+    marks = _first_marks(config, rng, cells, n_block * config.n_policies)
+    owners = _development_owners(config, rng, report)
+    claims = [cells, report, marks, owners]
+    del cells, report, marks, owners  # _event_list drops each when done with it
+    times, rows, amounts = _event_list(config, rng, claims)
     deflator, deflator_at_t = _deflator_values(config, grid, rng, times, rows, z_mu, det_deflator)
     amounts *= deflator
-    payoffs = np.bincount(rows, weights=amounts, minlength=n_block) / deflator_at_t
+    # bincount's sums, bit for bit (each path's in event order), without
+    # its intp copy of the paths.
+    payoffs = np.zeros(n_block)
+    np.add.at(payoffs, rows, amounts)
+    payoffs /= deflator_at_t
     return payoffs, reported
 
 
@@ -493,10 +527,12 @@ def _estimate(samples: np.ndarray) -> McEstimate:
 def check_oracle_bounds(config: McConfig) -> None:
     """Refuse, as ``SchemaError``, a book the closed form prices but the oracle cannot.
 
-    The oracle holds one entry per path, per policy and path of a block, and
-    per development event of a block; each count is held to
-    ``MAX_PATH_GRID_VALUES`` before anything is allocated.  Its
-    reported-count buckets at t > 0 need a deflator that never moves.
+    The oracle holds one entry per path, and per policy and path of a
+    block; each count is held to ``MAX_PATH_GRID_VALUES`` before anything
+    is allocated.  A block's expected development events, at most
+    policies x paths x rate x T, are held to what
+    ``DEVELOPMENT_BUDGET_BYTES`` buys at ``BYTES_PER_DEVELOPMENT`` each.
+    Its reported-count buckets at t > 0 need a deflator that never moves.
     """
     n_paths, n, dev = config.n_paths, config.n_policies, config.development
     if n_paths > MAX_PATH_GRID_VALUES:
@@ -507,11 +543,13 @@ def check_oracle_bounds(config: McConfig) -> None:
         raise SchemaError("portfolio.n", f"{n} policies x {rows} Monte Carlo paths per block "
                                          f"exceed {MAX_PATH_GRID_VALUES} values per path array")
     dev_events = n * rows * dev.rate * config.T
-    if dev_events > MAX_PATH_GRID_VALUES:
+    dev_limit = DEVELOPMENT_BUDGET_BYTES // BYTES_PER_DEVELOPMENT
+    if dev_events > dev_limit:
         raise SchemaError("development.rate",
                           f"{n} policies x {rows} Monte Carlo paths per block x rate {dev.rate:g} "
                           f"x T = {config.T:g} expect {dev_events:.6g} development events per "
-                          f"block, over {MAX_PATH_GRID_VALUES} values per path array")
+                          f"block, over the {dev_limit} that {DEVELOPMENT_BUDGET_BYTES} bytes hold "
+                          f"at {BYTES_PER_DEVELOPMENT} bytes each")
     if config.t > 0.0 and constant_level(config.market) is None:
         if isinstance(config.market, DeterministicDeflator):
             raise SchemaError("market.level", "must be constant for the Monte Carlo oracle at valuation.t > 0")

@@ -1,4 +1,5 @@
 """Portfolio simulation: sampling laws, records, observable state."""
+import dataclasses
 import math
 import time
 
@@ -34,6 +35,7 @@ from claimflow.claims import (
     STREAM_DELAY,
     STREAM_DEVELOPMENT,
     STREAM_FIRST_MARK,
+    _DRAW_PIECE,
     _crossing_times,
     _draw_developments,
     _invert_gamma_rows,
@@ -286,6 +288,28 @@ def test_delay_sample_many_draw_layout(alpha0):
     assert rng.random() == ref.random()  # the same number of draws
 
 
+@pytest.mark.parametrize("density", [ExponentialDelay(2.0), GammaDelay(2.0, 3.0)], ids=["exponential", "gamma"])
+@pytest.mark.parametrize("alpha0", [0.0, 0.3])
+def test_delay_add_to_matches_the_one_array_draw(density, alpha0):
+    # Three pieces and a part of (paths, policies) report times, some inf,
+    # against the one-array draw the oracle made before: every uniform,
+    # then every magnitude, added where the uniform is not below alpha0.
+    law = DelayLaw(alpha0=alpha0, density=density)
+    shape = (5, 3 * _DRAW_PIECE // 5 + 9)
+    base = np.random.default_rng(1).uniform(0.0, 2.0, size=shape)
+    base.ravel()[::9] = np.inf
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    out = base.copy()
+    law.add_to(rng, out)
+    if alpha0 == 0.0:
+        delays = density.sample(ref, size=shape)
+    else:
+        zero = ref.random(shape) < alpha0
+        delays = np.where(zero, 0.0, density.sample(ref, size=shape))
+    assert np.array_equal(out, base + delays)
+    assert rng.random() == ref.random()  # the same number of draws
+
+
 def test_delay_law_validation():
     with pytest.raises(ConfigurationError):
         DelayLaw(alpha0=1.2, density=None)
@@ -484,6 +508,21 @@ def test_development_event_count_mean():
     assert abs(mean - 6.0) <= 3.0 * math.sqrt(6.0) / math.sqrt(n)
 
 
+def test_lognormal_mark_draws_from_its_log_mean_outside_the_fields():
+    # The log-space mean is set once per law, not per draw, and is not a
+    # field: equality and hashing, which key the pricing memos, see only
+    # mean, kind and sigma_ln.
+    law = MarkLaw(mean=2.0, kind="lognormal", sigma_ln=0.6)
+    assert [field.name for field in dataclasses.fields(MarkLaw)] == ["mean", "kind", "sigma_ln"]
+    twin = MarkLaw(mean=2.0, kind="lognormal", sigma_ln=0.6)
+    assert law == twin and hash(law) == hash(twin)
+    assert law != dataclasses.replace(law, sigma_ln=0.5)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    mu_ln = math.log(2.0) - 0.5 * 0.6 ** 2
+    assert law.sample(rng) == ref.lognormal(mu_ln, 0.6)
+    assert np.array_equal(law.sample(rng, size=5), ref.lognormal(mu_ln, 0.6, size=5))
+
+
 def test_development_total_mark_mean():
     # Expected cumulative payment over the horizon is rate * mean * horizon.
     law = DevelopmentLaw(rate=2.0, mark=MarkLaw(mean=0.5, kind="exponential"))
@@ -657,6 +696,24 @@ def test_claim_record_validation():
 ], ids=["nan-first-mark", "nan-offset", "nan-development-mark", "report-without-accident"])
 def test_claim_record_refuses_nan_and_a_report_without_an_accident(fields):
     # Each was accepted: NaN passes every "< 0" and "<=" test.
+    with pytest.raises(ConfigurationError):
+        ClaimRecord(**fields)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(accident_time=1.0, delay=0.5, report_time=1.5, first_mark=math.inf),
+    dict(accident_time=1.0, delay=0.5, report_time=1.5, first_mark=1.0,
+         developments=((0.3, 1.0), (math.inf, 1.0))),
+    dict(accident_time=1.0, delay=0.5, report_time=1.5, first_mark=1.0,
+         developments=((0.3, 1.0), (0.4, math.inf))),
+    dict(accident_time=-math.inf),
+    dict(accident_time=-math.inf, delay=0.5, report_time=-math.inf, first_mark=1.0),
+], ids=["inf-first-mark", "inf-offset", "inf-development-mark", "minus-inf-accident",
+        "minus-inf-accident-reported"])
+def test_claim_record_refuses_infinite_values(fields):
+    # The first three were accepted: an infinite payment made a cash flow
+    # of inf, and an infinite offset an event never paid.  An accident at
+    # -inf was taken as one that never happens.
     with pytest.raises(ConfigurationError):
         ClaimRecord(**fields)
 

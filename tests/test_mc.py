@@ -35,7 +35,7 @@ from claimflow import (
 )
 from claimflow import mc
 from claimflow.cli import parse_config
-from claimflow.claims import _BISECT_CHUNK, _invert_gamma_rows
+from claimflow.claims import _BISECT_CHUNK, _DRAW_PIECE, _invert_gamma_rows
 from claimflow.intensity import _hazard_chunk_rows, hazard_knots, trapezoid_hazard
 from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _accident_times, _brownian_at_events
 
@@ -303,27 +303,67 @@ def _sample_brownian(times_per_row, n_rows, seed=4, antithetic=False):
     return w.reshape(n_rows, k)
 
 
-def _block_peak(config):
-    """tracemalloc peak of one oracle run on one thread, in bytes."""
-    tracemalloc.start()
-    try:
-        mc_reserve(config, threads=1)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+#: An oracle block's stages in run order: (owner, function name).
+_STAGES = ((mc, "_accident_times"), (DelayLaw, "add_to"), (mc, "_reported_claims"),
+           (mc, "_first_marks"), (mc, "_development_owners"), (mc, "_event_list"),
+           (mc, "_deflator_values"))
 
 
-def test_log_ou_block_peak_memory():
+def _stage_peaks(monkeypatch, config):
+    """tracemalloc peaks of one oracle run on one thread, in bytes, by stage.
+
+    A stage's entry is the peak while it runs; "before <stage>" is that of
+    the code run since the previous stage, and "after" that of the code
+    after the last one.  So the largest entry is the run's peak, and its
+    key names the stage that set it.
+    """
+    peaks = {}
+
+    def record(key):
+        peaks[key] = max(peaks.get(key, 0), tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    def staged(name, function):
+        def run(*args, **kwargs):
+            record(f"before {name}")
+            try:
+                return function(*args, **kwargs)
+            finally:
+                record(name)
+        return run
+
+    with monkeypatch.context() as patch:
+        for owner, name in _STAGES:
+            patch.setattr(owner, name, staged(name, getattr(owner, name)))
+        tracemalloc.start()
+        try:
+            mc_reserve(config, threads=1)
+            record("after")
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def _over(peaks, bound):
+    """The entries of ``peaks`` at or above ``bound`` bytes, in MiB."""
+    return {key: round(peak / 2**20, 2) for key, peak in peaks.items() if peak >= bound}
+
+
+def test_log_ou_block_peak_memory(monkeypatch):
     # One 4,096-path block of the stochastic_validate book at n = 64.  Its
     # levels are built a cache-sized part at a time, each part's hazard is
-    # inverted as it is built, and each stage's arrays die with the stage,
-    # so the peak (8.7 MiB, set by the development counts) stays below one
-    # (nodes, paths) levels array of the block (11.4 MiB).
+    # inverted as it is built, its delays and first marks are drawn a piece
+    # at a time, and no stage after the claims are taken out holds a
+    # (paths, policies) array.  The peak, 4.7 MiB, is set by the event list
+    # beside the first marks; the bound allows 0.3 MiB over it.  Holding
+    # every cell's draws, the development counts peaked at 8.7 MiB.
     config = _config(
         n_policies=64, intensity=LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0),
         development=DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="exponential")),
         n_paths=BLOCK_SIZE, seed=3)
-    assert _block_peak(config) < BLOCK_SIZE * len(config.grid().points) * 8
+    peaks = _stage_peaks(monkeypatch, config)
+    assert set(name for _, name in _STAGES) <= set(peaks)
+    assert not _over(peaks, 5 * 2**20)
 
 
 def test_log_ou_accident_stage_memory_does_not_follow_the_grid():
@@ -343,14 +383,118 @@ def test_log_ou_accident_stage_memory_does_not_follow_the_grid():
     assert peak < 2 * 2**20
 
 
-def test_deterministic_block_peak_memory():
+def test_deterministic_block_peak_memory(monkeypatch):
     # One 4,096-path block of configs/example.json.  Its event-time deflator
-    # sets the peak (3.7 MiB) only if the stages before it have freed their
+    # sets the peak (3.5 MiB) only if the stages before it have freed their
     # (paths, policies) arrays and development temporaries, and the event
     # list is built in one buffer: concatenating the first reports and the
     # developments held the list twice and peaked at 5.8 MiB.
     example = parse_config((Path(__file__).parents[1] / "configs" / "example.json").read_text())
-    assert _block_peak(replace(example, n_paths=BLOCK_SIZE)) < 5 * 2**20
+    assert not _over(_stage_peaks(monkeypatch, replace(example, n_paths=BLOCK_SIZE)), 5 * 2**20)
+
+
+_MOVING = MartingaleDeflator(init=1.0, vol=0.2)
+_CORRELATED = MartingaleDeflator(init=1.0, vol=0.2, corr_with_intensity=0.5)
+
+
+@pytest.mark.parametrize("market, antithetic", [
+    (DeterministicDeflator(1.0), False), (_MOVING, False), (_MOVING, True),
+    (_CORRELATED, False), (_CORRELATED, True),
+], ids=["constant", "martingale", "antithetic", "correlated", "correlated-antithetic"])
+def test_development_bound_holds_a_block_to_its_budget(monkeypatch, market, antithetic):
+    # At a 4 MiB budget the bound admits 65,536 expected developments per
+    # block.  Accidents near 0 and instant reports make a book's
+    # developments nearly its expected policies x paths x rate x T, so at
+    # 97% of the bound a block's developments must add at most the budget
+    # to its peak without them, under each deflator; at 103% the book is
+    # refused.
+    monkeypatch.setattr(mc, "DEVELOPMENT_BUDGET_BYTES", 4 * 2**20)
+    limit = mc.DEVELOPMENT_BUDGET_BYTES // mc.BYTES_PER_DEVELOPMENT
+    n, paths = 4, 128
+    intensity = ConstantIntensity(1000.0)
+    if market is _CORRELATED:
+        intensity = LogOUIntensity(mean_rev=2.0, long_run_log_level=math.log(1000.0), vol=0.1, init=1000.0)
+
+    def book(rate):
+        return _config(n_policies=n, n_paths=paths, intensity=intensity, delay=DelayLaw(alpha0=1.0),
+                       development=DevelopmentLaw(rate=rate, mark=MarkLaw(mean=0.5, kind="exponential")),
+                       market=market, antithetic=antithetic, grid_step=1.0 / 365)
+
+    with pytest.raises(SchemaError) as err:
+        mc.check_oracle_bounds(book(1.03 * limit / (n * paths)))
+    assert err.value.field == "development.rate"
+    edge = _stage_peaks(monkeypatch, book(0.97 * limit / (n * paths)))
+    bare = _stage_peaks(monkeypatch, book(0.0))
+    assert max(edge.values()) - max(bare.values()) <= mc.DEVELOPMENT_BUDGET_BYTES, _over(edge, 0)
+
+
+def test_development_bound_stays_within_the_path_array_bound():
+    assert mc.DEVELOPMENT_BUDGET_BYTES // mc.BYTES_PER_DEVELOPMENT <= mc.MAX_PATH_GRID_VALUES
+
+
+@pytest.mark.parametrize("mark", [
+    MarkLaw(mean=1.0, kind="exponential"),
+    MarkLaw(mean=2.0, kind="lognormal", sigma_ln=0.6),
+    MarkLaw(mean=0.5),
+], ids=["exponential", "lognormal", "deterministic"])
+def test_pieced_first_marks_match_one_draw_of_every_cell(mark):
+    # Three pieces and a part; the claims include both cells at each seam.
+    n_cells = 3 * _DRAW_PIECE + 11
+    claim = np.random.default_rng(1).random(n_cells) < 0.4
+    claim[[_DRAW_PIECE - 1, _DRAW_PIECE, n_cells - 1]] = True
+    cells = np.flatnonzero(claim).astype(np.int32)
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    marks = mc._first_marks(_config(first_mark=mark), rng, cells, n_cells)
+    assert np.array_equal(marks, np.asarray(mark.sample(ref, size=n_cells)).take(cells))
+    assert rng.random() == ref.random()  # the same number of draws
+
+
+def _per_cell_events(config, rng, tau1):
+    """The event list as the oracle once built it from its (paths, policies)
+    report times ``tau1``, every cell's first mark and development count
+    drawn as one array each: a reference copy of that code."""
+    x1 = np.asarray(config.first_mark.sample(rng, size=tau1.shape))
+    first = np.flatnonzero((tau1 > config.t) & (tau1 <= config.T))
+    parts = [(tau1.take(first), first // config.n_policies, x1.take(first))]
+    dev = config.development
+    if dev.rate > 0.0:
+        counts = rng.poisson(dev.rate * np.clip(config.T - tau1, 0.0, None)).ravel()
+        cell = np.repeat(np.arange(counts.size), counts)
+        report = tau1.ravel().take(cell)
+        times = (config.T - report) * (1.0 - rng.random(len(cell))) + report
+        amounts = dev.mark.sample(rng, size=len(cell))
+        keep = times > config.t
+        parts.append((times[keep], cell[keep] // config.n_policies, amounts[keep]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+@pytest.mark.parametrize("first_mark, development", [
+    (MarkLaw(mean=1.0, kind="exponential"), DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="lognormal",
+                                                                                  sigma_ln=0.4))),
+    (MarkLaw(mean=1.0, kind="lognormal", sigma_ln=0.7), DevelopmentLaw(rate=3.0, mark=MarkLaw(mean=0.5))),
+    (MarkLaw(mean=1.0), DevelopmentLaw(rate=0.0, mark=MarkLaw(mean=0.5))),
+], ids=["exponential", "lognormal", "no-development"])
+def test_event_list_matches_the_per_cell_reference(t, first_mark, development):
+    # Report times over more than one piece of cells: some never reported
+    # (inf), some after T, some at exactly 0, t and T (a claim whose
+    # Poisson mean is 0, and draws nothing).
+    config = _config(n_policies=64, t=t, T=1.0, conditioning=None if t == 0.0 else 1,
+                     first_mark=first_mark, development=development)
+    tau1 = np.random.default_rng(3).uniform(0.0, 1.4, size=(1_100, 64))
+    tau1.ravel()[::7] = np.inf
+    tau1.ravel()[[5, 6, 8, 9]] = (0.0, t, 1.0, 1.0)
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    cells, report = mc._reported_claims(config, tau1)
+    marks = mc._first_marks(config, rng, cells, tau1.size)
+    owners = mc._development_owners(config, rng, report)
+    events = mc._event_list(config, rng, [cells, report, marks, owners])
+    expected = _per_cell_events(config, ref, tau1)
+    assert events[1].dtype == np.int32
+    for got, want in zip(events, expected):
+        assert np.array_equal(got, want)
+    assert len(events[0]) > tau1.size // 4
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("correlated", [False, True], ids=["independent", "correlated"])
