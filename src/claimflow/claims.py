@@ -334,7 +334,7 @@ class DelayLaw:
         return out
 
     def add_to(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Add one lag to every entry of the contiguous float array ``out``, in place.
+        """Add one lag to every entry of the C-contiguous float array ``out``, in place.
 
         The draw layout is fixed by ``alpha0``: nothing at 1, magnitudes
         only at 0, otherwise all the uniforms, then all the magnitudes; an
@@ -345,7 +345,9 @@ class DelayLaw:
         """
         if self.density is None:
             return
-        flat = out.reshape(-1, copy=False)
+        if not out.flags.c_contiguous:  # else the reshape below would be a copy
+            raise ValueError("add_to adds into a C-contiguous array only")
+        flat = out.reshape(-1)
         pieces = [slice(lo, lo + _DRAW_PIECE) for lo in range(0, flat.size, _DRAW_PIECE)]
         if self.alpha0 == 0.0:
             for piece in pieces:

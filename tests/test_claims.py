@@ -308,6 +308,8 @@ def test_delay_add_to_matches_the_one_array_draw(density, alpha0):
         delays = np.where(zero, 0.0, density.sample(ref, size=shape))
     assert np.array_equal(out, base + delays)
     assert rng.random() == ref.random()  # the same number of draws
+    with pytest.raises(ValueError):  # a strided view cannot be added into in place
+        law.add_to(rng, out[:, ::2])
 
 
 def test_delay_law_validation():
