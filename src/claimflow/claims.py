@@ -13,8 +13,8 @@ first report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,32 +39,6 @@ _DRAW_PIECE = 1 << 16
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExponentialDelay:
-    """Exponential reporting delay with the given rate (1/years)."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rate < math.inf:
-            raise SchemaError("rate", f"must be finite and > 0, got {self.rate}")
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):  # rate * x = inf gives 1, as it should
-            y = -self.rate * np.maximum(x, 0.0)
-        return np.where(x >= 0.0, -np.expm1(y), 0.0)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):  # rate * x = inf gives 0, as it should
-            y = -self.rate * np.maximum(x, 0.0)
-        return np.where(x >= 0.0, self.rate * np.exp(y), 0.0)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.exponential(1.0 / self.rate, size=size)
-
-
-@dataclass(frozen=True)
 class GammaDelay:
     """Gamma reporting delay; shape >= 1 keeps the density bounded at zero.
 
@@ -73,11 +47,12 @@ class GammaDelay:
     The cdf is the regularized lower incomplete gamma P(shape, rate * x)
     (see ``_lower_gamma``) and the pdf is rate * y^(shape-1) e^-y / Gamma(shape)
     at y = rate * x, both in numpy from one weight y^a e^-y / Gamma(a)
-    (``_log_gamma_weight``).  At shape 1 both are the exponential delay's, bit
-    for bit.  For shapes 1 to 100 the cdf is within 4e-15 absolute of
-    ``scipy.stats.gamma`` (whose own error near x = shape reaches 3e-15)
-    and the pdf within scipy's rounding of its log-density; the tests
-    state both bounds.
+    (``_log_gamma_weight``).  Shape 1 is the exponential delay
+    (``ExponentialDelay``): cdf 1 - e^-y, pdf rate e^-y and draws by
+    ``rng.exponential``, in closed form.  For shapes 1 to 100 the cdf is
+    within 4e-15 absolute of ``scipy.stats.gamma`` (whose own error near
+    x = shape reaches 3e-15) and the pdf within scipy's rounding of its
+    log-density; the tests state both bounds.
     """
 
     shape: float
@@ -114,7 +89,17 @@ class GammaDelay:
         return out
 
     def sample(self, rng: np.random.Generator, size=None):
+        if self.shape == 1.0:  # the same values as rng.gamma(1, ...), drawn faster
+            return rng.exponential(1.0 / self.rate, size=size)
         return rng.gamma(self.shape, 1.0 / self.rate, size=size)
+
+
+@dataclass(frozen=True)
+class ExponentialDelay(GammaDelay):
+    """Exponential reporting delay with the given rate (1/years): the gamma
+    delay of shape 1, built as ``ExponentialDelay(rate)``."""
+
+    shape: float = field(default=1.0, init=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +268,6 @@ def _lower_gamma_quadrature(a: float, x: np.ndarray) -> np.ndarray:
     return np.where(upper, 1.0 - part, -part)
 
 
-DelayDensity = Union[ExponentialDelay, GammaDelay]
-
-
 @dataclass(frozen=True)
 class DelayLaw:
     """Mixed distribution of the report lag: mass ``alpha0`` at zero plus a density.
@@ -296,7 +278,7 @@ class DelayLaw:
     """
 
     alpha0: float
-    density: Optional[DelayDensity] = None
+    density: Optional[GammaDelay] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha0 <= 1.0:
@@ -325,13 +307,6 @@ class DelayLaw:
             return 0.0
         assert self.density is not None
         return float(self.density.sample(rng))
-
-    def sample_many(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Vector version of ``sample``; ``size`` is an int or a shape.
-        The draws are ``add_to``'s."""
-        out = np.zeros(size)
-        self.add_to(rng, out)
-        return out
 
     def add_to(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Add one lag to every entry of the C-contiguous float array ``out``, in place.

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from .claims import DelayLaw, DevelopmentLaw, ExponentialDelay, GammaDelay, MarkLaw, PortfolioState
-from .errors import ClaimflowError, SchemaError, UnsupportedRegimeError
+from .errors import ClaimflowError, InsufficientDataError, SchemaError, UnsupportedRegimeError
 from .grids import DEFAULT_STEP, TimeGrid
 from .intensity import (
     ConstantIntensity,
@@ -443,7 +443,11 @@ def run_scenario(
             except ClaimflowError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
-    # An analytic error takes precedence over the oracle's.
+    # An analytic error takes precedence over the oracle's.  Too few paths
+    # in the conditioning bucket is cured by more of them.
+    if isinstance(mc_error, InsufficientDataError):
+        print(f"config error at mc.n_paths: {mc_error}", file=sys.stderr)
+        return 1
     if mc_error is not None:
         print(f"error: {mc_error}", file=sys.stderr)
         return 1

@@ -246,9 +246,9 @@ def hazard_knots(model: IntensityModel, grid: TimeGrid) -> tuple[np.ndarray, np.
     if isinstance(model, LogOUIntensity):
         return grid.points, trapezoid_hazard(grid, model.values(grid))
     if isinstance(model, ConstantIntensity):
-        return np.array([grid.t0, grid.t_end]), np.array([0.0, float(model.mu) * (grid.t_end - grid.t0)])
-    inside = [b for b in model.breakpoints if grid.t0 < b < grid.t_end]
-    times = np.array([grid.t0, *inside, grid.t_end])
+        return np.array([0.0, grid.t_end]), np.array([0.0, float(model.mu) * grid.t_end])
+    inside = [b for b in model.breakpoints if 0.0 < b < grid.t_end]
+    times = np.array([0.0, *inside, grid.t_end])
     gamma = np.zeros(len(times))
     np.cumsum(model.rate_at(times[:-1]) * np.diff(times), out=gamma[1:])
     return times, gamma

@@ -217,7 +217,7 @@ class ComparisonReport:
 
 def _interp_on_paths(times: np.ndarray, row: np.ndarray, grid: TimeGrid, paths: np.ndarray) -> np.ndarray:
     """Linear interpolation of per-path grid values at arbitrary times."""
-    k = np.floor((times - grid.t0) / grid.step).astype(int)
+    k = np.floor(times / grid.step).astype(int)
     k = np.clip(k, 0, grid.n_cells - 1)
     frac = (times - grid.points[k]) / grid.step
     frac = np.clip(frac, 0.0, 1.0)

@@ -152,7 +152,7 @@ def reporting_cdf(path: IntensityPath, delay: DelayLaw, t: float) -> float:
     grid = path.grid
     grid.require_inside(t)
     points = grid.points
-    i = int(round((t - grid.t0) / grid.step))
+    i = int(round(t / grid.step))
     if i >= len(points):
         i = len(points) - 1
     if points.item(i) != t:
@@ -357,7 +357,7 @@ def _even_nodes(path: IntensityPath) -> IntensityPath:
     if coarse is None:
         even = slice(0, 2 * (path.grid.n_cells // 2) + 1, 2)
         points = path.grid.points[even].copy()
-        grid = TimeGrid(path.grid.t0, float(points[-1]), 2.0 * path.grid.step, points)
+        grid = TimeGrid(float(points[-1]), 2.0 * path.grid.step, points)
         coarse = IntensityPath(grid=grid, mu=path.mu[even], gamma=path.gamma[even])
         path._memo["even_nodes"] = coarse
     return coarse
@@ -375,16 +375,16 @@ def _payout_integral(path: IntensityPath, delay: DelayLaw, first_mark: MarkLaw,
     on grid nodes; partial end cells use pointwise density evaluations.
     """
     grid = path.grid
-    t0, h, n_cells = grid.t0, grid.step, len(grid.points) - 1
+    h, n_cells = grid.step, len(grid.points) - 1
     # The payout is psi(u) = mean + c (T - u).
     mean, c = first_mark.mean, dev.rate * dev.mark.mean
     end = T if end is None else end
     # t and end lie on the grid's span, so neither index is below 0; t_end
     # itself may round one past the last node.
-    i_lo = math.ceil((t - t0) / h - 1e-12)
+    i_lo = math.ceil(t / h - 1e-12)
     if i_lo > n_cells:
         i_lo = n_cells
-    i_hi = math.floor((end - t0) / h + 1e-12)
+    i_hi = math.floor(end / h + 1e-12)
     if i_hi > n_cells:
         i_hi = n_cells
     if i_lo > i_hi:
@@ -569,9 +569,9 @@ def reserve(
             unreported = unreported_count * integral / surviving
             # The rule on the even nodes has four times this second-order
             # error, so the error is about |I_h - I_2h| / 3.
-            t0, h2 = grid.t0, 2.0 * grid.step
-            i_a = 2 * math.ceil((t - t0) / h2 - 1e-12)
-            i_b = 2 * math.floor((T - t0) / h2 + 1e-12)
+            h2 = 2.0 * grid.step
+            i_a = 2 * math.ceil(t / h2 - 1e-12)
+            i_b = 2 * math.floor(T / h2 + 1e-12)
             estimate = unreported
             if i_a < i_b:
                 t_a, t_b = grid.points.item(i_a), grid.points.item(i_b)
@@ -591,7 +591,7 @@ def reserve(
         # so the 2h weights sit on the h grid as repeat(q_2h) and c_2h[::2].
         i_e = i_T - i_T % 2
         if i_e:
-            coarse = TimeGrid(t0=grid.t0, t_end=float(grid.points[i_e]), step=2.0 * grid.step,
+            coarse = TimeGrid(t_end=float(grid.points[i_e]), step=2.0 * grid.step,
                               points=grid.points[: i_e + 1 : 2])
             c_gap = _unreported_integrand_weights(grid, i_e, first_mark, dev, grid.points[i_T])
             c_2h = _unreported_integrand_weights(coarse, i_e // 2, first_mark, dev, grid.points[i_T])

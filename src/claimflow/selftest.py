@@ -14,7 +14,7 @@ import json
 import math
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -246,8 +246,8 @@ class AgreementCase:
         return reserve(state, b.intensity, b.delay, b.first_mark, b.development, b.T,
                        market=b.market, intensity_draws=self.intensity_draws, seed=b.seed + 1)
 
-    def mc(self, threads: int = 1, n_paths: int = 100_000):
-        return mc_reserve(replace(self.book, n_paths=n_paths), threads=threads)
+    def mc(self, threads: int = 1):
+        return mc_reserve(self.book, threads=threads)
 
 
 AGREEMENT_CASES: tuple[AgreementCase, ...] = (

@@ -72,6 +72,12 @@ def test_hazard_must_start_at_zero():
     grid = TimeGrid.regular(1.0, step=0.25)
     with pytest.raises(ConfigurationError, match="hazard must start at 0"):
         IntensityPath(grid=grid, mu=np.ones(5), gamma=0.5 + grid.points)
+    with pytest.raises(ConfigurationError, match="path arrays must match the grid"):
+        IntensityPath(grid=grid, mu=np.ones(4), gamma=grid.points[:4])
+    with pytest.raises(ConfigurationError, match="realized intensity must be >= 0"):
+        IntensityPath(grid=grid, mu=np.array([1.0, 1.0, -1.0, 1.0, 1.0]), gamma=grid.points)
+    with pytest.raises(ConfigurationError, match="hazard must be nondecreasing"):
+        IntensityPath(grid=grid, mu=np.ones(5), gamma=np.array([0.0, 0.5, 0.4, 0.6, 0.8]))
 
 
 @pytest.mark.parametrize("n_nodes, rate", [(2, None), (37, None), (731, None), (731, 1e4), (731, 0.0)],
@@ -254,7 +260,8 @@ def test_delay_exponential_mean():
     law = DelayLaw(alpha0=0.0, density=ExponentialDelay(2.0))
     rng = np.random.default_rng(11)
     n = 100_000
-    draws = law.sample_many(rng, n)
+    draws = np.zeros(n)
+    law.add_to(rng, draws)
     assert abs(draws.mean() - 0.5) <= 3.0 * 0.5 / math.sqrt(n)
 
 
@@ -262,7 +269,8 @@ def test_delay_atom_fraction():
     law = DelayLaw(alpha0=0.3, density=ExponentialDelay(2.0))
     rng = np.random.default_rng(13)
     n = 100_000
-    draws = law.sample_many(rng, n)
+    draws = np.zeros(n)
+    law.add_to(rng, draws)
     frac = float(np.mean(draws == 0.0))
     assert abs(frac - 0.3) <= 0.0045
 
@@ -275,7 +283,8 @@ def test_delay_sample_many_draw_layout(alpha0):
     law = DelayLaw(alpha0=alpha0, density=density)
     shape = (7, 5)
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    draws = law.sample_many(rng, shape)
+    draws = np.zeros(shape)
+    law.add_to(rng, draws)
     if alpha0 == 1.0:
         expected = np.zeros(shape)
     elif alpha0 == 0.0:
@@ -567,6 +576,11 @@ def test_portfolio_deterministic_given_seed():
     assert a != c
 
 
+def test_portfolio_refuses_an_empty_book():
+    with pytest.raises(ConfigurationError, match="portfolio size must be >= 1, got 0"):
+        simulate_portfolio(0, _unit_path(), *_laws(), horizon=2.0, seed=42)
+
+
 def test_portfolio_record_invariants():
     path = _unit_path()
     delay, fm, dev = _laws()
@@ -683,6 +697,8 @@ def test_claim_record_validation():
         ClaimRecord(accident_time=math.inf, delay=0.1)
     with pytest.raises(ConfigurationError):
         ClaimRecord(accident_time=1.0, delay=0.5, report_time=1.4, first_mark=1.0)
+    with pytest.raises(ConfigurationError, match="occurred claims need a nonnegative delay"):
+        ClaimRecord(accident_time=1.0, delay=-0.5, report_time=0.5, first_mark=1.0)
     with pytest.raises(ConfigurationError):
         ClaimRecord(accident_time=1.0, delay=0.5, report_time=1.5, first_mark=1.0,
                     developments=((0.3, 1.0), (0.3, 2.0)))
@@ -819,6 +835,8 @@ def test_state_from_counts_bounds():
         PortfolioState.from_counts(1.0, 10, -1)
     with pytest.raises(ConfigurationError):
         PortfolioState.from_counts(1.0, 10, 11)
+    with pytest.raises(ConfigurationError, match="portfolio size must be >= 0"):
+        PortfolioState.from_counts(1.0, -1, 0)
 
 
 def test_state_count_must_match_visible_claims():
@@ -829,3 +847,5 @@ def test_state_count_must_match_visible_claims():
         PortfolioState(as_of=2.0, n_policies=3, visible=visible, reported_count=2)
     with pytest.raises(ConfigurationError):
         PortfolioState(as_of=2.0, n_policies=0, visible=visible)
+    with pytest.raises(ConfigurationError, match="reported by the observation time"):
+        PortfolioState(as_of=0.5, n_policies=3, visible=visible)  # reported at 1.0

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import claimflow
 from claimflow import (
     ConstantIntensity,
+    DegenerateStateError,
     DelayLaw,
     DeterministicDeflator,
     DevelopmentLaw,
@@ -89,13 +90,22 @@ def test_unknown_fields_rejected():
     with pytest.raises(SchemaError) as err:
         parse_config(json.dumps(nested))
     assert err.value.field == "intensity.nu"
+    for field, override in [
+        ("intensity.kind", {"intensity": {"kind": "linear", "mu": 1.0}}),
+        ("first_mark.kind", {"first_mark": {"mean": 1.0, "kind": "pareto"}}),
+        ("development.mark_kind", {"development": {"rate": 1.0, "mark_mean": 0.5, "mark_kind": "pareto"}}),
+    ]:
+        with pytest.raises(SchemaError, match="must be one of") as err:
+            parse_config(json.dumps(_scenario(**override)))
+        assert err.value.field == field
 
 
 @pytest.mark.parametrize("field, override", [
     ("intensity", {"intensity": "constant"}),
     ("delay.density", {"delay": {"alpha0": 0.2, "density": ["kind"]}}),
     ("market", {"market": 5}),
-], ids=["intensity", "density", "market"])
+    ("grid", {"grid": 3}),
+], ids=["intensity", "density", "market", "grid"])
 def test_a_section_that_dispatches_on_kind_must_be_an_object(field, override):
     with pytest.raises(SchemaError) as err:
         parse_config(json.dumps(_scenario(**override)))
@@ -517,6 +527,35 @@ def test_oracle_development_beyond_array_bound_exits_one(tmp_path, capsys):
         assert "config error at development.rate:" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
     assert _run_main(config, tmp_path / "out", "--analytic-only") == 0
+
+
+def _all_reported_example(tmp_path):
+    """The example book valued at t = 0.1 with all 8 policies reported, on
+    200 paths: no path realizes that count, so the oracle's bucket is empty."""
+    example = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+    example["market"] = {"kind": "deterministic", "level": 1.0}
+    example["valuation"]["t"] = 0.1
+    example["portfolio"]["reported_count"] = 8
+    example["mc"]["n_paths"] = 200
+    return _write(tmp_path, example)
+
+
+@pytest.mark.parametrize("flag", ["--validate", "--mc-only"])
+def test_too_small_oracle_bucket_exits_one_naming_n_paths(tmp_path, capsys, flag):
+    assert _run_main(_all_reported_example(tmp_path), tmp_path / "out", flag) == 1
+    assert ("config error at mc.n_paths: only 0 of 200 paths realized a reported count of 8; "
+            "need at least 100") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_analytic_error_takes_precedence_over_a_too_small_bucket(tmp_path, capsys, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateStateError("no surviving mass")
+    monkeypatch.setattr(cli, "reserve", degenerate)
+    assert _run_main(_all_reported_example(tmp_path), tmp_path / "out", "--validate") == 1
+    err = capsys.readouterr().err
+    assert "error: no surviving mass" in err and "mc.n_paths" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("overrides, field", [

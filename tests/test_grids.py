@@ -1,4 +1,6 @@
 """Grid construction and lookup."""
+import math
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,11 @@ def test_invalid_grids_rejected():
         TimeGrid.regular(0.0)
     with pytest.raises(ConfigurationError):
         TimeGrid.regular(1.0, step=-0.1)
-    with pytest.raises(ConfigurationError):
-        TimeGrid.regular(1.0, t0=-0.5)
+    # t_end / step overflows to inf in both: not a bare OverflowError.
+    with pytest.raises(ConfigurationError, match="too many cells"):
+        TimeGrid.regular(math.inf)
+    with pytest.raises(ConfigurationError, match="too many cells"):
+        TimeGrid.regular(1.0, 1e-320)
 
 
 def test_require_inside_bounds():

@@ -123,6 +123,9 @@ def test_log_ou_parameter_validation():
         LogOUIntensity(mean_rev=1.0, long_run_log_level=0.0, vol=-0.5, init=1.0)
     with pytest.raises(ConfigurationError):
         LogOUIntensity(mean_rev=1.0, long_run_log_level=0.0, vol=0.5, init=0.0)
+    model = LogOUIntensity(mean_rev=1.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+    with pytest.raises(ConfigurationError, match="stochastic intensity needs a random generator"):
+        model.values(TimeGrid.regular(1.0))
 
 
 def _path_major_log_levels(model, grid, normals):

@@ -118,6 +118,8 @@ def test_cashflow_empty_window():
     path = _unit_market()
     claim = _claim(1.0, 2.0)
     assert benchmarked_cashflow([claim], path, 1.5, 2.0) == 0.0
+    with pytest.raises(ConfigurationError, match="window start 2.0 exceeds end 1.5"):
+        benchmarked_cashflow([claim], path, 2.0, 1.5)
 
 
 def test_cashflow_single_payment():

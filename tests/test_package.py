@@ -82,3 +82,10 @@ def test_dead_name_gate_sees_an_unread_private_name():
         "b.py": "from .a import _helper\n\nvalue = _helper()\n",
     }
     assert _dead_private_names(sources) == ["a.py: _SPARE (line 2)", "a.py: _Gone (line 7)"]
+
+
+def test_readme_python_example_runs_as_written(capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert "passed=True" in capsys.readouterr().out

@@ -39,7 +39,7 @@ from claimflow import (
 )
 from claimflow import intensity, pricing
 from claimflow.cli import parse_config
-from claimflow.intensity import trapezoid_hazard
+from claimflow.intensity import IntensityPath, draw_hazard_chunks, trapezoid_hazard
 from claimflow.pricing import (
     _ESTIMATE_DRAWS,
     _bracket_functional,
@@ -581,8 +581,8 @@ def _trapezoid_payout(path, delay, fm, dev, t, T):
     def psi(u):
         return fm.mean + dev.rate * dev.mark_mean * (T - u)
 
-    i_lo = min(max(int(math.ceil((t - grid.t0) / grid.step - 1e-12)), 0), grid.n_cells)
-    i_hi = min(max(int(math.floor((T - grid.t0) / grid.step + 1e-12)), 0), grid.n_cells)
+    i_lo = min(max(int(math.ceil(t / grid.step - 1e-12)), 0), grid.n_cells)
+    i_hi = min(max(int(math.floor(T / grid.step + 1e-12)), 0), grid.n_cells)
     if i_lo > i_hi:
         d_t, d_T = reporting_density(path, delay, t), reporting_density(path, delay, T)
         return 0.5 * (psi(t) * d_t + psi(T) * d_T) * (T - t)
@@ -627,6 +627,8 @@ def test_reserve_rejects_out_of_range_times():
     state = PortfolioState.from_counts(0.0, 4, 0)
     with pytest.raises(GridRangeError):
         reserve(state, _unit_path(), delay, fm, dev, 5.0)
+    with pytest.raises(ConfigurationError, match="valuation time 1.5 exceeds horizon 1.0"):
+        reserve(PortfolioState.from_counts(1.5, 4, 0), _unit_path(), delay, fm, dev, 1.0)
 
 
 def test_stochastic_reserve_reproducible_and_reports_error():
@@ -677,13 +679,15 @@ def _unchunked_stochastic_reserve(model, delay, fm, dev, T, grid, draws, seed, n
     return n * float(np.mean(brackets)), n * se
 
 
-@pytest.mark.parametrize("alpha0", [0.0, 0.2])
+@pytest.mark.parametrize("alpha0", [0.0, 0.2, 1.0])
 def test_stochastic_reserve_chunks_match_one_pass(alpha0):
     # Draw counts around the error estimate's 1,024 draws: the streamed
-    # outer average must equal the one-pass formula bit for bit.
+    # outer average must equal the one-pass formula bit for bit.  At
+    # alpha0 = 1 (instant reporting) there is no density bracket.
     assert _ESTIMATE_DRAWS == 1024
     model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
-    delay = DelayLaw(alpha0=alpha0, density=ExponentialDelay(2.0))
+    density = None if alpha0 == 1.0 else ExponentialDelay(2.0)
+    delay = DelayLaw(alpha0=alpha0, density=density)
     fm = MarkLaw(mean=1.0, kind="exponential")
     dev = DevelopmentLaw(rate=1.5, mark=MarkLaw(mean=0.5, kind="exponential"))
     grid = TimeGrid.regular(1.0, step=1 / 52)
@@ -693,6 +697,13 @@ def test_stochastic_reserve_chunks_match_one_pass(alpha0):
                          intensity_draws=draws, seed=3)
         expected = _unchunked_stochastic_reserve(model, delay, fm, dev, 1.0, grid, draws, 3, 64)
         assert (result.total, result.diagnostics["outer_std_error"]) == expected
+    # The outer average is the mean of the deterministic reserve on the same drawn paths.
+    result = reserve(state, model, delay, fm, dev, 1.0, grid=grid, intensity_draws=300, seed=3)
+    totals = []
+    for _, mu, gamma in draw_hazard_chunks(model, grid, substream(3, 0x1A7E), 300):
+        totals += [reserve(state, IntensityPath(grid=grid, mu=m, gamma=g), delay, fm, dev, 1.0).total
+                   for m, g in zip(mu, gamma)]
+    assert result.total == pytest.approx(np.mean(totals), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("cells", [365, 9000])
@@ -929,7 +940,7 @@ def _reference_reporting_cdf(path, delay, t):
     plain-float path must reproduce bit for bit."""
     grid = path.grid
     grid.require_inside(t)
-    i = min(int(round((t - grid.t0) / grid.step)), grid.n_cells)
+    i = min(int(round(t / grid.step)), grid.n_cells)
     if grid.points[i] != t:
         return pricing._stieltjes(path, t, lambda s: delay.cdf(t - s))
     if i == 0:
@@ -948,8 +959,8 @@ def _reference_payout_integral(path, delay, first_mark, dev, t, T, end=None):
     def psi(u):
         return first_mark.mean + c * (T - u)
 
-    i_lo = int(math.ceil((t - grid.t0) / grid.step - 1e-12))
-    i_hi = int(math.floor((end - grid.t0) / grid.step + 1e-12))
+    i_lo = int(math.ceil(t / grid.step - 1e-12))
+    i_hi = int(math.floor(end / grid.step + 1e-12))
     i_lo = min(max(i_lo, 0), grid.n_cells)
     i_hi = min(max(i_hi, 0), grid.n_cells)
     if i_lo > i_hi:
