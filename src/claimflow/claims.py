@@ -520,7 +520,8 @@ class PortfolioState:
 # ---------------------------------------------------------------------------
 
 def invert_hazard(path: IntensityPath, threshold: float) -> float:
-    """First time the cumulative hazard reaches ``threshold``, or inf.
+    """First time the cumulative hazard reaches ``threshold``, or inf (also
+    for a NaN threshold).
 
     Linear interpolation between grid nodes; this is the exact inverse of
     the law implied by the discretized hazard.  It is the scalar reference
@@ -528,7 +529,7 @@ def invert_hazard(path: IntensityPath, threshold: float) -> float:
     hazard.
     """
     gamma = path.gamma
-    if threshold > gamma[-1]:
+    if not threshold <= gamma[-1]:
         return math.inf
     if threshold <= 0.0:
         return float(path.grid.points[0])
@@ -608,7 +609,7 @@ def _invert_gamma_rows(gamma: np.ndarray, points: np.ndarray, e: np.ndarray) -> 
     pass takes microseconds, too little for threads to overlap much.  It runs
     only for the thresholds at or below their row's total hazard; the
     others never cross and stay inf.  On grid nodes this agrees element by
-    element with the scalar ``invert_hazard`` for nonnegative thresholds.
+    element with the scalar ``invert_hazard`` for nonnegative and NaN thresholds.
     """
     if gamma.ndim == 1:
         idx = gamma.searchsorted(e)

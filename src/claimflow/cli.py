@@ -15,9 +15,12 @@ oracle, or both with a cross-check) and writes
 ``parse_config`` only translates JSON (shapes, types, finiteness, each
 ``kind``) into one ``ScenarioConfig``: an ``McConfig``, the book both legs
 read, plus four CLI fields (``sha256``, ``intensity_draws``,
-``report_name``, ``curve_name``).  Each bound is stated once, as a
-``SchemaError``, by the record that owns its field; a law record's refusal
-of its attribute is re-raised under the field's JSON path.  Under
+``report_name``, ``curve_name``).  One table, ``_KINDS``, maps each kind of
+a section that dispatches on it to its law record and its required and
+optional keys, and one reader builds every law record; an absent optional
+key is not passed, so the record's own default applies.  Each bound is
+stated once, as a ``SchemaError``, by the record that owns its field; a law
+record's refusal of its attribute is re-raised under the field's JSON path.  Under
 ``--validate`` or ``--mc-only``, ``check_oracle_bounds`` (which
 ``mc_reserve`` also enforces) refuses a book too large for the oracle
 before any pricing; ``--analytic-only`` never calls it.
@@ -50,13 +53,12 @@ from .errors import ClaimflowError, InsufficientDataError, SchemaError, Unsuppor
 from .grids import DEFAULT_STEP, TimeGrid
 from .intensity import (
     ConstantIntensity,
-    IntensityModel,
     LogOUIntensity,
     PiecewiseConstantIntensity,
     is_deterministic,
     simulate_intensity_path,
 )
-from .market import DeterministicDeflator, MarketModel, MartingaleDeflator
+from .market import DeterministicDeflator, MartingaleDeflator
 from .mc import (
     MAX_PATH_GRID_VALUES,
     Z_THRESHOLD,
@@ -172,14 +174,35 @@ def _string(node: dict, key: str, where: str, *, default: Any = _MISSING) -> str
     return _field(node, key, where, default, lambda v: isinstance(v, str), "a string")
 
 
-def _kind(node: Any, where: str, choices: tuple[str, ...]) -> str:
-    """The ``kind`` of an object that dispatches on it."""
-    if not isinstance(node, dict):
-        raise SchemaError(where, f"expected an object, got {type(node).__name__}")
-    kind = _string(node, "kind", where)
-    if kind not in choices:
-        raise SchemaError(f"{where}.kind", f"must be one of {choices}, got {kind!r}")
-    return kind
+def _numbers(node: dict, key: str, where: str) -> tuple:
+    value = node[key]
+    if not isinstance(value, list) or not all(map(_is_finite_number, value)):
+        raise SchemaError(_join(where, key), "expected a list of finite numbers")
+    return tuple(value)
+
+
+#: The reader of each key whose value is not a finite number.
+_READERS: dict[str, Callable[[dict, str, str], Any]] = {
+    "breakpoints": _numbers, "rates": _numbers, "kind": _string, "mark_kind": _string}
+
+#: For each section that dispatches on ``kind``: each kind's record, its
+#: required keys and its optional keys, in the order they are read.  A new
+#: kind is one row.
+_KINDS: dict[str, dict[str, tuple[type, tuple[str, ...], tuple[str, ...]]]] = {
+    "intensity": {
+        "constant": (ConstantIntensity, ("mu",), ()),
+        "piecewise": (PiecewiseConstantIntensity, ("breakpoints", "rates"), ()),
+        "log_ou": (LogOUIntensity, ("mean_rev", "long_run_log_level", "vol", "init"), ()),
+    },
+    "delay.density": {
+        "exponential": (ExponentialDelay, ("rate",), ()),
+        "gamma": (GammaDelay, ("shape", "rate"), ()),
+    },
+    "market": {
+        "deterministic": (DeterministicDeflator, (), ("level",)),
+        "martingale": (MartingaleDeflator, ("init", "vol"), ("corr_with_intensity",)),
+    },
+}
 
 
 def _build(where: str, record: type, keys: dict[str, str], **values: Any) -> Any:
@@ -191,65 +214,29 @@ def _build(where: str, record: type, keys: dict[str, str], **values: Any) -> Any
         raise SchemaError(f"{where}.{keys.get(exc.field, exc.field)}", exc.reason) from None
 
 
-def _parse_intensity(node: Any) -> IntensityModel:
-    where = "intensity"
-    kind = _kind(node, where, ("constant", "piecewise", "log_ou"))
-    if kind == "constant":
-        _check_keys(node, where, ("kind", "mu"))
-        return _build(where, ConstantIntensity, {}, mu=_number(node, "mu", where))
-    if kind == "piecewise":
-        _check_keys(node, where, ("kind", "breakpoints", "rates"))
-        bp = node["breakpoints"]
-        ra = node["rates"]
-        if not isinstance(bp, list) or not all(map(_is_finite_number, bp)):
-            raise SchemaError(f"{where}.breakpoints", "expected a list of finite numbers")
-        if not isinstance(ra, list) or not all(map(_is_finite_number, ra)):
-            raise SchemaError(f"{where}.rates", "expected a list of finite numbers")
-        return _build(where, PiecewiseConstantIntensity, {}, breakpoints=tuple(bp), rates=tuple(ra))
-    names = ("mean_rev", "long_run_log_level", "vol", "init")
-    _check_keys(node, where, ("kind", *names))
-    return _build(where, LogOUIntensity, {}, **{key: _number(node, key, where) for key in names})
+def _record(node: dict, where: str, record: type, names: tuple[str, ...], keys: dict[str, str]) -> Any:
+    """``record`` built from those of its attributes ``names`` whose keys
+    (``keys``, by default the name) ``node`` holds; an absent one is not
+    passed, so it takes the record's default."""
+    values = {}
+    for name in names:
+        key = keys.get(name, name)
+        if key in node:
+            values[name] = _READERS.get(key, _number)(node, key, where)
+    return _build(where, record, keys, **values)
 
 
-def _parse_delay(node: Any) -> DelayLaw:
-    where = "delay"
-    _check_keys(node, where, ("alpha0",), ("density",))
-    alpha0 = _number(node, "alpha0", where)
-    density_node = node.get("density")
-    density = None
-    if density_node is not None:
-        dwhere = f"{where}.density"
-        if _kind(density_node, dwhere, ("exponential", "gamma")) == "exponential":
-            _check_keys(density_node, dwhere, ("kind", "rate"))
-            density = _build(dwhere, ExponentialDelay, {}, rate=_number(density_node, "rate", dwhere))
-        else:
-            _check_keys(density_node, dwhere, ("kind", "shape", "rate"))
-            density = _build(dwhere, GammaDelay, {}, shape=_number(density_node, "shape", dwhere),
-                             rate=_number(density_node, "rate", dwhere))
-    return _build(where, DelayLaw, {}, alpha0=alpha0, density=density)
-
-
-def _parse_mark(node: Any, where: str) -> MarkLaw:
-    # The development section prefixes its mark's mean and kind with "mark_".
-    keys = {"mean": "mark_mean", "kind": "mark_kind"} if where == "development" else {}
-    return _build(where, MarkLaw, keys,
-                  mean=_number(node, keys.get("mean", "mean"), where),
-                  kind=_string(node, keys.get("kind", "kind"), where, default="deterministic"),
-                  sigma_ln=_number(node, "sigma_ln", where, default=0.0))
-
-
-def _parse_market(node: Any) -> MarketModel:
-    where = "market"
-    if node is None:
-        return DeterministicDeflator(1.0)
-    if _kind(node, where, ("deterministic", "martingale")) == "deterministic":
-        _check_keys(node, where, ("kind",), ("level",))
-        return _build(where, DeterministicDeflator, {}, level=_number(node, "level", where, default=1.0))
-    _check_keys(node, where, ("kind", "init", "vol"), ("corr_with_intensity",))
-    return _build(where, MartingaleDeflator, {},
-                  init=_number(node, "init", where),
-                  vol=_number(node, "vol", where),
-                  corr_with_intensity=_number(node, "corr_with_intensity", where, default=0.0))
+def _by_kind(node: Any, where: str) -> Any:
+    """The record of the object at ``where``, as its ``kind`` names in ``_KINDS``."""
+    kinds = _KINDS[where]
+    if not isinstance(node, dict):
+        raise SchemaError(where, f"expected an object, got {type(node).__name__}")
+    kind = _string(node, "kind", where)
+    if kind not in kinds:
+        raise SchemaError(f"{where}.kind", f"must be one of {tuple(kinds)}, got {kind!r}")
+    record, required, optional = kinds[kind]
+    _check_keys(node, where, ("kind", *required), optional)
+    return _record(node, where, record, required + optional, {})
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -275,19 +262,28 @@ def parse_config(text: str) -> ScenarioConfig:
     _check_keys(grid_node, "grid", (), ("step",))
     grid_step = _number(grid_node, "step", "grid", default=DEFAULT_STEP)
 
-    intensity = _parse_intensity(root["intensity"])
-    delay = _parse_delay(root["delay"])
+    intensity = _by_kind(root["intensity"], "intensity")
+
+    delay_node = root["delay"]
+    _check_keys(delay_node, "delay", ("alpha0",), ("density",))
+    alpha0 = _number(delay_node, "alpha0", "delay")
+    density = delay_node.get("density")
+    delay = _build("delay", DelayLaw, {}, alpha0=alpha0,
+                   density=None if density is None else _by_kind(density, "delay.density"))
 
     fm_node = root["first_mark"]
     _check_keys(fm_node, "first_mark", ("mean",), ("kind", "sigma_ln"))
-    first_mark = _parse_mark(fm_node, "first_mark")
+    first_mark = _record(fm_node, "first_mark", MarkLaw, ("mean", "kind", "sigma_ln"), {})
 
     dev_node = root["development"]
     _check_keys(dev_node, "development", ("rate", "mark_mean"), ("mark_kind", "sigma_ln"))
+    # The development section prefixes its mark's mean and kind with "mark_".
     development = _build("development", DevelopmentLaw, {}, rate=_number(dev_node, "rate", "development"),
-                         mark=_parse_mark(dev_node, "development"))
+                         mark=_record(dev_node, "development", MarkLaw, ("mean", "kind", "sigma_ln"),
+                                      {"mean": "mark_mean", "kind": "mark_kind"}))
 
-    market = _parse_market(root.get("market"))
+    market_node = root.get("market")
+    market = DeterministicDeflator() if market_node is None else _by_kind(market_node, "market")
 
     pf_node = root["portfolio"]
     _check_keys(pf_node, "portfolio", ("n",), ("reported_count",))

@@ -90,8 +90,9 @@ def constant_level(model: MarketModel) -> float | None:
 
 
 def correlated_with_intensity(model: MarketModel) -> bool:
-    """True for a martingale deflator that shares the intensity's grid noise."""
-    return isinstance(model, MartingaleDeflator) and model.corr_with_intensity != 0.0
+    """True for a moving martingale deflator that shares the intensity's grid
+    noise; at ``vol = 0`` the deflator is constant, whatever its correlation."""
+    return isinstance(model, MartingaleDeflator) and model.vol > 0.0 and model.corr_with_intensity != 0.0
 
 
 def collapses_to_spot(model: MarketModel) -> bool:

@@ -246,9 +246,6 @@ class AgreementCase:
         return reserve(state, b.intensity, b.delay, b.first_mark, b.development, b.T,
                        market=b.market, intensity_draws=self.intensity_draws, seed=b.seed + 1)
 
-    def mc(self, threads: int = 1):
-        return mc_reserve(self.book, threads=threads)
-
 
 AGREEMENT_CASES: tuple[AgreementCase, ...] = (
     AgreementCase("life_reduction", McConfig(
@@ -300,7 +297,7 @@ def check_mc_agreement(threads: int = 1) -> list[CheckResult]:
     out = []
     for case in AGREEMENT_CASES:
         analytic = case.analytic()
-        estimate = case.mc(threads=threads)
+        estimate = mc_reserve(case.book, threads=threads)
         report = compare(analytic, estimate)
         out.append(_result(
             f"mc_agreement_{case.name}", report.passed,

@@ -86,7 +86,7 @@ def test_invert_gamma_rows_shared_hazard_matches_scalar_inverter(n_nodes, rate):
     # One hazard shared by every threshold: the record simulator's case.
     # Random increments with flat stretches, or a constant rate: stiff
     # (mu = 1e4) or zero everywhere.  Thresholds at 0, at every node, at
-    # Gamma_T, one ulp above it and beyond it.
+    # Gamma_T, one ulp above it, beyond it and NaN.
     rng = np.random.default_rng(12)
     grid = TimeGrid.regular(2.0, step=2.0 / (n_nodes - 1))
     increments = rng.exponential(0.1, size=n_nodes - 1)
@@ -99,7 +99,7 @@ def test_invert_gamma_rows_shared_hazard_matches_scalar_inverter(n_nodes, rate):
     path = IntensityPath(grid=grid, mu=np.zeros(n_nodes), gamma=gamma)
     e = rng.uniform(0.0, 1.3 * gamma[-1], size=200)
     e[:4] = (gamma[-1] * 1.01 + 1e-9, gamma[-1], gamma[n_nodes // 2], 0.0)
-    e = np.concatenate([e, gamma, [np.nextafter(gamma[-1], np.inf)]])
+    e = np.concatenate([e, gamma, [np.nextafter(gamma[-1], np.inf), np.nan]])
     out = _invert_gamma_rows(gamma, grid.points, e)
     expected = np.array([invert_hazard(path, float(x)) for x in e])
     assert np.isinf(out[0])

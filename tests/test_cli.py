@@ -1,10 +1,13 @@
 """Scenario configs, report files, exit codes."""
+import contextlib
 import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,10 +22,12 @@ from claimflow import (
     DeterministicDeflator,
     DevelopmentLaw,
     ExponentialDelay,
+    GammaDelay,
     LogOUIntensity,
     MarkLaw,
     MartingaleDeflator,
     McConfig,
+    PiecewiseConstantIntensity,
     SchemaError,
     cli,
     pricing,
@@ -110,6 +115,36 @@ def test_a_section_that_dispatches_on_kind_must_be_an_object(field, override):
     with pytest.raises(SchemaError) as err:
         parse_config(json.dumps(_scenario(**override)))
     assert err.value.field == field
+
+
+_ABSENT = object()
+
+
+@pytest.mark.parametrize("section, node, record", [
+    ("intensity", {"kind": "constant", "mu": 2}, ConstantIntensity(2.0)),
+    ("intensity", {"kind": "piecewise", "breakpoints": [1], "rates": [0.8, 1.2]},
+     PiecewiseConstantIntensity(breakpoints=(1.0,), rates=(0.8, 1.2))),
+    ("intensity", {"kind": "log_ou", "mean_rev": 2, "long_run_log_level": 0, "vol": 0.5, "init": 1},
+     LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)),
+    ("delay", {"alpha0": 0.2, "density": {"kind": "exponential", "rate": 2}},
+     DelayLaw(alpha0=0.2, density=ExponentialDelay(2.0))),
+    ("delay", {"alpha0": 0.2, "density": {"kind": "gamma", "shape": 2.3, "rate": 2}},
+     DelayLaw(alpha0=0.2, density=GammaDelay(2.3, 2.0))),
+    ("delay", {"alpha0": 1}, DelayLaw(alpha0=1.0)),
+    ("market", {"kind": "deterministic"}, DeterministicDeflator()),
+    ("market", {"kind": "martingale", "init": 1, "vol": 0.2}, MartingaleDeflator(init=1.0, vol=0.2)),
+    ("market", None, DeterministicDeflator()),
+    ("market", _ABSENT, DeterministicDeflator()),
+    ("first_mark", {"mean": 2}, MarkLaw(mean=2.0)),
+    ("development", {"rate": 1, "mark_mean": 0.5}, DevelopmentLaw(rate=1.0, mark=MarkLaw(mean=0.5))),
+], ids=["constant", "piecewise", "log_ou", "exponential", "gamma", "no-density", "deterministic",
+        "martingale", "null-market", "no-market", "first_mark", "development"])
+def test_each_kind_parses_with_its_optional_keys_absent(section, node, record):
+    # An absent optional key takes the record's own default.
+    config = _scenario(**{section: node})
+    if node is _ABSENT:
+        del config[section]
+    assert getattr(parse_config(json.dumps(config)), section) == record
 
 
 def test_missing_required_field():
@@ -200,6 +235,34 @@ def test_one_mutated_number_parses_or_names_its_field(path, value):
     except SchemaError as exc:
         field = ".".join(path)
         assert exc.field in (field, _NAMED_INSTEAD.get(field))
+
+
+_EXTREMES = [0, 1, -1, 0.5, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308, 2**53 + 1, 2**63, -(2**63)]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(path=st.sampled_from(sorted(_number_paths(_EXAMPLE))),
+       value=st.sampled_from(_EXTREMES) | st.floats(allow_nan=False, allow_infinity=False) | st.integers())
+def test_one_mutated_number_prices_or_exits_cleanly(path, value):
+    # The analytic leg end to end: exit 0 with a finite report, 1 naming a
+    # field, or 3 for a regime outside the closed form; never a traceback.
+    config = copy.deepcopy(_EXAMPLE)
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "scenario.json"
+        config_path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_scenario(config_path, Path(tmp) / "out", analytic_only=True)
+        assert code in (0, 1, 3), err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("config error at "), err.getvalue()
+        if code == 0:
+            report = (Path(tmp) / "out" / config["output"]["report"]).read_text()
+            assert "NaN" not in report and "Infinity" not in report
 
 
 @pytest.mark.parametrize("literal", ["1e400", "1" * 400], ids=["float", "integer"])
@@ -419,6 +482,23 @@ def test_run_mc_only_handles_correlated_regime(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["analytic"] is None
     assert report["mc"]["mean"] > 0.0
+
+
+def test_a_deflator_that_never_moves_is_not_correlated(tmp_path):
+    # At vol = 0 the deflator is constant, so its correlation is ignored:
+    # both runs price, with the same bytes but for the config hash.
+    outputs = []
+    for corr in (0.5, 0.0):
+        market = {"kind": "martingale", "init": 1.0, "vol": 0.0, "corr_with_intensity": corr}
+        config = _write(tmp_path, _scenario(grid={"step": 1.0 / 365.0}, intensity=_LOG_OU, market=market,
+                                            mc={"n_paths": 2000, "intensity_draws": 1024}))
+        out = tmp_path / f"out{corr}"
+        assert run_scenario(config, out, analytic_only=True) == 0
+        assert run_scenario(config, out, validate=True) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["config_sha256"]
+        outputs.append((report, (out / "curve.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 _LOG_OU = {"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": 0.0, "vol": 0.5, "init": 1.0}
