@@ -3,7 +3,8 @@
 Every stochastic entry point takes an explicit seed; independence between
 policies, purposes and Monte Carlo blocks comes from keyed streams, never
 from draw order.  ``substream`` keys a PCG64 by ``SeedSequence`` spawning;
-oracle blocks, the stochastic reserve and the curve path use it.
+oracle blocks and the stochastic reserve's outer draws, whose effective
+path is a stochastic book's curve, use it.
 
 Each policy of ``simulate_portfolio`` draws from a counter-based Philox
 stream instead, whose 128-bit key needs no hashing to separate streams

@@ -343,6 +343,10 @@ class DelayLaw:
 
 MARK_KINDS = ("deterministic", "exponential", "lognormal")
 
+#: Largest log-space standard deviation of a mark: the lognormal's log-space
+#: mean, log(mean) - sigma_ln^2 / 2, overflows past about 1.34e154.
+MAX_SIGMA_LN = 1e154
+
 
 @dataclass(frozen=True)
 class MarkLaw:
@@ -361,8 +365,8 @@ class MarkLaw:
             raise SchemaError("mean", f"must be finite and > 0, got {self.mean}")
         if self.kind not in MARK_KINDS:
             raise SchemaError("kind", f"must be one of {MARK_KINDS}, got {self.kind!r}")
-        if not 0.0 <= self.sigma_ln < math.inf:
-            raise SchemaError("sigma_ln", f"must be finite and >= 0, got {self.sigma_ln}")
+        if not 0.0 <= self.sigma_ln <= MAX_SIGMA_LN:
+            raise SchemaError("sigma_ln", f"must be >= 0 and <= {MAX_SIGMA_LN}, got {self.sigma_ln}")
         # The lognormal's log-space mean, set once; not a field, so equality
         # and hashing see only the three fields above.
         object.__setattr__(self, "_mu_ln", math.log(self.mean) - 0.5 * self.sigma_ln ** 2)

@@ -10,7 +10,8 @@ oracle, or both with a cross-check) and writes
   stdout only so identical runs produce identical bytes), and
 * ``curve.csv``: the reporting probability, its density, the unreported
   backlog probability and the no-accident probability on the grid
-  (RFC 4180, 12 significant digits).
+  (RFC 4180, 12 significant digits), along the path the reserve prices: for
+  a stochastic book the mean law of its draws (``pricing.effective_path``).
 
 ``parse_config`` only translates JSON (shapes, types, finiteness, each
 ``kind``) into one ``ScenarioConfig``: an ``McConfig``, the book both legs
@@ -71,19 +72,15 @@ from .mc import (
 from .pricing import (
     ReserveResult,
     check_reserve_regime,
+    effective_path,
     ibnr_probability,
     reporting_cdf,
     reporting_curve,
     reporting_density,
     reserve,
 )
-from ._rng import substream
 
 SCHEMA_VERSION = 1
-
-# Substream purpose for the representative curve path under a stochastic
-# intensity; distinct from every other purpose in the package.
-_STREAM_CURVE = 0xC4E
 
 _MISSING = object()
 
@@ -396,18 +393,13 @@ def run_scenario(
 
     out_dir = Path(out_dir)
     grid = cfg.grid()
-    curve_seed = substream(cfg.seed, _STREAM_CURVE) if stochastic else 0
-    curve_path = simulate_intensity_path(cfg.intensity, grid, seed=curve_seed)
-    curve = reporting_curve(curve_path, cfg.delay)
 
     def price() -> tuple[ReserveResult, float]:
         """The analytic reserve and its wall time."""
         t0 = time.perf_counter()
-        # A deterministic intensity is priced on the curve's path, whose
-        # node density reporting_curve has already memoized.
         result = reserve(
             PortfolioState.from_counts(cfg.t, cfg.n_policies, cfg.reported_count),
-            cfg.intensity if stochastic else curve_path, cfg.delay, cfg.first_mark,
+            cfg.intensity, cfg.delay, cfg.first_mark,
             cfg.development, cfg.T, market=cfg.market, grid=grid,
             intensity_draws=cfg.intensity_draws, seed=cfg.seed)
         return result, time.perf_counter() - t0
@@ -450,6 +442,14 @@ def run_scenario(
 
     if analytic_result is not None and mc_estimate is not None:
         comparison = compare(analytic_result, mc_estimate)
+    # The curve is along the path the reserve priced, built the same way under --mc-only.
+    if analytic_result is not None:
+        path = analytic_result.path
+    elif stochastic:
+        path = effective_path(cfg.intensity, grid, cfg.intensity_draws, cfg.seed)[0]
+    else:
+        path = simulate_intensity_path(cfg.intensity, grid)
+    curve = reporting_curve(path, cfg.delay)
 
     # No execution details (threads, wall clock) in the file: identical
     # configs and seeds must produce identical bytes.
@@ -460,15 +460,15 @@ def run_scenario(
         "grid": {"t0": 0.0, "t_end": cfg.T, "step": grid.step, "n_points": grid.n_cells + 1},
         "valuation": {"t": cfg.t, "T": cfg.T, "n_policies": cfg.n_policies,
                       "reported_count": cfg.reported_count},
-        "curve_intensity": "representative sampled path" if stochastic else "deterministic path",
+        "curve_intensity": "mean law of the intensity draws" if stochastic else "deterministic path",
         "analytic": None,
         "mc": None,
         "comparison": None,
         "curve_at_t": {
-            "reporting_cdf": reporting_cdf(curve_path, cfg.delay, cfg.t),
-            "reporting_density": reporting_density(curve_path, cfg.delay, cfg.t),
-            "ibnr_prob": ibnr_probability(curve_path, cfg.delay, cfg.t),
-            "survival": curve_path.survival(cfg.t),
+            "reporting_cdf": reporting_cdf(path, cfg.delay, cfg.t),
+            "reporting_density": reporting_density(path, cfg.delay, cfg.t),
+            "ibnr_prob": ibnr_probability(path, cfg.delay, cfg.t),
+            "survival": path.survival(cfg.t),
         },
     }
     if analytic_result is not None:

@@ -201,7 +201,7 @@ class IntensityPath:
         if self.gamma[0] != 0.0:
             raise ConfigurationError(
                 f"hazard must start at 0 on the first grid point, got gamma[0] = {self.gamma[0]}")
-        if np.any(np.diff(self.gamma) < 0.0):
+        if np.any(self.gamma[1:] < self.gamma[:-1]):  # no inf - inf where survival underflows
             raise ConfigurationError("hazard must be nondecreasing")
 
     def hazard(self, t: float) -> float:

@@ -10,7 +10,6 @@ driftless geometric Brownian one, which is a martingale by construction.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
@@ -23,6 +22,17 @@ from .grids import TimeGrid
 from ._rng import Seed, coerce_rng
 
 
+#: Largest deflator level or start.  It cancels in a payoff, payments times
+#: the deflator over its value at t, but the products come first: a mark is
+#: below 1e118 and a martingale ratio below 1e18 (``mc.MAX_MARK_MEAN``).
+MAX_DEFLATOR_LEVEL = 1e100
+
+#: Largest martingale deflator volatility.  Past it the ratio
+#: exp(vol W_u - vol^2 u / 2) rounds to 0 for u > 1/4 even on a path nine
+#: standard deviations up, where a deflator must stay > 0.
+MAX_DEFLATOR_VOL = 100.0
+
+
 @dataclass(frozen=True)
 class DeterministicDeflator:
     """Known deflator curve; pass a constant or a positive function of time."""
@@ -30,8 +40,8 @@ class DeterministicDeflator:
     level: Union[float, Callable[[float], float]] = 1.0
 
     def __post_init__(self) -> None:
-        if not callable(self.level) and not 0.0 < self.level < math.inf:
-            raise SchemaError("level", f"must be finite and > 0, got {self.level}")
+        if not callable(self.level) and not 0.0 < self.level <= MAX_DEFLATOR_LEVEL:
+            raise SchemaError("level", f"must be > 0 and <= {MAX_DEFLATOR_LEVEL}, got {self.level}")
 
     @property
     def is_constant(self) -> bool:
@@ -61,10 +71,10 @@ class MartingaleDeflator:
     corr_with_intensity: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.init < math.inf:
-            raise SchemaError("init", f"must be finite and > 0, got {self.init}")
-        if not 0.0 <= self.vol < math.inf:
-            raise SchemaError("vol", f"must be finite and >= 0, got {self.vol}")
+        if not 0.0 < self.init <= MAX_DEFLATOR_LEVEL:
+            raise SchemaError("init", f"must be > 0 and <= {MAX_DEFLATOR_LEVEL}, got {self.init}")
+        if not 0.0 <= self.vol <= MAX_DEFLATOR_VOL:
+            raise SchemaError("vol", f"must be >= 0 and <= {MAX_DEFLATOR_VOL}, got {self.vol}")
         if not -1.0 <= self.corr_with_intensity <= 1.0:
             raise SchemaError("corr_with_intensity", f"must be in [-1, 1], got {self.corr_with_intensity}")
 

@@ -20,7 +20,8 @@ expected development, and an unreported part driven by p':
 
 valid when the deflator's conditional expectation collapses to its current
 value (a martingale or constant deflator) and, for a stochastic intensity,
-at t = 0 with the outer expectation taken over fresh intensity paths.
+at t = 0 with the outer expectation taken over fresh intensity paths: the
+rule along their ``effective_path``, whose reporting law is the mean law.
 
 Quadrature: integrals against exp(-Gamma) mu ds are computed per grid cell
 as the exact exponential mass exp(-Gamma_k) - exp(-Gamma_{k+1}) times a
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -92,8 +93,8 @@ from ._rng import Seed, substream
 # Guard for conditional denominators; below this the state is degenerate.
 _MIN_SURVIVING_MASS = 1e-12
 
-#: Stochastic-reserve draws whose Richardson gap I_h - I_2h is also bracketed.
-_ESTIMATE_DRAWS = 1024
+#: Substream purpose of the stochastic reserve's outer intensity draws.
+_STREAM_OUTER_DRAWS = 0x1A7E
 
 def expected_development(dev: DevelopmentLaw, t: float) -> float:
     """Expected cumulative development paid within ``t`` years of the report.
@@ -327,6 +328,8 @@ class ReserveResult:
     unreported_component: float
     total: float
     diagnostics: dict
+    #: The path priced: the realized one, or a stochastic model's effective path.
+    path: IntensityPath | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.reported_component < 0.0 or self.unreported_component < 0.0:
@@ -459,6 +462,35 @@ def _brackets(surv: np.ndarray, mu: np.ndarray, q: np.ndarray, c: np.ndarray,
     return out
 
 
+def effective_path(model: LogOUIntensity, grid: TimeGrid, draws: int, seed: Seed = 0,
+                   bracket: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+                   ) -> tuple[IntensityPath, np.ndarray | None]:
+    """``draws`` fresh log-OU paths as one path with their mean survival, and
+    each draw's ``bracket`` (of its survival and rate rows) when given.
+
+    The path's rate is E[exp(-Gamma) mu] / E[exp(-Gamma)] (Lando 2004, *Credit
+    Risk Modeling*).  The reporting law and the payout integral are linear
+    in exp(-Gamma) and exp(-Gamma) mu, so along it each is the draws' mean,
+    to rounding.  Each part of ``draw_hazard_chunks`` is added row by row to
+    the two sums, so no bit depends on the part size.  Where no draw's
+    survival is above 0 the hazard is inf and the rate 0.
+    """
+    brackets = None if bracket is None else np.empty(draws)
+    sums = np.zeros((2, len(grid.points)))  # of exp(-Gamma) and of exp(-Gamma) mu
+    for rows, mu, gamma in draw_hazard_chunks(model, grid, substream(seed, _STREAM_OUTER_DRAWS), draws):
+        surv = np.exp(np.negative(gamma, out=gamma), out=gamma)
+        if brackets is not None:
+            brackets[rows] = bracket(surv, mu)
+        # Each running sum goes into the (now free) first row; a reduce adds rows in order.
+        for total, part in zip(sums, (surv, np.multiply(mu, surv, out=mu))):
+            part[0] += total
+            np.add.reduce(part, axis=0, out=total)
+    with np.errstate(divide="ignore"):
+        gamma = -np.log(sums[0] / draws)
+    mu = np.divide(sums[1], sums[0], out=np.zeros_like(sums[1]), where=sums[0] > 0.0)
+    return IntensityPath(grid=grid, mu=mu, gamma=gamma), brackets
+
+
 def check_reserve_regime(intensity: IntensityPath | IntensityModel, market: MarketModel | None,
                          t: float) -> None:
     """Refuse, as ``UnsupportedRegimeError``, a book outside the closed form's regime.
@@ -507,21 +539,19 @@ def reserve(
     model is realized on ``grid`` (default: daily up to T).  A stochastic
     model is supported at t = 0 only, where the outer average over
     intensity paths is estimated from ``intensity_draws`` fresh draws and
-    its standard error lands in the diagnostics.  The draws come from one
-    generator through ``draw_hazard_chunks``, and each part of a few paths
-    is reduced to its payout brackets, row by row, before the next is
-    drawn, so memory stays at one bracket per draw and a few cache-sized
-    arrays, and any part size gives a one-pass average's bits.  Richardson's
-    ``unreported_error_estimate`` is |I_h - I_2h| / 3, I_2h the same rule on
-    the even nodes (step 2h, rates mu[::2], the hazard kept at those nodes),
-    both over the whole 2h cells of [t, T] with the payout to T, or the
-    unreported component where there are none (one cell, or t past the last
-    even node but one).  A stochastic model averages I_h - I_2h over its
-    first ``_ESTIMATE_DRAWS`` paths (``error_estimate_draws``), bracketed
-    from the survival of their main brackets.  A result that is not finite
-    raises SchemaError naming ``T``, other regimes UnsupportedRegimeError
-    (``check_reserve_regime``, before any other check); the Monte Carlo
-    oracle prices all of them but a stochastic model at t > 0.
+    its standard error lands in the diagnostics; ``effective_path`` reduces
+    each part of a few draws to its payout brackets, row by row, so memory
+    stays at one bracket per draw, and the result is a one-pass average's
+    bits.  Richardson's ``unreported_error_estimate`` is |I_h - I_2h| / 3,
+    I_2h the same rule on the even nodes (step 2h, rates mu[::2], the hazard
+    kept at those nodes), both over the whole 2h cells of [t, T] with the
+    payout to T, or the unreported component where there are none (one
+    cell, or t past the last even node but one); a stochastic model's rules
+    run on its effective path, the path the result carries.  A result that
+    is not finite raises SchemaError naming ``T``, other regimes
+    UnsupportedRegimeError (``check_reserve_regime``, before any other
+    check); the Monte Carlo oracle prices all of them but a stochastic
+    model at t > 0.
     """
     t = state.as_of
     n = state.n_policies
@@ -532,17 +562,12 @@ def reserve(
     if t == 0.0 and reported != 0:
         raise ConfigurationError("no claim can already be reported at time zero")
 
-    stochastic = False
-    intensity_model: IntensityModel | None = None
     if isinstance(intensity, IntensityPath):
-        path: IntensityPath | None = intensity
-        grid = intensity.grid
+        path, grid, stochastic = intensity, intensity.grid, False
     else:
-        intensity_model = intensity
-        if grid is None:
-            grid = TimeGrid.regular(T)
-        stochastic = not is_deterministic(intensity_model)
-        path = None if stochastic else simulate_intensity_path(intensity_model, grid)
+        grid = TimeGrid.regular(T) if grid is None else grid
+        stochastic = not is_deterministic(intensity)
+        path = None if stochastic else simulate_intensity_path(intensity, grid)
 
     grid.require_inside(t)
     grid.require_inside(T)
@@ -554,11 +579,23 @@ def reserve(
         "outer_std_error": 0.0,
     }
 
-    if not stochastic:
+    unreported_count = n - reported
+    surviving = 1.0  # a stochastic model is priced at t = 0, before any report
+    if stochastic:
+        # Average the payout integral over fresh paths, each draw's by its own bracket.
+        if not intensity_draws >= 2:
+            raise SchemaError("intensity_draws", f"must be >= 2, got {intensity_draws}")
+        c = _unreported_integrand_weights(grid, grid.node_index(T, what="horizon"), first_mark, dev)
+        q = _bracket_functional(c, delay, grid)
+        path, brackets = effective_path(intensity, grid, intensity_draws, seed,
+                                        lambda surv, mu: _brackets(surv, mu, q, c, delay.alpha0))
+        unreported = n * float(np.mean(brackets))
+        diagnostics["intensity_draws"] = int(intensity_draws)
+        diagnostics["outer_std_error"] = n * float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))
+    else:
         p_t = reporting_cdf(path, delay, t)
         diagnostics["reporting_cdf_at_t"] = p_t
-        unreported_count = n - reported
-        unreported = estimate = 0.0
+        unreported = 0.0
         if unreported_count:
             surviving = 1.0 - p_t
             if surviving < _MIN_SURVIVING_MASS:
@@ -567,53 +604,21 @@ def reserve(
                     "no surviving mass to condition on (expected reported count = n)")
             integral = _payout_integral(path, delay, first_mark, dev, t, T)
             unreported = unreported_count * integral / surviving
-            # The rule on the even nodes has four times this second-order
-            # error, so the error is about |I_h - I_2h| / 3.
-            h2 = 2.0 * grid.step
-            i_a = 2 * math.ceil(t / h2 - 1e-12)
-            i_b = 2 * math.floor(T / h2 + 1e-12)
-            estimate = unreported
-            if i_a < i_b:
-                t_a, t_b = grid.points.item(i_a), grid.points.item(i_b)
-                fine = integral if t_a == t and t_b == T else _payout_integral(
-                    path, delay, first_mark, dev, t_a, T, t_b)
-                gap = fine - _payout_integral(_even_nodes(path), delay, first_mark, dev, t_a, T, t_b)
-                estimate = unreported_count * abs(gap) / 3.0 / surviving
-    else:
-        # Stochastic intensity at t = 0: average the payout integral over fresh paths.
-        assert isinstance(intensity_model, LogOUIntensity)
-        if not intensity_draws >= 2:
-            raise SchemaError("intensity_draws", f"must be >= 2, got {intensity_draws}")
-        i_T = grid.node_index(T, what="horizon")
-        c = _unreported_integrand_weights(grid, i_T, first_mark, dev)
-        q = _bracket_functional(c, delay, grid)
-        # I_h - I_2h as one bracket: a 2h cell mass is the sum of two h masses,
-        # so the 2h weights sit on the h grid as repeat(q_2h) and c_2h[::2].
-        i_e = i_T - i_T % 2
-        if i_e:
-            coarse = TimeGrid(t_end=float(grid.points[i_e]), step=2.0 * grid.step,
-                              points=grid.points[: i_e + 1 : 2])
-            c_gap = _unreported_integrand_weights(grid, i_e, first_mark, dev, grid.points[i_T])
-            c_2h = _unreported_integrand_weights(coarse, i_e // 2, first_mark, dev, grid.points[i_T])
-            q_gap = _bracket_functional(c_gap, delay, grid)
-            q_gap[:i_e] -= np.repeat(_bracket_functional(c_2h, delay, coarse), 2)
-            c_gap[: i_e + 1 : 2] -= c_2h
-        rng = substream(seed, 0x1A7E)
-        brackets = np.empty(intensity_draws)
-        gaps = np.empty(min(_ESTIMATE_DRAWS, intensity_draws) if i_e else 0)  # I_h - I_2h per draw
-        for rows, mu, gamma in draw_hazard_chunks(intensity_model, grid, rng, intensity_draws):
-            surv = np.exp(np.negative(gamma, out=gamma), out=gamma)
-            brackets[rows] = _brackets(surv, mu, q, c, delay.alpha0)
-            if rows.start < len(gaps):  # a slice past the end of gaps is cut short
-                gaps[rows] = _brackets(surv, mu, q_gap, c_gap, delay.alpha0)[: len(gaps[rows])]
-        unreported = n * float(np.mean(brackets))
-        diagnostics["intensity_draws"] = int(intensity_draws)
-        diagnostics["outer_std_error"] = n * float(np.std(brackets, ddof=1) / math.sqrt(intensity_draws))
-        diagnostics["error_estimate_draws"] = len(gaps)
-        estimate = n * abs(float(np.mean(gaps))) / 3.0 if len(gaps) else unreported
+    # The rule on the even nodes has four times this second-order error, so
+    # the error is about |I_h - I_2h| / 3.
+    h2 = 2.0 * grid.step
+    i_a = 2 * math.ceil(t / h2 - 1e-12)
+    i_b = 2 * math.floor(T / h2 + 1e-12)
+    estimate = unreported
+    if unreported_count and i_a < i_b:
+        t_a, t_b = grid.points.item(i_a), grid.points.item(i_b)
+        fine = integral if not stochastic and t_a == t and t_b == T else _payout_integral(
+            path, delay, first_mark, dev, t_a, T, t_b)
+        gap = fine - _payout_integral(_even_nodes(path), delay, first_mark, dev, t_a, T, t_b)
+        estimate = unreported_count * abs(gap) / 3.0 / surviving
     total = reported_component + unreported
     diagnostics["unreported_error_estimate"] = estimate
     if not math.isfinite(total + estimate):
         raise SchemaError("T", f"the analytic reserve is not finite over this horizon "
                                f"(total {total:.3g}, unreported_error_estimate {estimate:.3g})")
-    return ReserveResult(t, T, reported_component, unreported, total, diagnostics)
+    return ReserveResult(t, T, reported_component, unreported, total, diagnostics, path)

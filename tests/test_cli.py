@@ -862,7 +862,6 @@ def test_log_ou_quadrature_estimate_names_grid_step(tmp_path, capsys, step, code
     assert _run_main(config, tmp_path / "out", "--validate") == code
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     diagnostics = report["analytic"]["diagnostics"]
-    assert diagnostics["error_estimate_draws"] == 1024
     if code == 1:
         assert "config error at grid.step" in capsys.readouterr().err
         assert report["comparison"]["passed"] is False
@@ -870,6 +869,113 @@ def test_log_ou_quadrature_estimate_names_grid_step(tmp_path, capsys, step, code
     else:
         assert report["comparison"]["passed"] is True
         assert diagnostics["unreported_error_estimate"] < 0.01 * report["mc"]["std_error"]
+
+
+def test_log_ou_curve_is_the_reserves_effective_path_in_every_mode(tmp_path):
+    # curve.csv is the mean law the reserve prices; --mc-only draws the
+    # same paths to write the same bytes.
+    config = _write(tmp_path, {**_STOCHASTIC_BOOK, "mc": {"n_paths": 400, "intensity_draws": 1024}})
+    curves = set()
+    for flag in ("--validate", "--analytic-only", "--mc-only"):
+        assert _run_main(config, tmp_path / flag, flag) == 0
+        curves.add((tmp_path / flag / "curve.csv").read_bytes())
+        report = json.loads((tmp_path / flag / "report.json").read_text())
+        assert report["curve_intensity"] == "mean law of the intensity draws"
+    assert len(curves) == 1
+    cfg = parse_config(config.read_text())
+    grid = cfg.grid()
+    path = pricing.effective_path(cfg.intensity, grid, cfg.intensity_draws, cfg.seed)[0]
+    rows = curves.pop().decode().splitlines()[1:]
+    cdf = pricing.reporting_curve(path, cfg.delay).cdf
+    assert [float(row.split(",")[1]) for row in rows] == [float(f"{p:.12g}") for p in cdf]
+
+
+@pytest.mark.parametrize("init, level, alpha0, validate_code", [
+    (1e6, 13.8, 0.2, 1),
+    (1e300, 690.0, 0.0, 0),
+], ids=["1e6", "1e300"])
+def test_log_ou_books_whose_every_draw_underflows_exit_cleanly(tmp_path, capsys, init, level,
+                                                               alpha0, validate_code):
+    # From the first cell on no draw's survival is above 0, so the effective
+    # rate there is 0/0; it is set to 0 without a warning (filterwarnings =
+    # error).  The quadrature misses the spike at t = 0 by its whole
+    # estimate at alpha0 = 0.2, so --validate blames the grid.
+    example = copy.deepcopy(_EXAMPLE)
+    example["intensity"] = {"kind": "log_ou", "mean_rev": 2.0, "long_run_log_level": level,
+                            "vol": 0.5, "init": init}
+    example["delay"]["alpha0"] = alpha0
+    example["mc"] = {"n_paths": 400, "intensity_draws": 512}
+    config = _write(tmp_path, example)
+    for flag, code in (("--validate", validate_code), ("--analytic-only", 0), ("--mc-only", 0)):
+        assert _run_main(config, tmp_path / flag, flag) == code
+        if code == 1:
+            assert "config error at grid.step" in capsys.readouterr().err
+        assert "nan" not in (tmp_path / flag / "curve.csv").read_text()
+
+
+@pytest.mark.parametrize("field, value", [("vol", 1e155), ("vol", 1e154), ("init", 1e308), ("level", 1e308)],
+                         ids=["vol-1e155", "vol-1e154", "init-1e308", "level-1e308"])
+def test_huge_deflator_exits_one_naming_its_field(tmp_path, capsys, field, value):
+    # Under --validate at 4,000 paths, vol = 1e155 raised an OverflowError
+    # from vol ** 2; vol = 1e154 deflated every payment to 0 and named
+    # grid.step; a start or level of 1e308 overflowed the deflated payments.
+    example = copy.deepcopy(_EXAMPLE)
+    example["market"] = ({"kind": "deterministic", "level": value} if field == "level"
+                         else {**example["market"], field: value})
+    example["mc"]["n_paths"] = 4000
+    config = _write(tmp_path, example)
+    for flag in ("--validate", "--analytic-only"):
+        assert _run_main(config, tmp_path / "out", flag) == 1
+        assert f"config error at market.{field}: must be " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _key_paths(node, path=()):
+    """The path of every key of a JSON object, nested objects included."""
+    for key, value in node.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, path + (key,))
+
+
+#: The structural mutations of one key, by name.
+_MUTATIONS = {"removed": _ABSENT, "null": None, "a string": "x", "a list": [1.0], "an object": {},
+              "a bool": True, "-1": -1, "0": 0, "1e308": 1e308}
+
+
+def test_every_structural_mutation_prices_or_exits_cleanly(tmp_path):
+    # Each key of configs/example.json removed, or set to a value of each
+    # JSON type or to -1, 0 or 1e308, under --analytic-only and under
+    # --mc-only at 400 paths: exit 0 with finite outputs, 1 naming a field,
+    # or 3; never a traceback or a numpy warning.  630 runs, about 1.5 s.
+    base = {**copy.deepcopy(_EXAMPLE), "mc": {**_EXAMPLE["mc"], "n_paths": 400}}
+    config = tmp_path / "scenario.json"
+    for path in _key_paths(base):
+        for name, value in _MUTATIONS.items():
+            mutated = copy.deepcopy(base)
+            node = mutated
+            for key in path[:-1]:
+                node = node[key]
+            if value is _ABSENT:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+            config.write_text(json.dumps(mutated))
+            for mode in ("analytic_only", "mc_only"):
+                out = tmp_path / "out"
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = run_scenario(config, out, **{mode: True})
+                case = f"{'.'.join(path)} {name} under {mode}: {err.getvalue()}"
+                assert code in (0, 1, 3), case
+                if code == 1:
+                    assert err.getvalue().startswith("config error at "), case
+                if code == 0:
+                    output = mutated.get("output", {})
+                    report = (out / output.get("report", "report.json")).read_text()
+                    curve = (out / output.get("curve", "curve.csv")).read_text()
+                    assert "NaN" not in report and "Infinity" not in report, case
+                    assert "nan" not in curve and "inf" not in curve, case
 
 
 def test_run_missing_file_exits_one(tmp_path, capsys):

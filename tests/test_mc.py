@@ -35,8 +35,9 @@ from claimflow import (
 )
 from claimflow import mc
 from claimflow.cli import parse_config
-from claimflow.claims import _BISECT_CHUNK, _DRAW_PIECE, _invert_gamma_rows
+from claimflow.claims import MAX_SIGMA_LN, _BISECT_CHUNK, _DRAW_PIECE, _invert_gamma_rows
 from claimflow.intensity import _hazard_chunk_rows, hazard_knots, trapezoid_hazard
+from claimflow.market import MAX_DEFLATOR_LEVEL, MAX_DEFLATOR_VOL
 from claimflow.mc import BLOCK_SIZE, Z_THRESHOLD, _accident_times, _brownian_at_events
 
 
@@ -752,6 +753,27 @@ def test_each_law_bound_refuses_nan_naming_its_attribute(record, attribute, nan,
         with pytest.raises(SchemaError) as err:
             record(**{**_LAWS[record], attribute: value})
         assert err.value.field == attribute
+
+
+#: (record, attribute, finite value past the record's bound, the bound): a
+#: value that overflowed the record's own arithmetic or the oracle's.
+_LAW_CEILINGS = [
+    (MarkLaw, "sigma_ln", 1e308, MAX_SIGMA_LN),
+    (DeterministicDeflator, "level", 1e308, MAX_DEFLATOR_LEVEL),
+    (MartingaleDeflator, "init", 1e308, MAX_DEFLATOR_LEVEL),
+    (MartingaleDeflator, "vol", 1e155, MAX_DEFLATOR_VOL),
+]
+
+
+@pytest.mark.parametrize("record, attribute, huge, bound", _LAW_CEILINGS,
+                         ids=[f"{r.__name__}.{a}" for r, a, _, _ in _LAW_CEILINGS])
+def test_each_law_ceiling_refuses_a_huge_finite_value_naming_its_attribute(record, attribute, huge, bound):
+    # sigma_ln = 1e308 raised a bare OverflowError from sigma_ln ** 2; the
+    # deflator values overflowed the oracle (see test_cli).
+    record(**{**_LAWS[record], attribute: bound})
+    with pytest.raises(SchemaError) as err:
+        record(**{**_LAWS[record], attribute: huge})
+    assert err.value.field == attribute
 
 
 #: (record, attribute, how a number becomes the attribute's value) for

@@ -41,7 +41,6 @@ from claimflow import intensity, pricing
 from claimflow.cli import parse_config
 from claimflow.intensity import IntensityPath, draw_hazard_chunks, trapezoid_hazard
 from claimflow.pricing import (
-    _ESTIMATE_DRAWS,
     _bracket_functional,
     _brackets,
     _cell_masses,
@@ -681,10 +680,8 @@ def _unchunked_stochastic_reserve(model, delay, fm, dev, T, grid, draws, seed, n
 
 @pytest.mark.parametrize("alpha0", [0.0, 0.2, 1.0])
 def test_stochastic_reserve_chunks_match_one_pass(alpha0):
-    # Draw counts around the error estimate's 1,024 draws: the streamed
-    # outer average must equal the one-pass formula bit for bit.  At
-    # alpha0 = 1 (instant reporting) there is no density bracket.
-    assert _ESTIMATE_DRAWS == 1024
+    # The streamed outer average must equal the one-pass formula bit for
+    # bit.  At alpha0 = 1 (instant reporting) there is no density bracket.
     model = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
     density = None if alpha0 == 1.0 else ExponentialDelay(2.0)
     delay = DelayLaw(alpha0=alpha0, density=density)
@@ -759,7 +756,7 @@ def test_stochastic_error_estimate_matches_one_pass_coarse(cells, draws):
     coarse = TimeGrid.regular(float(grid.points[i_e]), step=2 / cells)
     state = PortfolioState.from_counts(0.0, 64, 0)
     result = reserve(state, model, delay, fm, dev, 1.0, grid=grid, intensity_draws=draws, seed=3)
-    k = min(draws, _ESTIMATE_DRAWS)
+    k = draws
     mu = np.exp(model.log_level_paths(grid, substream(3, 0x1A7E).standard_normal((k, grid.n_cells))))
     gamma = trapezoid_hazard(grid, mu)
     gaps = 0.0
@@ -770,9 +767,80 @@ def test_stochastic_error_estimate_matches_one_pass_coarse(cells, draws):
         surv = np.exp(-hazard)
         brackets = _cell_masses(surv) @ _bracket_functional(c, delay, g) + 0.2 * ((surv * rates) @ c)
         gaps = gaps + sign * brackets
-    assert result.diagnostics["error_estimate_draws"] == k
     assert result.diagnostics["unreported_error_estimate"] == pytest.approx(
         64 * abs(float(np.mean(gaps))) / 3.0, rel=1e-9)
+
+
+_LOG_OU = LogOUIntensity(mean_rev=2.0, long_run_log_level=0.0, vol=0.5, init=1.0)
+
+
+@pytest.mark.parametrize("alpha0", [0.0, 0.2, 1.0])
+def test_deterministic_reserve_on_the_effective_path_is_the_stochastic_total(alpha0):
+    # The payout integral is linear in exp(-Gamma) and exp(-Gamma) mu, so the
+    # deterministic leg on the path of their means is the mean bracket, and
+    # its Richardson estimate is the stochastic reserve's, bit for bit.
+    delay = DelayLaw(alpha0=alpha0, density=None if alpha0 == 1.0 else ExponentialDelay(2.0))
+    fm, dev = MarkLaw(mean=1.0), _book()[2]
+    grid = TimeGrid.regular(1.0, step=1 / 52)
+    state = PortfolioState.from_counts(0.0, 64, 0)
+    result = reserve(state, _LOG_OU, delay, fm, dev, 1.0, grid=grid, intensity_draws=1000, seed=3)
+    on_path = reserve(state, result.path, delay, fm, dev, 1.0)
+    assert on_path.total == pytest.approx(result.total, rel=1e-12, abs=0.0)
+    estimate = "unreported_error_estimate"
+    assert on_path.diagnostics[estimate] == result.diagnostics[estimate]
+    path, brackets = pricing.effective_path(_LOG_OU, grid, 1000, seed=3)
+    assert brackets is None
+    assert np.array_equal(path.gamma, result.path.gamma) and np.array_equal(path.mu, result.path.mu)
+
+
+def test_effective_path_does_not_depend_on_the_part_size(monkeypatch):
+    # Parts of 11, 89 and 179 paths give the bits of a loop that adds the
+    # draws of one whole draw row by row.
+    grid = TimeGrid.regular(1.0)
+    mu = np.exp(_LOG_OU.log_level_paths(grid, substream(7, 0x1A7E).standard_normal((2049, grid.n_cells))))
+    surv = np.exp(-trapezoid_hazard(grid, mu))
+    sums = np.zeros((2, len(grid.points)))
+    for s, m in zip(surv, mu):
+        sums[0] += s
+        sums[1] += s * m
+    reference = (-np.log(sums[0] / 2049)).tobytes(), (sums[1] / sums[0]).tobytes()
+    for values in (1 << 12, 1 << 15, 1 << 16):
+        monkeypatch.setattr(intensity, "_HAZARD_CHUNK_VALUES", values)
+        path = pricing.effective_path(_LOG_OU, grid, 2049, seed=7)[0]
+        assert (path.gamma.tobytes(), path.mu.tobytes()) == reference
+
+
+def test_effective_path_where_every_survival_underflows():
+    # Past the first cells no draw survives: the hazard is inf and the rate
+    # 0 there, with no 0/0 and no numpy warning, and the curve stays finite.
+    model = LogOUIntensity(mean_rev=2.0, long_run_log_level=13.8, vol=0.5, init=1e6)
+    path = pricing.effective_path(model, TimeGrid.regular(1.0), 64, seed=0)[0]
+    assert path.gamma[0] == 0.0 and path.gamma[-1] == math.inf and path.mu[-1] == 0.0
+    curve = reporting_curve(path, _exp_delay())
+    assert np.all(np.isfinite(curve.cdf)) and np.all(np.isfinite(curve.density))
+    assert curve.survival[-1] == 0.0
+
+
+def test_simulated_portfolios_report_at_the_effective_paths_curve():
+    # The record API under a log-OU rate: 4,000 sampled paths of 25 policies
+    # each, against the reporting cdf of the mean law that the stochastic
+    # reserve prices and curve.csv writes.  The standard error is the spread
+    # of each path's fraction reported across the paths.
+    from claimflow.mc import Z_THRESHOLD
+    grid = TimeGrid.regular(1.0)
+    delay, fm, dev = DelayLaw(alpha0=0.2, density=ExponentialDelay(2.0)), MarkLaw(mean=1.0), _book()[2]
+    nodes = grid.points[[73, 146, 219, 292, 365]]
+    fractions = np.empty((4000, len(nodes)))
+    for i in range(len(fractions)):
+        path = simulate_intensity_path(_LOG_OU, grid, seed=np.random.SeedSequence(11, spawn_key=(i,)))
+        claims = simulate_portfolio(25, path, delay, fm, dev, 1.0, seed=np.random.SeedSequence(12, spawn_key=(i,)))
+        reports = np.array([c.report_time for c in claims])
+        fractions[i] = (reports[:, None] <= nodes).mean(axis=0)
+    mean_law = pricing.effective_path(_LOG_OU, grid, 8192, seed=13)[0]
+    expected = np.array([reporting_cdf(mean_law, delay, float(t)) for t in nodes])
+    se = fractions.std(axis=0, ddof=1) / math.sqrt(len(fractions))
+    z = (fractions.mean(axis=0) - expected) / se
+    assert np.all(np.abs(z) <= Z_THRESHOLD), z
 
 
 _STOCHASTIC_SCENARIO = {
@@ -912,8 +980,6 @@ def test_error_estimate_without_a_coarse_cell_is_the_component(intensity, step, 
                      intensity_draws=64)
     assert result.unreported_component > 0.0
     assert result.diagnostics["unreported_error_estimate"] == result.unreported_component
-    if isinstance(intensity, LogOUIntensity):
-        assert result.diagnostics["error_estimate_draws"] == 0
 
 
 @pytest.mark.parametrize("cells, node, evaluations", [(730, 400, 2), (730, 401, 3), (729, 400, 3)],
